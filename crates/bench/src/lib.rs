@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod history;
 
 use std::fs;
 use std::path::PathBuf;

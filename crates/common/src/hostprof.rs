@@ -110,7 +110,8 @@ impl WorkerLane {
 /// The coordinator-lane intervals (`commit_ns`, `coord_drain_ns`,
 /// `barrier_ns`) are *disjoint* sub-intervals of `wall_ns` measured on the
 /// same monotonic clock, so their fractions are each in `[0, 1]` and sum to
-/// at most 1 — the invariant the attribution report builds on.
+/// at most 1 — the invariant the serial/parallel/barrier/other split of
+/// [`HostTotals::render`] builds on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseProfile {
     /// Phase label ("raster"; the collector numbers repeats on rendering).
@@ -449,18 +450,6 @@ impl HostProfile {
         t
     }
 
-    /// Per-RU event occupancy summed over all phases.
-    pub fn ru_occupancy(&self) -> Vec<u64> {
-        let n = self.phases.iter().map(|p| p.ru_events.len()).max().unwrap_or(0);
-        let mut occ = vec![0u64; n];
-        for p in &self.phases {
-            for (dst, src) in occ.iter_mut().zip(&p.ru_events) {
-                *dst += src;
-            }
-        }
-        occ
-    }
-
     /// The host-clock lanes as Chrome trace events (microsecond timestamps on
     /// the [`Track::HostCoordinator`] / [`Track::HostWorker`] rows), appended
     /// to a simulated-cycle trace as separate host-time tracks.
@@ -655,32 +644,19 @@ pub fn finish() -> Option<HostProfile> {
 pub struct HostMeta {
     /// `std::thread::available_parallelism()` at capture time.
     pub cores: usize,
-    /// Short git revision (`LIBRA_GIT_REV` override, else read from `.git`,
-    /// else `"unknown"`).
+    /// Short git revision read from `.git`, else `"unknown"`.
     pub git_rev: String,
-    /// ISO-8601 UTC timestamp (`LIBRA_BENCH_UTC` override — the harness passes
-    /// it in — else derived from the system clock).
+    /// ISO-8601 UTC timestamp from the system clock.
     pub utc: String,
 }
 
 impl HostMeta {
     /// Captures the current host's metadata.
     pub fn capture() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let git_rev = std::env::var("LIBRA_GIT_REV")
-            .ok()
-            .map(|v| v.trim().to_string())
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(git_rev_from_disk);
-        let utc = std::env::var("LIBRA_BENCH_UTC")
-            .ok()
-            .map(|v| v.trim().to_string())
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(utc_now);
         Self {
-            cores,
-            git_rev,
-            utc,
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            git_rev: git_rev_from_disk(),
+            utc: utc_now(),
         }
     }
 

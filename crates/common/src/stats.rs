@@ -360,7 +360,7 @@ pub struct FrameStats {
     pub texture_unique_lines: u64,
     /// Simulator micro-events processed for this frame (geometry fetch/bin events
     /// plus raster event-loop decisions). A *simulator*-side measure — the basis
-    /// of the events/sec throughput benchmark — not a property of the GPU.
+    /// of the repository benchmark's ns/event — not a property of the GPU.
     pub micro_events: u64,
 }
 

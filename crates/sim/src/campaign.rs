@@ -1160,30 +1160,6 @@ impl Campaign {
         let (results, _, traces) = self.run_full(threads, true);
         (results, traces)
     }
-
-    /// Runs the campaign both in parallel and serially, asserting bit-identical
-    /// results; returns `(results, parallel_secs, serial_secs)`. This is the CI
-    /// smoke entry point — any divergence panics with the first differing job.
-    pub fn run_verified(&self, threads: usize) -> (Vec<CampaignResult>, f64, f64) {
-        let t0 = Instant::now();
-        let par = self.run(threads);
-        let par_secs = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let ser = self.run_serial();
-        let ser_secs = t1.elapsed().as_secs_f64();
-        assert_eq!(par.len(), ser.len());
-        for (p, s) in par.iter().zip(&ser) {
-            assert_eq!(
-                p,
-                s,
-                "parallel job {} ({} / {}) diverged from the serial run",
-                p.job(),
-                p.abbrev(),
-                p.scheduler()
-            );
-        }
-        (par, par_secs, ser_secs)
-    }
 }
 
 #[cfg(test)]
@@ -1242,14 +1218,6 @@ mod tests {
         assert_eq!(c.job_seed(2), c2.job_seed(2));
         let c3 = small_campaign(43, 3);
         assert_ne!(c.job_seed(0), c3.job_seed(0));
-    }
-
-    #[test]
-    fn run_verified_smoke() {
-        let c = small_campaign(1, 4);
-        let (res, _, _) = c.run_verified(2);
-        assert_eq!(res.len(), 4);
-        assert!(res.iter().all(|r| r.stats().unwrap().total_cycles() > 0));
     }
 
     #[test]

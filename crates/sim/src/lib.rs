@@ -41,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-pub mod attribution;
 pub mod campaign;
 pub mod checkpoint;
 pub mod event_loop;
@@ -52,7 +51,6 @@ pub mod imr;
 pub mod raster_phase;
 pub mod report;
 pub mod service;
-pub mod throughput;
 pub mod wire;
 
 pub use campaign::{

@@ -77,7 +77,7 @@ pub struct RasterPhaseResult {
     /// Cycle at which each Raster Unit finished its last tile (load balance).
     pub ru_finish: Vec<Cycle>,
     /// Micro-events processed by the event loop (one per scheduler decision).
-    /// Identical between the heap and scan drivers; the throughput benchmark
+    /// Identical across the event-loop drivers; the repository benchmark
     /// divides wall-clock by this to get ns/event.
     pub events: u64,
     /// Tiles where WaSP engaged (texture-L1 miss ratio above the threshold at

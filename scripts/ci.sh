@@ -19,30 +19,33 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== [3/14] rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "== [4/14] test suite =="
-cargo test -q
+echo "== [4/14] test suite (every crate's unit, doc and integration tests) =="
+cargo test -q --workspace
 
-echo "== [5/14] trace-export smoke (emit, then validate with the in-repo parser) =="
+echo "== [5/14] benchmark package tests (its mirror must match the simulator) =="
+cargo test --offline --manifest-path libra-benchmark/Cargo.toml
+
+echo "== [6/14] trace-export smoke (emit, then validate with the in-repo parser) =="
 cargo run --release --bin libra-sim -- run AAt --frames 1 \
     --trace-out target/ci_trace.json --report-json target/ci_report.json
 cargo run --release --bin libra-sim -- trace-check target/ci_trace.json
 
-echo "== [6/14] 2-thread campaign smoke (parallel == serial, bit-identical) =="
+echo "== [7/14] 2-thread campaign smoke (parallel == serial, bit-identical) =="
 cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 --verify
 
-echo "== [7/14] heap-vs-scan event-loop differential smoke (metrics bit-identical) =="
+echo "== [8/14] heap-vs-scan event-loop differential smoke (metrics bit-identical) =="
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop scan \
     --report-json target/ci_eventloop_scan.json
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop heap \
     --report-json target/ci_eventloop_heap.json
 cmp target/ci_eventloop_scan.json target/ci_eventloop_heap.json
 
-echo "== [8/14] par-vs-heap event-loop differential smoke (2 worker threads, metrics bit-identical) =="
+echo "== [9/14] par-vs-heap event-loop differential smoke (2 worker threads, metrics bit-identical) =="
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop par --sim-threads 2 \
     --report-json target/ci_eventloop_par.json
 cmp target/ci_eventloop_heap.json target/ci_eventloop_par.json
 
-echo "== [9/14] kill-and-resume smoke (poison one job, resume, metrics bit-identical) =="
+echo "== [10/14] kill-and-resume smoke (poison one job, resume, metrics bit-identical) =="
 # Reference: an uninterrupted sweep (no checkpoint so it cannot collide).
 cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 \
     --no-checkpoint --report-json target/ci_campaign_ref.json
@@ -61,7 +64,7 @@ cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 \
     --resume target/ci_campaign.ckpt --report-json target/ci_campaign_resumed.json
 cmp target/ci_campaign_ref.json target/ci_campaign_resumed.json
 
-echo "== [10/14] binary-checkpoint kill-and-resume (torn sidecar healed byte-identically) =="
+echo "== [11/14] binary-checkpoint kill-and-resume (torn sidecar healed byte-identically) =="
 # Reference: a serial sweep writing the default binary sidecar (job order is
 # deterministic at --threads 1, so the file is byte-reproducible).
 rm -f target/ci_campaign_ref.ckptb target/ci_campaign_cut.ckptb
@@ -82,24 +85,17 @@ cargo run --release --bin libra-sim -- campaign --frames 1 --threads 1 \
     --resume target/ci_campaign_cut.ckptb >/dev/null
 cmp target/ci_campaign_ref.ckptb target/ci_campaign_cut.ckptb
 
-echo "== [11/14] sim-throughput record (scan vs heap vs par wall-clock; record only, never asserted) =="
-cargo run --release --bin libra-sim -- throughput --frames 1 --rus 64 --cores 8 \
-    --out BENCH_sim_throughput.json
-
-echo "== [12/14] speedup attribution + bench-history compare (report-only) =="
-# Small config: the point is the plumbing (hostprof, attribution invariants,
-# history append, baseline diff), not the numbers. The CI history lives under
-# target/ so the committed history file is never dirtied, and the compare is
-# report-only — wall-clock on shared runners is too noisy to gate merges on.
-rm -f target/ci_bench_history.jsonl
-cp bench_results/sim_throughput.json target/ci_sim_throughput_saved.json
-LIBRA_BENCH_HISTORY=target/ci_bench_history.jsonl \
-    cargo run --release --bin libra-sim -- throughput --frames 1 --rus 4 --cores 2 \
-    --explain --out target/ci_throughput_explain.json
-LIBRA_BENCH_HISTORY=target/ci_bench_history.jsonl \
-    cargo run --release --bin libra-sim -- bench-compare
-# The small-config run overwrote the gate-10 record; put it back.
-mv target/ci_sim_throughput_saved.json bench_results/sim_throughput.json
+echo "== [12/14] three-driver equality at 64 RU x 8 cores (scan == heap == par@2, every counter) =="
+# The same sweep under each event-loop driver (the env form, as the benchmark
+# passes it): the three reports must be byte-identical, which compares every
+# simulated counter of every job.
+for mode in scan heap par; do
+    LIBRA_EVENT_LOOP=$mode LIBRA_SIM_THREADS=2 \
+        cargo run --release --bin libra-sim -- campaign --frames 1 --rus 64 --cores 8 \
+        --threads 2 --no-checkpoint --report-json "target/ci_drivers_$mode.json" >/dev/null
+done
+cmp target/ci_drivers_scan.json target/ci_drivers_heap.json
+cmp target/ci_drivers_heap.json target/ci_drivers_par.json
 
 echo "== [13/14] campaign service smoke (serve/submit on loopback, 2 workers, report byte-identical to serial campaign) =="
 # Reference: a plain single-process 4-job sweep.

@@ -10,8 +10,6 @@
 //!                                         multi-process worker sharding
 //! libra-sim submit [opts]                 send a sweep to a running coordinator
 //! libra-sim worker                        stdio shard worker (spawned by serve)
-//! libra-sim throughput [opts]             scan-vs-heap-vs-par events/sec benchmark
-//! libra-sim bench-compare [opts]          diff latest history vs committed baseline
 //! libra-sim trace-check <FILE>            validate an emitted Chrome trace
 //!
 //! options: --frames N (default 6)   --fhd   --scheduler z|scanline|hilbert|static2|
@@ -31,7 +29,8 @@
 //!          --report-json FILE (full metrics-registry report)
 //!
 //! campaign options (additionally): --threads N (default: all cores)   --seed S
-//!          --verify (re-run serially, assert bit-identical results)
+//!          --verify (re-run serially with the same fault/budget/retries, fail on
+//!          the first job that differs; every other option still applies)
 //!          --profile (write worker/job wall-clock CSVs to bench_results/, plus
 //!          aggregated host telemetry to bench_results/campaign_hostprof.json)
 //!          --trace-out FILE (merged per-job traces, one Perfetto process each)
@@ -57,28 +56,18 @@
 //!          --scheduler, --mechanism, --rus, --cores, --fhd, --ideal-memory,
 //!          --seed, --take); --report-json FILE writes the returned report — byte-
 //!          identical to `libra-sim campaign --report-json` of the same spec
-//!
-//! throughput options (additionally): --out FILE (JSON record; default
-//!          BENCH_sim_throughput.json)   --sim-threads N / LIBRA_SIM_THREADS
-//!          (pin par-driver workers for ad-hoc runs; the recorded par sweep
-//!          always measures its fixed thread ladder)   --explain (profile the
-//!          par driver and decompose the speedup: serial/barrier/imbalance
-//!          fractions, Amdahl predicted vs measured; writes
-//!          bench_results/sim_throughput_attribution.json)
-//!          --history FILE (append-only JSONL history; default
-//!          bench_results/history/sim_throughput.jsonl, env LIBRA_BENCH_HISTORY)
-//!
-//! bench-compare options: --baseline FILE (default
-//!          bench_results/baseline/sim_throughput.json)   --history FILE
-//!          --tolerance PCT (default 25)   --strict (exit non-zero on
-//!          regression; default is report-only)
 //! ```
 //!
 //! Traces carry *simulated* timestamps (1 GPU cycle = 1 µs on the Perfetto
 //! timeline), so trace output is bit-identical for every `--threads` value.
-//! Host-time observability is opt-in: `LIBRA_HOSTPROF=1` (or `--explain`)
-//! enables wall-clock telemetry of the parallel event core — observation-only,
-//! simulated results are bit-identical with it on or off.
+//! Host-time observability is opt-in: `LIBRA_HOSTPROF=1` (or `campaign
+//! --profile`) enables wall-clock telemetry of the parallel event core —
+//! observation-only, simulated results are bit-identical with it on or off.
+//! Timing the simulator is the job of the repository benchmark
+//! (`cargo run --release --offline --manifest-path libra-benchmark/Cargo.toml --
+//! --smoke | --workload W | --compare PARENT CHANGE`); it spawns this binary,
+//! so `LIBRA_EVENT_LOOP` / `LIBRA_SIM_THREADS` in its environment A/B-test an
+//! event-loop driver.
 //!
 //! A campaign with failed or timed-out jobs still writes every output for the
 //! survivors, prints a structured failure report, and exits non-zero. See
@@ -91,7 +80,7 @@
 use std::process::ExitCode;
 
 use libra_repro::prelude::*;
-use tbr_sim::{event_loop, report, throughput, CheckpointFormat};
+use tbr_sim::{event_loop, report, CheckpointFormat};
 
 #[derive(Debug, Clone)]
 struct Opts {
@@ -109,7 +98,6 @@ struct Opts {
     profile: bool,
     trace_out: Option<String>,
     report_json: Option<String>,
-    out: Option<String>,
     checkpoint: Option<String>,
     no_checkpoint: bool,
     ckpt_format: CheckpointFormat,
@@ -117,11 +105,6 @@ struct Opts {
     budget_cycles: Option<u64>,
     retries: u32,
     fault: Option<String>,
-    explain: bool,
-    history: Option<String>,
-    baseline: Option<String>,
-    tolerance: f64,
-    strict: bool,
     take: Option<usize>,
     addr: String,
     workers: usize,
@@ -146,7 +129,6 @@ impl Default for Opts {
             profile: false,
             trace_out: None,
             report_json: None,
-            out: None,
             checkpoint: None,
             no_checkpoint: false,
             ckpt_format: CheckpointFormat::default(),
@@ -154,11 +136,6 @@ impl Default for Opts {
             budget_cycles: None,
             retries: 1,
             fault: None,
-            explain: false,
-            history: None,
-            baseline: None,
-            tolerance: 25.0,
-            strict: false,
             take: None,
             addr: "127.0.0.1:4650".to_string(),
             workers: 2,
@@ -192,7 +169,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--profile" => o.profile = true,
             "--trace-out" => o.trace_out = Some(need("--trace-out")?.clone()),
             "--report-json" => o.report_json = Some(need("--report-json")?.clone()),
-            "--out" => o.out = Some(need("--out")?.clone()),
             "--checkpoint" => o.checkpoint = Some(need("--checkpoint")?.clone()),
             "--no-checkpoint" => o.no_checkpoint = true,
             "--ckpt-format" => {
@@ -212,13 +188,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--retries" => o.retries = need("--retries")?.parse().map_err(|e| format!("{e}"))?,
             "--fault" => o.fault = Some(need("--fault")?.clone()),
-            "--explain" => o.explain = true,
-            "--history" => o.history = Some(need("--history")?.clone()),
-            "--baseline" => o.baseline = Some(need("--baseline")?.clone()),
-            "--tolerance" => {
-                o.tolerance = need("--tolerance")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--strict" => o.strict = true,
             "--take" => {
                 let n: usize = need("--take")?.parse().map_err(|e| format!("{e}"))?;
                 if n == 0 {
@@ -458,81 +427,6 @@ fn cmd_sweep_ru(abbrev: &str, o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Scan-vs-heap-vs-par wall-clock comparison over the whole suite: the
-/// recorded (never asserted) simulation-throughput benchmark; the parallel
-/// driver is timed at each of [`throughput::PAR_THREADS`] worker counts.
-/// Writes the JSON record to `bench_results/sim_throughput.json` and to
-/// `--out` (default `BENCH_sim_throughput.json`), and appends one history
-/// line to the bench-history file. With `--explain`, additionally profiles
-/// the parallel driver and prints/writes the speedup attribution.
-fn cmd_throughput(o: &Opts) -> Result<(), String> {
-    use libra_bench::history;
-    use tbr_sim::attribution;
-
-    let cfg = config(o);
-    let profiles = suite();
-    println!(
-        "throughput: {} workloads x {} frames, {} RU x {} cores, scheduler {:?} (scan, heap, par)",
-        profiles.len(),
-        o.frames,
-        o.rus,
-        o.cores,
-        o.scheduler
-    );
-    let report = if o.explain {
-        let (report, attr) = attribution::explain(&cfg, o.scheduler, &profiles, o.frames);
-        print!("{}", report.render());
-        print!("{}", attr.render());
-        write_file(
-            "bench_results/sim_throughput_attribution.json",
-            &attr.to_json(),
-            "speedup attribution",
-        )?;
-        report
-    } else {
-        let report = throughput::compare(&cfg, o.scheduler, &profiles, o.frames);
-        print!("{}", report.render());
-        report
-    };
-    let json = report.to_json();
-    write_file(
-        "bench_results/sim_throughput.json",
-        &json,
-        "throughput record",
-    )?;
-    let root = o.out.as_deref().unwrap_or("BENCH_sim_throughput.json");
-    write_file(root, &json, "throughput record")?;
-    let hist = o.history.clone().unwrap_or_else(history::history_path);
-    history::append(&hist, &history::HistoryRecord::from_report(&report))?;
-    println!("history appended to {hist}");
-    Ok(())
-}
-
-/// Diffs the most recent bench-history record against the committed baseline
-/// with a tolerance band. Report-only by default (wall-clock on shared runners
-/// is too noisy to gate on); `--strict` turns a regression into a failure.
-fn cmd_bench_compare(o: &Opts) -> Result<(), String> {
-    use libra_bench::history;
-
-    let baseline_path = o
-        .baseline
-        .clone()
-        .unwrap_or_else(|| history::DEFAULT_BASELINE.to_string());
-    let hist = o.history.clone().unwrap_or_else(history::history_path);
-    let baseline = history::load_baseline(&baseline_path)?;
-    let current = history::load_last(&hist)?
-        .ok_or_else(|| format!("{hist}: no history records (run `libra-sim throughput` first)"))?;
-    let report = history::compare(&baseline, &current, o.tolerance);
-    print!("{}", report.render());
-    if report.any_regressed() {
-        if o.strict {
-            return Err("bench-compare: regression beyond tolerance (--strict)".into());
-        }
-        println!("bench-compare: report-only (pass --strict to fail on regression)");
-    }
-    Ok(())
-}
-
 use tbr_sim::report::campaign_metrics_json;
 
 /// Parallel sweep of the whole suite under one scheduler: the smallest useful
@@ -543,8 +437,6 @@ use tbr_sim::report::campaign_metrics_json;
 /// structured failures (retried per `--retries`), completed jobs are appended to a
 /// checkpoint file, and `--resume` continues an interrupted sweep bit-identically.
 fn cmd_campaign(o: &Opts) -> Result<(), String> {
-    use tbr_sim::{Campaign, FaultSpec, RunOptions};
-
     let cfg = config(o);
     let threads = o.threads.max(1);
     let schedulers = [o.scheduler];
@@ -564,112 +456,104 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
         o.seed
     );
 
-    let start = std::time::Instant::now();
-    let results = if o.verify {
-        let (results, par_secs, ser_secs) = campaign.run_verified(threads);
-        println!(
-            "verify: parallel ({} threads) bit-identical to serial — {:.2}s vs {:.2}s ({:.2}x)",
-            threads,
-            par_secs,
-            ser_secs,
-            ser_secs / par_secs.max(1e-9)
-        );
-        results
-    } else {
-        let fault = match &o.fault {
-            Some(spec) => Some(FaultSpec::parse(spec)?),
-            None => FaultSpec::from_env(),
-        };
-        // Checkpoint by default so an interrupted sweep is always resumable;
-        // --resume without --checkpoint keeps appending to the resume file.
-        let checkpoint_to = if o.no_checkpoint || o.resume.is_some() {
-            o.checkpoint.clone()
-        } else {
-            // Binary sidecars get their own extension so a glance at
-            // bench_results/ tells the encoding apart.
-            let ext = match o.ckpt_format {
-                CheckpointFormat::Binary => "ckptb",
-                CheckpointFormat::Json => "ckpt",
-            };
-            // Non-default mechanisms get their own sidecar so an `re` sweep
-            // never clobbers (or resumes into) the plain sweep's checkpoint.
-            let mech_tag = if mech.is_default() {
-                String::new()
-            } else {
-                format!("_{}", mech.name().replace('+', "-"))
-            };
-            o.checkpoint.clone().or_else(|| {
-                Some(format!(
-                    "bench_results/campaign_{}{mech_tag}_seed{}_f{}.{ext}",
-                    o.scheduler.build().name(),
-                    o.seed,
-                    o.frames
-                ))
-            })
-        };
-        let opts = RunOptions {
-            threads,
-            traced: o.trace_out.is_some(),
-            budget_cycles: o.budget_cycles,
-            retries: o.retries,
-            fault,
-            checkpoint_to: checkpoint_to.clone(),
-            resume_from: o.resume.clone(),
-            ckpt_format: o.ckpt_format,
-            hostprof: o.profile || tbr_common::hostprof::env_enabled(),
-        };
-        let run = campaign.run_resilient(&opts)?;
-        if run.resumed_jobs > 0 {
-            println!(
-                "resume: adopted {} completed job(s) from {}, ran the remaining {}",
-                run.resumed_jobs,
-                o.resume.as_deref().unwrap_or("checkpoint"),
-                run.results.len() - run.resumed_jobs
-            );
-        }
-        if let Some(path) = checkpoint_to.as_deref().or(o.resume.as_deref()) {
-            println!("checkpoint: {path}");
-        }
-        if let Some(e) = &run.checkpoint_error {
-            eprintln!("warning: checkpoint writes degraded ({e}); results are complete anyway");
-        }
-        if let Some(path) = &o.trace_out {
-            write_file(
-                path,
-                &tbr_common::trace::Trace::chrome_json_multi(&run.traces),
-                "Chrome trace",
-            )?;
-        }
-        if o.profile {
-            let profile = &run.profile;
-            write_file(
-                "bench_results/campaign_workers.csv",
-                &profile.workers_csv(),
-                "worker profile",
-            )?;
-            write_file(
-                "bench_results/campaign_jobs.csv",
-                &profile.jobs_csv(),
-                "job profile",
-            )?;
-            println!(
-                "profile: {} threads, {:.2}s wall, {:.1}% mean worker utilization, {} steals",
-                profile.threads,
-                profile.wall_secs,
-                profile.utilization() * 100.0,
-                profile.workers.iter().map(|w| w.steals).sum::<u64>()
-            );
-            if let Some(host) = &profile.host {
-                write_file(
-                    "bench_results/campaign_hostprof.json",
-                    &host.to_json(),
-                    "host telemetry",
-                )?;
-                print!("{}", host.render());
-            }
-        }
-        run.results
+    let fault = match &o.fault {
+        Some(spec) => Some(FaultSpec::parse(spec)?),
+        None => FaultSpec::from_env(),
     };
+    // Checkpoint by default so an interrupted sweep is always resumable;
+    // --resume without --checkpoint keeps appending to the resume file.
+    let checkpoint_to = if o.no_checkpoint || o.resume.is_some() {
+        o.checkpoint.clone()
+    } else {
+        // Binary sidecars get their own extension so a glance at
+        // bench_results/ tells the encoding apart.
+        let ext = match o.ckpt_format {
+            CheckpointFormat::Binary => "ckptb",
+            CheckpointFormat::Json => "ckpt",
+        };
+        // Non-default mechanisms get their own sidecar so an `re` sweep
+        // never clobbers (or resumes into) the plain sweep's checkpoint.
+        let mech_tag = if mech.is_default() {
+            String::new()
+        } else {
+            format!("_{}", mech.name().replace('+', "-"))
+        };
+        o.checkpoint.clone().or_else(|| {
+            Some(format!(
+                "bench_results/campaign_{}{mech_tag}_seed{}_f{}.{ext}",
+                o.scheduler.build().name(),
+                o.seed,
+                o.frames
+            ))
+        })
+    };
+    let opts = RunOptions {
+        threads,
+        traced: o.trace_out.is_some(),
+        budget_cycles: o.budget_cycles,
+        retries: o.retries,
+        fault,
+        checkpoint_to: checkpoint_to.clone(),
+        resume_from: o.resume.clone(),
+        ckpt_format: o.ckpt_format,
+        hostprof: o.profile || tbr_common::hostprof::env_enabled(),
+    };
+    let start = std::time::Instant::now();
+    let run = campaign.run_resilient(&opts)?;
+    if o.verify {
+        let secs = start.elapsed().as_secs_f64();
+        verify_against_serial(&campaign, &opts, &run.results, secs)?;
+    }
+    if run.resumed_jobs > 0 {
+        println!(
+            "resume: adopted {} completed job(s) from {}, ran the remaining {}",
+            run.resumed_jobs,
+            o.resume.as_deref().unwrap_or("checkpoint"),
+            run.results.len() - run.resumed_jobs
+        );
+    }
+    if let Some(path) = checkpoint_to.as_deref().or(o.resume.as_deref()) {
+        println!("checkpoint: {path}");
+    }
+    if let Some(e) = &run.checkpoint_error {
+        eprintln!("warning: checkpoint writes degraded ({e}); results are complete anyway");
+    }
+    if let Some(path) = &o.trace_out {
+        write_file(
+            path,
+            &tbr_common::trace::Trace::chrome_json_multi(&run.traces),
+            "Chrome trace",
+        )?;
+    }
+    if o.profile {
+        let profile = &run.profile;
+        write_file(
+            "bench_results/campaign_workers.csv",
+            &profile.workers_csv(),
+            "worker profile",
+        )?;
+        write_file(
+            "bench_results/campaign_jobs.csv",
+            &profile.jobs_csv(),
+            "job profile",
+        )?;
+        println!(
+            "profile: {} threads, {:.2}s wall, {:.1}% mean worker utilization, {} steals",
+            profile.threads,
+            profile.wall_secs,
+            profile.utilization() * 100.0,
+            profile.workers.iter().map(|w| w.steals).sum::<u64>()
+        );
+        if let Some(host) = &profile.host {
+            write_file(
+                "bench_results/campaign_hostprof.json",
+                &host.to_json(),
+                "host telemetry",
+            )?;
+            print!("{}", host.render());
+        }
+    }
+    let results = run.results;
     let elapsed = start.elapsed().as_secs_f64();
 
     println!(
@@ -715,6 +599,42 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
             results.len()
         ));
     }
+    Ok(())
+}
+
+/// `campaign --verify`: re-runs the sweep serially with the same fault, budget
+/// and retries (no checkpoint, trace or profile) and fails on the first job
+/// whose result differs from `results`. Adopted jobs are checked too, so a
+/// resumed sweep is verified against a fresh simulation.
+fn verify_against_serial(
+    campaign: &Campaign,
+    opts: &RunOptions,
+    results: &[CampaignResult],
+    secs: f64,
+) -> Result<(), String> {
+    let start = std::time::Instant::now();
+    let serial = campaign.run_resilient(&RunOptions {
+        threads: 1,
+        budget_cycles: opts.budget_cycles,
+        retries: opts.retries,
+        fault: opts.fault,
+        ..RunOptions::default()
+    })?;
+    let serial_secs = start.elapsed().as_secs_f64();
+    if let Some((r, _)) = results.iter().zip(&serial.results).find(|(r, s)| r != s) {
+        return Err(format!(
+            "verify: job {} ({} / {}) diverged from the serial run",
+            r.job(),
+            r.abbrev(),
+            r.scheduler()
+        ));
+    }
+    println!(
+        "verify: parallel ({} threads) bit-identical to serial — {secs:.2}s vs {serial_secs:.2}s \
+         ({:.2}x)",
+        opts.threads,
+        serial_secs / secs.max(1e-9)
+    );
     Ok(())
 }
 
@@ -821,21 +741,19 @@ fn cmd_submit(o: &Opts) -> Result<(), String> {
 
 fn usage() {
     eprintln!(
-        "usage: libra-sim <suite|run|compare|sweep-ru|campaign|serve|submit|worker|throughput|\
-         bench-compare|trace-check> \
+        "usage: libra-sim <suite|run|compare|sweep-ru|campaign|serve|submit|worker|trace-check> \
          [ABBREV|FILE] [--frames N] [--fhd] [--scheduler z|scanline|hilbert|staticN|libra] \
          [--mechanism none|re|wasp|re+wasp|re-oracle|re-oracle+wasp] [--re-oracle] \
          [--rus N] [--cores N] [--ideal-memory] [--event-loop heap|scan|par] \
          [--sim-threads N] [--threads N] [--take N] \
-         [--seed S] [--verify] [--profile] [--trace-out FILE] [--report-json FILE] [--out FILE] \
+         [--seed S] [--verify] [--profile] [--trace-out FILE] [--report-json FILE] \
          [--checkpoint FILE] [--no-checkpoint] [--ckpt-format binary|json] [--resume FILE] \
          [--budget-cycles N] \
          [--retries N] [--fault KIND:JOB] \
-         [--addr HOST:PORT] [--workers N] [--once] [--kill-worker JOB] \
-         [--explain] [--history FILE] [--baseline FILE] [--tolerance PCT] [--strict]\n\
-         env: LIBRA_SIM_THREADS (par-driver workers), LIBRA_HOSTPROF=1 (host-time \
-         telemetry), LIBRA_BENCH_HISTORY (history file), LIBRA_TEST_TIMEOUT_SECS \
-         (service read timeout)  (see docs/OPERATIONS.md)"
+         [--addr HOST:PORT] [--workers N] [--once] [--kill-worker JOB]\n\
+         env: LIBRA_EVENT_LOOP (driver), LIBRA_SIM_THREADS (par-driver workers), \
+         LIBRA_HOSTPROF=1 (host-time telemetry), LIBRA_TEST_TIMEOUT_SECS (service read \
+         timeout)  (see docs/OPERATIONS.md; timing: libra-benchmark/README.md)"
     );
 }
 
@@ -853,22 +771,18 @@ fn main() -> ExitCode {
             cmd_suite();
             Ok(())
         }
-        "campaign" | "throughput" | "bench-compare" | "serve" | "submit" => {
-            match parse_opts(&args[1..]) {
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-                Ok(o) => match cmd {
-                    "campaign" => cmd_campaign(&o),
-                    "throughput" => cmd_throughput(&o),
-                    "serve" => cmd_serve(&o),
-                    "submit" => cmd_submit(&o),
-                    _ => cmd_bench_compare(&o),
-                },
+        "campaign" | "serve" | "submit" => match parse_opts(&args[1..]) {
+            Err(e) => {
+                eprintln!("error: {e}");
+                usage();
+                return ExitCode::FAILURE;
             }
-        }
+            Ok(o) => match cmd {
+                "campaign" => cmd_campaign(&o),
+                "serve" => cmd_serve(&o),
+                _ => cmd_submit(&o),
+            },
+        },
         // The worker speaks libra-wire-v1 on stdio and takes no options; its
         // stdout belongs to the protocol, so nothing else may print there.
         "worker" => tbr_sim::service::run_worker(),

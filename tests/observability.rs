@@ -7,11 +7,22 @@
 //! only; the first test proves stats are bit-identical with the collector on.
 
 use libra_repro::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 use tbr_common::hostprof;
 use tbr_common::json;
 use tbr_common::trace::{self, EventKind, Trace, Track};
 
 const FRAMES: u32 = 2;
+
+/// Serialises the tests that set the process-global event-loop overrides, so
+/// one test clearing them cannot switch another's runs off the par driver.
+static EVENT_LOOP_OVERRIDE: Mutex<()> = Mutex::new(());
+
+fn pin_event_loop() -> MutexGuard<'static, ()> {
+    EVENT_LOOP_OVERRIDE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn cfg() -> GpuConfig {
     GpuConfig::libra(ScreenConfig::tiny(), 2)
@@ -271,6 +282,7 @@ fn trace_goldens_hold() {
 #[test]
 fn trace_goldens_hold_under_the_parallel_core_at_any_thread_count() {
     let (_, serial) = run_traced("AAt", SchedulerKind::Libra);
+    let _pinned = pin_event_loop();
     event_loop::set_mode(Some(EventLoopMode::Par));
     for threads in [1usize, 2, 4] {
         event_loop::set_sim_threads(Some(threads));
@@ -292,10 +304,14 @@ fn trace_goldens_hold_under_the_parallel_core_at_any_thread_count() {
 
 /// The host-time profiler must be observation-only, exactly like the tracer:
 /// stats and the full metrics-registry JSON are bit-identical with the
-/// collector installed or not, at every parallel-core thread count.
+/// collector installed or not, at every parallel-core thread count. On the
+/// same real runs, every phase's (and the totals') serial, parallel, barrier
+/// and other fractions each lie in [0, 1] and sum to at most one: they are
+/// disjoint subintervals of the phase wall.
 #[test]
 fn hostprof_is_observation_only_at_any_thread_count() {
     let p = profile("AAt");
+    let _pinned = pin_event_loop();
     event_loop::set_mode(Some(EventLoopMode::Par));
     for threads in [1usize, 2, 4] {
         event_loop::set_sim_threads(Some(threads));
@@ -334,53 +350,88 @@ fn hostprof_is_observation_only_at_any_thread_count() {
             "par@{threads}: no events attributed"
         );
         json::parse(&hp.to_json()).expect("hostprof JSON must parse");
+
+        let mut splits: Vec<(&str, [f64; 4])> = hp
+            .phases
+            .iter()
+            .map(|p| {
+                let f = [
+                    p.serial_fraction(),
+                    p.parallel_fraction(),
+                    p.barrier_fraction(),
+                    p.other_fraction(),
+                ];
+                (p.label.as_str(), f)
+            })
+            .collect();
+        let t = [
+            totals.serial_fraction(),
+            totals.parallel_fraction(),
+            totals.barrier_fraction(),
+            totals.other_fraction(),
+        ];
+        splits.push(("totals", t));
+        for (label, f) in splits {
+            assert!(
+                f.iter().all(|x| (0.0..=1.0).contains(x)),
+                "par@{threads} {label}: fractions {f:?} out of [0, 1]"
+            );
+            // `other` is `1 - serial - parallel - barrier`, so rounding can
+            // leave the sum an ulp or two above one.
+            let sum: f64 = f.iter().sum();
+            assert!(
+                sum <= 1.0 + 1e-12,
+                "par@{threads} {label}: fractions sum to {sum} > 1"
+            );
+        }
     }
     event_loop::set_sim_threads(None);
     event_loop::set_mode(None);
 }
 
-/// Schema and invariants of the speedup attribution: every fraction lies in
-/// [0, 1] and the serial/parallel/barrier/other decomposition of a phase sums
+/// Schema and invariants of the speedup attribution as serialised: on a real
+/// par@2 run, every hostprof JSON phase row names its thread count, and the
+/// totals' serial/parallel/barrier/other fractions each lie in [0, 1] and sum
 /// to at most one (they are disjoint subintervals of the phase wall).
 #[test]
 fn attribution_fractions_are_consistent_in_json() {
-    use tbr_sim::attribution;
+    let pinned = pin_event_loop();
+    event_loop::set_mode(Some(EventLoopMode::Par));
+    event_loop::set_sim_threads(Some(2));
+    hostprof::start();
+    GpuSimulator::new(cfg(), SchedulerKind::Libra).render_sequence(&profile("AAt"), FRAMES);
+    let hp = hostprof::finish().expect("collector was installed");
+    event_loop::set_sim_threads(None);
+    event_loop::set_mode(None);
+    drop(pinned);
 
-    let profiles = vec![profile("AAt")];
-    let (_, attr) = attribution::explain(&cfg(), SchedulerKind::Libra, &profiles, 1);
-    let doc = json::parse(&attr.to_json()).expect("attribution JSON must parse");
+    let doc = json::parse(&hp.to_json()).expect("hostprof JSON must parse");
     assert_eq!(
         doc.get("schema").and_then(|v| v.as_str()),
-        Some("libra-attribution-v1")
+        Some("libra-hostprof-v1")
     );
-    let rows = doc
-        .get("rows")
+    let phases = doc
+        .get("phases")
         .and_then(|v| v.as_array())
-        .expect("rows array");
-    assert!(!rows.is_empty());
-    for row in rows {
-        let frac = |k: &str| {
-            row.get(k)
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| panic!("row missing `{k}`"))
-        };
-        let parts = [
-            "serial_fraction",
-            "parallel_fraction",
-            "barrier_fraction",
-            "other_fraction",
-        ];
-        for k in parts {
-            let f = frac(k);
-            assert!((0.0..=1.0).contains(&f), "{k} = {f} out of [0, 1]");
-        }
-        // Each fraction is serialised with 6 decimals, so the exact in-memory
-        // sum-≤-1 invariant can overshoot by up to 4 half-ulps of 1e-6 here.
-        let sum: f64 = parts.iter().map(|k| frac(k)).sum();
-        assert!(sum <= 1.0 + 4e-6, "fractions sum to {sum} > 1");
-        assert!(frac("predicted_speedup") >= 1.0);
-        assert!(row.get("threads").and_then(|v| v.as_u64()).unwrap() >= 1);
+        .expect("phases");
+    assert_eq!(phases.len(), FRAMES as usize, "one raster phase per frame");
+    for phase in phases {
+        assert_eq!(phase.get("threads").and_then(|v| v.as_u64()), Some(2));
     }
+    let totals = doc.get("totals").expect("totals object");
+    let mut sum = 0.0;
+    for part in ["serial", "parallel", "barrier", "other"] {
+        let k = format!("{part}_fraction");
+        let f = totals
+            .get(&k)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("totals missing `{k}`"));
+        assert!((0.0..=1.0).contains(&f), "{k} = {f} out of [0, 1]");
+        sum += f;
+    }
+    // Each fraction is serialised with 6 decimals, so the exact in-memory
+    // sum-<=-1 invariant can overshoot by up to 4 half-ulps of 1e-6 here.
+    assert!(sum <= 1.0 + 4e-6, "fractions sum to {sum} > 1");
 }
 
 /// Regenerates `TRACE_GOLDENS` in source form.
