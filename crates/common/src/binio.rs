@@ -1,16 +1,13 @@
-//! Endian-pinned binary encoding helpers for the sidecar file formats.
+//! Endian-pinned binary encoding helpers for the binary checkpoint format.
 //!
-//! Every multi-byte value is **little-endian**, regardless of host: the
-//! checkpoint (`libra-ckpt-bin-v1`) and metrics (`libra-metrics-bin-v1`)
-//! sidecars must be byte-identical across machines, because CI `cmp`s resumed
-//! reports against references and the bench harness diffs recorded artifacts.
-//! Floats are carried as their IEEE-754 bit patterns (`f64::to_bits`), so the
-//! round trip is bit-exact — no text formatting, no parsing.
+//! Every multi-byte value is **little-endian**, regardless of host: binary
+//! checkpoints (`libra-ckpt-bin-v1`) must be byte-identical across machines,
+//! because CI `cmp`s resumed checkpoints and reports against references.
 //!
 //! [`ByteReader`] is the decoding twin: every read is bounds-checked and
 //! returns `Err` with a description instead of panicking, so a truncated or
-//! corrupt sidecar degrades into a clear load error (mirroring the JSONL
-//! loaders' behaviour).
+//! corrupt checkpoint degrades into a clear load error (mirroring the JSON
+//! loader's behaviour).
 //!
 //! ```
 //! use tbr_common::binio::{ByteReader, ByteWriter};
@@ -18,12 +15,10 @@
 //! let mut w = ByteWriter::new();
 //! w.u32(7);
 //! w.str16("hello");
-//! w.f64_bits(1.5);
 //! let bytes = w.into_bytes();
 //! let mut r = ByteReader::new(&bytes);
 //! assert_eq!(r.u32("n").unwrap(), 7);
 //! assert_eq!(r.str16("s").unwrap(), "hello");
-//! assert_eq!(r.f64_bits("f").unwrap(), 1.5);
 //! assert!(r.is_empty());
 //! ```
 
@@ -37,16 +32,6 @@ impl ByteWriter {
     /// An empty writer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -79,11 +64,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `f64` as its IEEE-754 bit pattern (bit-exact round trip).
-    pub fn f64_bits(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
     /// Appends a string as `u16` byte length + UTF-8 bytes.
     ///
     /// # Panics
@@ -102,15 +82,6 @@ impl ByteWriter {
         assert!(b.len() <= u32::MAX as usize, "str32 overflow");
         self.u32(b.len() as u32);
         self.bytes(b);
-    }
-
-    /// Appends a `u64` slice as `u32` count + elements, little-endian.
-    pub fn u64_slice(&mut self, v: &[u64]) {
-        assert!(v.len() <= u32::MAX as usize, "slice overflow");
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.u64(x);
-        }
     }
 }
 
@@ -185,11 +156,6 @@ impl<'a> ByteReader<'a> {
         ]))
     }
 
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64_bits(&mut self, what: &str) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
     /// Reads a `u16`-length-prefixed UTF-8 string.
     pub fn str16(&mut self, what: &str) -> Result<String, String> {
         let n = self.u16(what)? as usize;
@@ -202,24 +168,6 @@ impl<'a> ByteReader<'a> {
         let n = self.u32(what)? as usize;
         let b = self.take(n, what)?;
         String::from_utf8(b.to_vec()).map_err(|_| format!("{what}: invalid UTF-8"))
-    }
-
-    /// Reads a `u32`-count-prefixed `u64` vector.
-    pub fn u64_vec(&mut self, what: &str) -> Result<Vec<u64>, String> {
-        let n = self.u32(what)? as usize;
-        // Guard against a corrupt count asking for more data than exists
-        // before allocating.
-        if self.remaining() < n.saturating_mul(8) {
-            return Err(format!(
-                "truncated: {what} claims {n} elements but only {} bytes remain",
-                self.remaining()
-            ));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64(what)?);
-        }
-        Ok(out)
     }
 }
 
@@ -234,22 +182,16 @@ mod tests {
         w.u16(0xBEEF);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 3);
-        w.f64_bits(-0.0);
-        w.f64_bits(f64::NAN);
         w.str16("");
         w.str32("héllo");
-        w.u64_slice(&[1, u64::MAX]);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u8("a").unwrap(), 0xAB);
         assert_eq!(r.u16("b").unwrap(), 0xBEEF);
         assert_eq!(r.u32("c").unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64("d").unwrap(), u64::MAX - 3);
-        assert_eq!(r.f64_bits("e").unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.f64_bits("f").unwrap().is_nan());
         assert_eq!(r.str16("g").unwrap(), "");
         assert_eq!(r.str32("h").unwrap(), "héllo");
-        assert_eq!(r.u64_vec("i").unwrap(), vec![1, u64::MAX]);
         assert!(r.is_empty());
     }
 
@@ -272,7 +214,7 @@ mod tests {
         let mut w = ByteWriter::new();
         w.u32(u32::MAX);
         let bytes = w.into_bytes();
-        let err = ByteReader::new(&bytes).u64_vec("v").unwrap_err();
+        let err = ByteReader::new(&bytes).str32("s").unwrap_err();
         assert!(err.contains("truncated"), "{err}");
     }
 

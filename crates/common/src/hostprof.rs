@@ -663,17 +663,12 @@ impl HostMeta {
     /// Parses a [`json_object`](HostMeta::json_object) back (exact inverse);
     /// the campaign service decodes worker host stamps off the wire with this.
     pub fn from_value(v: &crate::json::Value, what: &str) -> Result<Self, String> {
-        let cores = v
-            .get("cores")
-            .and_then(|c| c.as_u64())
-            .ok_or_else(|| format!("{what}.cores: expected an exact integer"))?;
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(|s| s.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("{what}.{key}: expected a string"))
-        };
-        Ok(Self { cores: cores as usize, git_rev: field("git_rev")?, utc: field("utc")? })
+        use crate::json::{field_str, field_u64};
+        Ok(Self {
+            cores: field_u64(v, "cores", what)? as usize,
+            git_rev: field_str(v, "git_rev", what)?.to_string(),
+            utc: field_str(v, "utc", what)?.to_string(),
+        })
     }
 
     /// The `{"cores": .., "git_rev": "..", "utc": ".."}` JSON object.

@@ -6,6 +6,10 @@
 //! This is a *validator first*: it parses the full grammar (RFC 8259) into a
 //! small [`Value`] tree but makes no attempt at speed or streaming. A depth
 //! limit guards against stack exhaustion on pathological inputs.
+//!
+//! The decoders of the exact formats — stats, campaign checkpoints and
+//! `libra-wire-v1` frames — read members through the shared [`field`],
+//! [`field_str`], [`field_u64`] and [`field_hex`] lookups.
 
 use std::collections::BTreeMap;
 
@@ -106,6 +110,33 @@ pub fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+}
+
+/// Member `key` of object `v`; the error names the missing field and `what`
+/// (the location, e.g. `record at line 3`).
+pub fn field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a Value, String> {
+    v.get(key).ok_or_else(|| format!("{what}: missing field `{key}`"))
+}
+
+/// String member lookup.
+pub fn field_str<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a str, String> {
+    field(v, key, what)?.as_str().ok_or_else(|| format!("{what}.{key}: expected a string"))
+}
+
+/// Exact-integer member lookup (see [`Value::as_u64`]).
+pub fn field_u64(v: &Value, key: &str, what: &str) -> Result<u64, String> {
+    field(v, key, what)?.as_u64().ok_or_else(|| format!("{what}.{key}: expected an exact integer"))
+}
+
+/// Reads a `"0x…"` hex-string member back to the exact `u64` it encodes — the
+/// form 64-bit seeds and fingerprints take, since JSON numbers above 2⁵³ would
+/// not survive the `f64` representation.
+pub fn field_hex(v: &Value, key: &str, what: &str) -> Result<u64, String> {
+    let s = field_str(v, key, what)?;
+    let digits = s
+        .strip_prefix("0x")
+        .ok_or_else(|| format!("{what}.{key}: expected a 0x-prefixed hex string, got `{s}`"))?;
+    u64::from_str_radix(digits, 16).map_err(|_| format!("{what}.{key}: invalid hex value `{s}`"))
 }
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.

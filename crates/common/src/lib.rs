@@ -9,7 +9,8 @@
 //!   cores, LPDDR4-like DRAM, the cache hierarchy of an ARM-Valhall-class mobile GPU).
 //! * [`stats`] — per-frame and per-sequence measurement containers (cache hit ratios,
 //!   DRAM interval counters for Fig 7, per-tile heatmaps for Fig 2, texture latency
-//!   accumulators for Fig 12, …).
+//!   accumulators for Fig 12, …), each listing its fields once for both exact
+//!   encodings (JSON and binary).
 //! * [`morton`] — the Morton (Z-order) codec and grid traversals used by the baseline
 //!   tile fetcher and inside LIBRA supertiles.
 //! * [`addr`] — the simulated physical address map (vertex data, parameter buffer,
@@ -23,7 +24,8 @@
 //! * [`metrics`] — the typed metrics registry ([`metrics::MetricsRegistry`]) the
 //!   GPU model, memory hierarchy and scheduler publish into; JSON/CSV output.
 //! * [`json`] — a minimal validating JSON parser backing the trace-export smoke
-//!   checks (no serde anywhere in the workspace).
+//!   checks and the exact-format decoders, with their shared member lookups
+//!   (no serde anywhere in the workspace).
 //! * [`mechanism`] — the `--mechanism` axis ([`mechanism::MechanismSpec`]):
 //!   which optional mechanisms (Rendering Elimination, WaSP) are layered on
 //!   top of the scheduler for a run.
@@ -31,7 +33,7 @@
 //!   raster phase's scratch allocations become index spans into one backing
 //!   vector, reset wholesale between frames.
 //! * [`binio`] — endian-pinned (little-endian) binary encode/decode helpers
-//!   behind the `libra-ckpt-bin-v1` and `libra-metrics-bin-v1` sidecars.
+//!   behind the `libra-ckpt-bin-v1` checkpoint sidecar.
 //! * [`hostprof`] — the host wall-clock twin of [`trace`]: a runtime-gated
 //!   profiler the parallel event-loop driver publishes per-phase epoch/stall
 //!   telemetry into (barrier waits, commit serialization, shard imbalance).

@@ -21,14 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::binio::{ByteReader, ByteWriter};
 use crate::json::escape_into as json_escape_into;
-
-/// Magic bytes opening a binary metrics sidecar (`libra-metrics-bin-v1`).
-pub const BIN_MAGIC: &[u8; 8] = b"LIBRAMET";
-
-/// Format version of the binary metrics sidecar.
-pub const BIN_VERSION: u32 = 1;
 
 /// One metric's identity: name plus a label set (sorted for a canonical order).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -291,104 +284,6 @@ impl MetricsRegistry {
         out
     }
 
-    /// Serialises the registry to the endian-pinned binary sidecar format
-    /// (`libra-metrics-bin-v1`). All integers are little-endian; gauges are
-    /// carried as IEEE-754 bit patterns, so [`MetricsRegistry::from_binary`]
-    /// round-trips bit-exactly (unlike the JSON export, which formats floats
-    /// as text). Layout:
-    ///
-    /// ```text
-    /// magic    [u8; 8]  = "LIBRAMET"
-    /// version  u32      = 1
-    /// count    u32      — number of metrics, in canonical (sorted) key order
-    /// per metric:
-    ///   name     str16  — u16 byte length + UTF-8 bytes
-    ///   labels   u16    — pair count, then (key str16, value str16) pairs
-    ///   tag      u8     — 0 counter, 1 gauge, 2 histogram
-    ///   payload         — counter: u64; gauge: f64 bits as u64;
-    ///                     histogram: width u64, then u32 count + u64 buckets
-    /// ```
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.bytes(BIN_MAGIC);
-        w.u32(BIN_VERSION);
-        w.u32(self.entries.len() as u32);
-        for (key, value) in &self.entries {
-            w.str16(&key.name);
-            w.u16(key.labels.len() as u16);
-            for (k, v) in &key.labels {
-                w.str16(k);
-                w.str16(v);
-            }
-            match value {
-                MetricValue::Counter(c) => {
-                    w.u8(0);
-                    w.u64(*c);
-                }
-                MetricValue::Gauge(g) => {
-                    w.u8(1);
-                    w.f64_bits(*g);
-                }
-                MetricValue::Histogram { width, buckets } => {
-                    w.u8(2);
-                    w.u64(*width);
-                    w.u64_slice(buckets);
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a `libra-metrics-bin-v1` sidecar written by
-    /// [`MetricsRegistry::to_binary`]. Rejects wrong magic, unknown versions,
-    /// truncated payloads and trailing garbage with a descriptive error.
-    pub fn from_binary(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r.bytes(8, "metrics magic")?;
-        if magic != BIN_MAGIC {
-            return Err(format!(
-                "not a binary metrics sidecar: magic {magic:?} is not {BIN_MAGIC:?}"
-            ));
-        }
-        let version = r.u32("metrics version")?;
-        if version != BIN_VERSION {
-            return Err(format!(
-                "binary metrics version {version} is not the supported {BIN_VERSION}"
-            ));
-        }
-        let count = r.u32("metric count")?;
-        let mut entries = BTreeMap::new();
-        for i in 0..count {
-            let what = format!("metric {i}");
-            let name = r.str16(&what)?;
-            let pairs = r.u16(&what)?;
-            let mut labels = Vec::with_capacity(pairs as usize);
-            for _ in 0..pairs {
-                let k = r.str16(&what)?;
-                let v = r.str16(&what)?;
-                labels.push((k, v));
-            }
-            let value = match r.u8(&what)? {
-                0 => MetricValue::Counter(r.u64(&what)?),
-                1 => MetricValue::Gauge(r.f64_bits(&what)?),
-                2 => {
-                    let width = r.u64(&what)?;
-                    let buckets = r.u64_vec(&what)?;
-                    MetricValue::Histogram { width, buckets }
-                }
-                tag => return Err(format!("{what}: unknown value tag {tag}")),
-            };
-            entries.insert(MetricKey { name, labels }, value);
-        }
-        if !r.is_empty() {
-            return Err(format!(
-                "binary metrics sidecar has {} trailing bytes after {count} metrics",
-                r.remaining()
-            ));
-        }
-        Ok(Self { entries })
-    }
-
     /// Serialises the registry as CSV (`name,labels,type,value`); histograms
     /// render their buckets as a `;`-separated list.
     pub fn to_csv(&self) -> String {
@@ -529,49 +424,6 @@ mod tests {
         assert_eq!(empty.p99(), None);
         let none = MetricValue::Histogram { width: 10, buckets: Vec::new() };
         assert_eq!(none.quantile(0.5), None);
-    }
-
-    #[test]
-    fn binary_round_trip_is_bit_exact() {
-        let mut r = MetricsRegistry::new();
-        r.add_counter("reads", &[("frame", "0"), ("ru", "3")], u64::MAX - 1);
-        r.set_gauge("ratio", &[], 0.1 + 0.2); // not exactly representable in text
-        r.set_gauge("neg_zero", &[], -0.0);
-        r.set_histogram("intervals", &[("kind", "dram")], 5000, vec![3, 0, 1]);
-        let bytes = r.to_binary();
-        assert_eq!(&bytes[..8], BIN_MAGIC);
-        let back = MetricsRegistry::from_binary(&bytes).unwrap();
-        assert_eq!(back, r);
-        // Bit-exact, including the sign of -0.0 (PartialEq would accept +0.0).
-        let g = back.gauge_value("neg_zero", &[]).unwrap();
-        assert_eq!(g.to_bits(), (-0.0f64).to_bits());
-        // Deterministic: the same registry always encodes to the same bytes.
-        assert_eq!(bytes, back.to_binary());
-    }
-
-    #[test]
-    fn binary_decoder_rejects_corruption() {
-        let mut r = MetricsRegistry::new();
-        r.add_counter("c", &[], 7);
-        let bytes = r.to_binary();
-
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] = b'X';
-        let err = MetricsRegistry::from_binary(&wrong_magic).unwrap_err();
-        assert!(err.contains("magic"), "{err}");
-
-        let mut wrong_version = bytes.clone();
-        wrong_version[8] = 9;
-        let err = MetricsRegistry::from_binary(&wrong_version).unwrap_err();
-        assert!(err.contains("version"), "{err}");
-
-        let err = MetricsRegistry::from_binary(&bytes[..bytes.len() - 3]).unwrap_err();
-        assert!(err.contains("truncated"), "{err}");
-
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        let err = MetricsRegistry::from_binary(&trailing).unwrap_err();
-        assert!(err.contains("trailing"), "{err}");
     }
 
     #[test]

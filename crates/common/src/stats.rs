@@ -1,6 +1,8 @@
 //! Measurement containers filled by the simulator and consumed by the experiment
 //! harness (and by LIBRA's own feedback loop).
 
+use std::fmt::Write;
+
 use crate::binio::{ByteReader, ByteWriter};
 use crate::ids::{FrameId, TileId};
 use crate::json::{self, Value};
@@ -527,222 +529,119 @@ impl SequenceStats {
 }
 
 // ---------------------------------------------------------------------------
-// Exact JSON round-trip (campaign checkpoints).
+// Exact encodings (campaign checkpoints and `libra-wire-v1` result records).
 //
-// Every field of `SequenceStats` is an unsigned integer, so the JSON round-trip
-// is *bit-exact*: a job result reloaded from a campaign checkpoint compares
-// equal (`PartialEq`) to the in-memory result of running the job. Values are
-// read back through `json::Value::as_u64`, which rejects anything that would
-// not survive the `f64` number representation (> 2^53) instead of rounding.
+// Every field of `SequenceStats` is an unsigned integer, so both encodings
+// round-trip *bit-exactly*: a job result reloaded from a checkpoint compares
+// equal (`PartialEq`) to the in-memory result of running the job — the
+// property campaign resume rests on.
+//
+// Each type lists its fields once, in encoding order, in its `walk` over a
+// `Codec`; a JSON and a binary writer/reader pair turn that one list into both
+// formats:
+//
+// * JSON: one object per record, keyed by field name; four-counter groups
+//   (`CacheStats`, heatmap tiles) are compact arrays `[a,b,c,d]`. Integers are
+//   read back through `json::Value::as_u64`, which rejects anything that would
+//   not survive the `f64` number representation (> 2^53) instead of rounding.
+// * Binary (`libra-ckpt-bin-v1` payloads): the same fields in the same order,
+//   little-endian via `binio`, so the bytes are identical on every host. Lists
+//   carry a `u32` count; there is no per-struct framing — the enclosing
+//   checkpoint frame provides length and version.
 // ---------------------------------------------------------------------------
 
-/// Writes `items` as a JSON array of integers.
-fn u64_array_into(out: &mut String, items: impl Iterator<Item = u64>) {
-    out.push('[');
-    for (i, v) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
+/// Outcome of visiting one field.
+type Visit = Result<(), String>;
+
+/// One exact encoding, driven field by field by a type's `walk`. Writers
+/// read the fields they are handed; readers overwrite them. `key` names the
+/// field; the elements of a list are visited with an empty key.
+trait Codec {
+    /// The frame index.
+    fn u32(&mut self, key: &'static str, v: &mut u32) -> Visit;
+    /// One counter.
+    fn u64(&mut self, key: &'static str, v: &mut u64) -> Visit;
+    /// A group of four counters (by default, four counters in a row).
+    fn quad(&mut self, key: &'static str, v: [&mut u64; 4]) -> Visit {
+        v.into_iter().try_for_each(|n| self.u64(key, n))
     }
-    out.push(']');
-}
-
-/// Reads a JSON array of exact integers.
-fn u64_array(v: &Value, what: &str) -> Result<Vec<u64>, String> {
-    let arr = v.as_array().ok_or_else(|| format!("{what}: expected an array"))?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, e)| e.as_u64().ok_or_else(|| format!("{what}[{i}]: expected an exact integer")))
-        .collect()
-}
-
-/// Member lookup that names the missing field in its error.
-fn field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("{what}: missing field `{key}`"))
-}
-
-/// Exact-integer member lookup.
-fn field_u64(v: &Value, key: &str, what: &str) -> Result<u64, String> {
-    field(v, key, what)?
-        .as_u64()
-        .ok_or_else(|| format!("{what}.{key}: expected an exact integer"))
+    /// A nested record whose fields `walk` visits (by default, unframed).
+    fn record(&mut self, _key: &'static str, walk: impl FnOnce(&mut Self) -> Visit) -> Visit {
+        walk(self)
+    }
+    /// A list whose elements `item` visits.
+    fn list<T: Default>(
+        &mut self,
+        key: &'static str,
+        v: &mut Vec<T>,
+        item: impl FnMut(&mut T, &mut Self) -> Visit,
+    ) -> Visit;
 }
 
 impl CacheStats {
-    /// Writes this counter set as the compact array `[accesses,hits,misses,evictions]`.
-    pub fn to_json_into(&self, out: &mut String) {
-        u64_array_into(out, [self.accesses, self.hits, self.misses, self.evictions].into_iter());
+    fn counters(&mut self) -> [&mut u64; 4] {
+        [&mut self.accesses, &mut self.hits, &mut self.misses, &mut self.evictions]
     }
+}
 
-    /// Parses the array form written by [`CacheStats::to_json_into`].
-    pub fn from_value(v: &Value, what: &str) -> Result<Self, String> {
-        let a = u64_array(v, what)?;
-        if a.len() != 4 {
-            return Err(format!("{what}: expected 4 cache counters, got {}", a.len()));
-        }
-        Ok(Self { accesses: a[0], hits: a[1], misses: a[2], evictions: a[3] })
+impl TileTally {
+    fn counters(&mut self) -> [&mut u64; 4] {
+        [&mut self.dram_accesses, &mut self.instructions, &mut self.fragments, &mut self.warps]
     }
 }
 
 impl DramStats {
-    /// Writes these counters as a JSON object (interval histogram included).
-    pub fn to_json_into(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"reads\":{},\"writes\":{},\"row_hits\":{},\"row_misses\":{},\
-             \"latency_sum\":{},\"max_latency\":{},\"interval_width\":{},\"intervals\":",
-            self.reads,
-            self.writes,
-            self.row_hits,
-            self.row_misses,
-            self.latency_sum,
-            self.max_latency,
-            self.interval_width
-        ));
-        u64_array_into(out, self.intervals.iter().copied());
-        out.push('}');
-    }
-
-    /// Parses the object form written by [`DramStats::to_json_into`].
-    pub fn from_value(v: &Value, what: &str) -> Result<Self, String> {
-        Ok(Self {
-            reads: field_u64(v, "reads", what)?,
-            writes: field_u64(v, "writes", what)?,
-            row_hits: field_u64(v, "row_hits", what)?,
-            row_misses: field_u64(v, "row_misses", what)?,
-            latency_sum: field_u64(v, "latency_sum", what)?,
-            max_latency: field_u64(v, "max_latency", what)?,
-            interval_width: field_u64(v, "interval_width", what)?,
-            intervals: u64_array(field(v, "intervals", what)?, &format!("{what}.intervals"))?,
-        })
-    }
-}
-
-impl TileHeatmap {
-    /// Writes the heatmap as an array of per-tile 4-arrays
-    /// `[dram_accesses,instructions,fragments,warps]`.
-    pub fn to_json_into(&self, out: &mut String) {
-        out.push('[');
-        for (i, t) in self.tiles.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            u64_array_into(out, [t.dram_accesses, t.instructions, t.fragments, t.warps].into_iter());
-        }
-        out.push(']');
-    }
-
-    /// Parses the array form written by [`TileHeatmap::to_json_into`].
-    pub fn from_value(v: &Value, what: &str) -> Result<Self, String> {
-        let arr = v.as_array().ok_or_else(|| format!("{what}: expected an array"))?;
-        let mut tiles = Vec::with_capacity(arr.len());
-        for (i, t) in arr.iter().enumerate() {
-            let a = u64_array(t, &format!("{what}[{i}]"))?;
-            if a.len() != 4 {
-                return Err(format!("{what}[{i}]: expected 4 tile tallies, got {}", a.len()));
-            }
-            tiles.push(TileTally {
-                dram_accesses: a[0],
-                instructions: a[1],
-                fragments: a[2],
-                warps: a[3],
-            });
-        }
-        Ok(Self { tiles })
+    fn walk(&mut self, c: &mut impl Codec) -> Visit {
+        c.u64("reads", &mut self.reads)?;
+        c.u64("writes", &mut self.writes)?;
+        c.u64("row_hits", &mut self.row_hits)?;
+        c.u64("row_misses", &mut self.row_misses)?;
+        c.u64("latency_sum", &mut self.latency_sum)?;
+        c.u64("max_latency", &mut self.max_latency)?;
+        c.u64("interval_width", &mut self.interval_width)?;
+        c.list("intervals", &mut self.intervals, |n, c| c.u64("", n))
     }
 }
 
 impl FrameStats {
-    /// Writes this frame's full measurement set as a JSON object.
-    pub fn to_json_into(&self, out: &mut String) {
-        out.push_str(&format!("{{\"frame\":{},", self.frame.0));
-        out.push_str(&format!(
-            "\"geometry_cycles\":{},\"raster_cycles\":{},",
-            self.geometry_cycles, self.raster_cycles
-        ));
-        for (key, cache) in [
-            ("vertex_cache", &self.vertex_cache),
-            ("tile_cache", &self.tile_cache),
-            ("texture_cache", &self.texture_cache),
-            ("l2_cache", &self.l2_cache),
-        ] {
-            out.push_str(&format!("\"{key}\":"));
-            cache.to_json_into(out);
-            out.push(',');
-        }
-        out.push_str("\"dram\":");
-        self.dram.to_json_into(out);
-        out.push_str(",\"heatmap\":");
-        self.heatmap.to_json_into(out);
-        out.push_str(&format!(
-            ",\"vertices\":{},\"primitives\":{},\"fragments\":{},\"warps\":{},\
-             \"instructions\":{},\"texture_requests\":{},\"texture_latency_sum\":{},\
-             \"texture_fill_lines\":{},\"texture_unique_lines\":{},\"micro_events\":{}}}",
-            self.vertices,
-            self.primitives,
-            self.fragments,
-            self.warps,
-            self.instructions,
-            self.texture_requests,
-            self.texture_latency_sum,
-            self.texture_fill_lines,
-            self.texture_unique_lines,
-            self.micro_events
-        ));
-    }
-
-    /// Parses the object form written by [`FrameStats::to_json_into`].
-    pub fn from_value(v: &Value, what: &str) -> Result<Self, String> {
-        let frame = field_u64(v, "frame", what)?;
-        let frame = u32::try_from(frame).map_err(|_| format!("{what}.frame: out of range"))?;
-        Ok(Self {
-            frame: FrameId(frame),
-            geometry_cycles: field_u64(v, "geometry_cycles", what)?,
-            raster_cycles: field_u64(v, "raster_cycles", what)?,
-            vertex_cache: CacheStats::from_value(
-                field(v, "vertex_cache", what)?,
-                &format!("{what}.vertex_cache"),
-            )?,
-            tile_cache: CacheStats::from_value(
-                field(v, "tile_cache", what)?,
-                &format!("{what}.tile_cache"),
-            )?,
-            texture_cache: CacheStats::from_value(
-                field(v, "texture_cache", what)?,
-                &format!("{what}.texture_cache"),
-            )?,
-            l2_cache: CacheStats::from_value(field(v, "l2_cache", what)?, &format!("{what}.l2_cache"))?,
-            dram: DramStats::from_value(field(v, "dram", what)?, &format!("{what}.dram"))?,
-            heatmap: TileHeatmap::from_value(field(v, "heatmap", what)?, &format!("{what}.heatmap"))?,
-            vertices: field_u64(v, "vertices", what)?,
-            primitives: field_u64(v, "primitives", what)?,
-            fragments: field_u64(v, "fragments", what)?,
-            warps: field_u64(v, "warps", what)?,
-            instructions: field_u64(v, "instructions", what)?,
-            texture_requests: field_u64(v, "texture_requests", what)?,
-            texture_latency_sum: field_u64(v, "texture_latency_sum", what)?,
-            texture_fill_lines: field_u64(v, "texture_fill_lines", what)?,
-            texture_unique_lines: field_u64(v, "texture_unique_lines", what)?,
-            micro_events: field_u64(v, "micro_events", what)?,
-        })
+    fn walk(&mut self, c: &mut impl Codec) -> Visit {
+        c.u32("frame", &mut self.frame.0)?;
+        c.u64("geometry_cycles", &mut self.geometry_cycles)?;
+        c.u64("raster_cycles", &mut self.raster_cycles)?;
+        c.quad("vertex_cache", self.vertex_cache.counters())?;
+        c.quad("tile_cache", self.tile_cache.counters())?;
+        c.quad("texture_cache", self.texture_cache.counters())?;
+        c.quad("l2_cache", self.l2_cache.counters())?;
+        c.record("dram", |c| self.dram.walk(c))?;
+        c.list("heatmap", &mut self.heatmap.tiles, |t, c| c.quad("", t.counters()))?;
+        c.u64("vertices", &mut self.vertices)?;
+        c.u64("primitives", &mut self.primitives)?;
+        c.u64("fragments", &mut self.fragments)?;
+        c.u64("warps", &mut self.warps)?;
+        c.u64("instructions", &mut self.instructions)?;
+        c.u64("texture_requests", &mut self.texture_requests)?;
+        c.u64("texture_latency_sum", &mut self.texture_latency_sum)?;
+        c.u64("texture_fill_lines", &mut self.texture_fill_lines)?;
+        c.u64("texture_unique_lines", &mut self.texture_unique_lines)?;
+        c.u64("micro_events", &mut self.micro_events)
     }
 }
 
 impl SequenceStats {
-    /// Serialises the whole sequence as `{"frames":[...]}`. All fields are
-    /// unsigned integers, so [`SequenceStats::from_json`] reproduces a value that
-    /// compares equal bit-for-bit — the property campaign resume rests on.
+    fn walk(&mut self, c: &mut impl Codec) -> Visit {
+        c.list("frames", &mut self.frames, |f, c| c.record("", |c| f.walk(c)))
+    }
+
+    /// Serialises the whole sequence as `{"frames":[...]}`;
+    /// [`SequenceStats::from_json`] reproduces a value that compares equal
+    /// bit-for-bit.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.frames.len() * 512);
-        out.push_str("{\"frames\":[");
-        for (i, f) in self.frames.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            f.to_json_into(&mut out);
-        }
-        out.push_str("]}");
-        out
+        let out = String::with_capacity(256 + self.frames.len() * 512);
+        let mut w = JsonWriter { out, first: true };
+        // `walk` lends out `&mut` fields for the readers to fill, so the
+        // writers walk a copy.
+        w.nest('{', |c| self.clone().walk(c), '}').expect("writers never fail");
+        w.out
     }
 
     /// Parses a document written by [`SequenceStats::to_json`].
@@ -753,191 +652,262 @@ impl SequenceStats {
     /// Parses an already-parsed [`Value`] (used when the stats object is embedded
     /// in a larger document, e.g. a checkpoint record).
     pub fn from_value(v: &Value, what: &str) -> Result<Self, String> {
-        let frames = field(v, "frames", what)?
-            .as_array()
-            .ok_or_else(|| format!("{what}.frames: expected an array"))?;
-        let frames = frames
-            .iter()
-            .enumerate()
-            .map(|(i, f)| FrameStats::from_value(f, &format!("{what}.frames[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { frames })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Exact binary round-trip (binary campaign checkpoints, `libra-ckpt-bin-v1`).
-//
-// Every field is an unsigned integer, encoded little-endian via `binio`, so
-// the binary form round-trips bit-exactly and is byte-identical across hosts.
-// The layout mirrors the JSON field order; there is no per-struct framing —
-// the enclosing sidecar (checkpoint record frame) provides length and version.
-// ---------------------------------------------------------------------------
-
-impl CacheStats {
-    /// Appends the 4 counters as little-endian `u64`s.
-    pub fn to_binary_into(&self, w: &mut ByteWriter) {
-        w.u64(self.accesses);
-        w.u64(self.hits);
-        w.u64(self.misses);
-        w.u64(self.evictions);
+        let mut s = Self::default();
+        s.walk(&mut JsonReader { v, what: what.to_string() })?;
+        Ok(s)
     }
 
-    /// Reads the form written by [`CacheStats::to_binary_into`].
-    pub fn from_reader(r: &mut ByteReader<'_>, what: &str) -> Result<Self, String> {
-        Ok(Self {
-            accesses: r.u64(&format!("{what}.accesses"))?,
-            hits: r.u64(&format!("{what}.hits"))?,
-            misses: r.u64(&format!("{what}.misses"))?,
-            evictions: r.u64(&format!("{what}.evictions"))?,
-        })
-    }
-}
-
-impl DramStats {
-    /// Appends these counters (interval histogram included), little-endian.
-    pub fn to_binary_into(&self, w: &mut ByteWriter) {
-        w.u64(self.reads);
-        w.u64(self.writes);
-        w.u64(self.row_hits);
-        w.u64(self.row_misses);
-        w.u64(self.latency_sum);
-        w.u64(self.max_latency);
-        w.u64(self.interval_width);
-        w.u64_slice(&self.intervals);
-    }
-
-    /// Reads the form written by [`DramStats::to_binary_into`].
-    pub fn from_reader(r: &mut ByteReader<'_>, what: &str) -> Result<Self, String> {
-        Ok(Self {
-            reads: r.u64(&format!("{what}.reads"))?,
-            writes: r.u64(&format!("{what}.writes"))?,
-            row_hits: r.u64(&format!("{what}.row_hits"))?,
-            row_misses: r.u64(&format!("{what}.row_misses"))?,
-            latency_sum: r.u64(&format!("{what}.latency_sum"))?,
-            max_latency: r.u64(&format!("{what}.max_latency"))?,
-            interval_width: r.u64(&format!("{what}.interval_width"))?,
-            intervals: r.u64_vec(&format!("{what}.intervals"))?,
-        })
-    }
-}
-
-impl TileHeatmap {
-    /// Appends the heatmap as `u32` tile count + 4 `u64` tallies per tile.
-    pub fn to_binary_into(&self, w: &mut ByteWriter) {
-        assert!(self.tiles.len() <= u32::MAX as usize, "heatmap too large");
-        w.u32(self.tiles.len() as u32);
-        for t in &self.tiles {
-            w.u64(t.dram_accesses);
-            w.u64(t.instructions);
-            w.u64(t.fragments);
-            w.u64(t.warps);
-        }
-    }
-
-    /// Reads the form written by [`TileHeatmap::to_binary_into`].
-    pub fn from_reader(r: &mut ByteReader<'_>, what: &str) -> Result<Self, String> {
-        let n = r.u32(&format!("{what}.len"))? as usize;
-        // Guard against a corrupt count before allocating (4 u64s per tile).
-        if r.remaining() < n.saturating_mul(32) {
-            return Err(format!(
-                "truncated: {what} claims {n} tiles but only {} bytes remain",
-                r.remaining()
-            ));
-        }
-        let mut tiles = Vec::with_capacity(n);
-        for i in 0..n {
-            let what = format!("{what}[{i}]");
-            tiles.push(TileTally {
-                dram_accesses: r.u64(&what)?,
-                instructions: r.u64(&what)?,
-                fragments: r.u64(&what)?,
-                warps: r.u64(&what)?,
-            });
-        }
-        Ok(Self { tiles })
-    }
-}
-
-impl FrameStats {
-    /// Appends this frame's full measurement set, little-endian.
-    pub fn to_binary_into(&self, w: &mut ByteWriter) {
-        w.u32(self.frame.0);
-        w.u64(self.geometry_cycles);
-        w.u64(self.raster_cycles);
-        self.vertex_cache.to_binary_into(w);
-        self.tile_cache.to_binary_into(w);
-        self.texture_cache.to_binary_into(w);
-        self.l2_cache.to_binary_into(w);
-        self.dram.to_binary_into(w);
-        self.heatmap.to_binary_into(w);
-        w.u64(self.vertices);
-        w.u64(self.primitives);
-        w.u64(self.fragments);
-        w.u64(self.warps);
-        w.u64(self.instructions);
-        w.u64(self.texture_requests);
-        w.u64(self.texture_latency_sum);
-        w.u64(self.texture_fill_lines);
-        w.u64(self.texture_unique_lines);
-        w.u64(self.micro_events);
-    }
-
-    /// Reads the form written by [`FrameStats::to_binary_into`].
-    pub fn from_reader(r: &mut ByteReader<'_>, what: &str) -> Result<Self, String> {
-        Ok(Self {
-            frame: FrameId(r.u32(&format!("{what}.frame"))?),
-            geometry_cycles: r.u64(&format!("{what}.geometry_cycles"))?,
-            raster_cycles: r.u64(&format!("{what}.raster_cycles"))?,
-            vertex_cache: CacheStats::from_reader(r, &format!("{what}.vertex_cache"))?,
-            tile_cache: CacheStats::from_reader(r, &format!("{what}.tile_cache"))?,
-            texture_cache: CacheStats::from_reader(r, &format!("{what}.texture_cache"))?,
-            l2_cache: CacheStats::from_reader(r, &format!("{what}.l2_cache"))?,
-            dram: DramStats::from_reader(r, &format!("{what}.dram"))?,
-            heatmap: TileHeatmap::from_reader(r, &format!("{what}.heatmap"))?,
-            vertices: r.u64(&format!("{what}.vertices"))?,
-            primitives: r.u64(&format!("{what}.primitives"))?,
-            fragments: r.u64(&format!("{what}.fragments"))?,
-            warps: r.u64(&format!("{what}.warps"))?,
-            instructions: r.u64(&format!("{what}.instructions"))?,
-            texture_requests: r.u64(&format!("{what}.texture_requests"))?,
-            texture_latency_sum: r.u64(&format!("{what}.texture_latency_sum"))?,
-            texture_fill_lines: r.u64(&format!("{what}.texture_fill_lines"))?,
-            texture_unique_lines: r.u64(&format!("{what}.texture_unique_lines"))?,
-            micro_events: r.u64(&format!("{what}.micro_events"))?,
-        })
-    }
-}
-
-impl SequenceStats {
     /// Appends the whole sequence as `u32` frame count + frames. The round trip
     /// through [`SequenceStats::from_reader`] is bit-exact, and the bytes are
-    /// identical on every host (everything is little-endian integers) — the
-    /// property binary checkpoint resume rests on.
+    /// identical on every host.
     pub fn to_binary_into(&self, w: &mut ByteWriter) {
-        assert!(self.frames.len() <= u32::MAX as usize, "sequence too long");
-        w.u32(self.frames.len() as u32);
-        for f in &self.frames {
-            f.to_binary_into(w);
-        }
+        self.clone().walk(&mut BinWriter(w)).expect("writers never fail");
     }
 
     /// Reads the form written by [`SequenceStats::to_binary_into`].
     pub fn from_reader(r: &mut ByteReader<'_>, what: &str) -> Result<Self, String> {
-        let n = r.u32(&format!("{what}.len"))? as usize;
-        // A frame encodes to well over 64 bytes; a cheap lower bound guards the
-        // allocation against a corrupt count.
-        if r.remaining() < n.saturating_mul(64) {
-            return Err(format!(
-                "truncated: {what} claims {n} frames but only {} bytes remain",
-                r.remaining()
-            ));
+        let mut s = Self::default();
+        s.walk(&mut BinReader { r, what: what.to_string() })?;
+        Ok(s)
+    }
+}
+
+/// The location of field `key` inside the record at `what`.
+fn located(what: &str, key: &str) -> String {
+    if key.is_empty() {
+        what.to_string()
+    } else {
+        format!("{what}.{key}")
+    }
+}
+
+struct JsonWriter {
+    out: String,
+    /// Nothing has been written yet inside the innermost object or array.
+    first: bool,
+}
+
+impl JsonWriter {
+    /// Starts a member (`"key":`) or, for an empty key, an array element.
+    fn key(&mut self, key: &str) {
+        if !std::mem::replace(&mut self.first, false) {
+            self.out.push(',');
         }
-        let mut frames = Vec::with_capacity(n);
+        if !key.is_empty() {
+            let _ = write!(self.out, "\"{key}\":");
+        }
+    }
+
+    /// Writes `open`, whatever `walk` writes, then `close`.
+    fn nest(&mut self, open: char, walk: impl FnOnce(&mut Self) -> Visit, close: char) -> Visit {
+        self.out.push(open);
+        self.first = true;
+        walk(self)?;
+        self.first = false;
+        self.out.push(close);
+        Ok(())
+    }
+}
+
+impl Codec for JsonWriter {
+    fn u32(&mut self, key: &'static str, v: &mut u32) -> Visit {
+        self.u64(key, &mut u64::from(*v))
+    }
+
+    fn u64(&mut self, key: &'static str, v: &mut u64) -> Visit {
+        self.key(key);
+        let _ = write!(self.out, "{v}");
+        Ok(())
+    }
+
+    fn quad(&mut self, key: &'static str, v: [&mut u64; 4]) -> Visit {
+        self.key(key);
+        self.nest('[', |c| v.into_iter().try_for_each(|n| c.u64("", n)), ']')
+    }
+
+    fn record(&mut self, key: &'static str, walk: impl FnOnce(&mut Self) -> Visit) -> Visit {
+        self.key(key);
+        self.nest('{', walk, '}')
+    }
+
+    fn list<T: Default>(
+        &mut self,
+        key: &'static str,
+        v: &mut Vec<T>,
+        mut item: impl FnMut(&mut T, &mut Self) -> Visit,
+    ) -> Visit {
+        self.key(key);
+        self.nest('[', |c| v.iter_mut().try_for_each(|t| item(t, c)), ']')
+    }
+}
+
+/// Reads JSON: `v` is the innermost value, located at `what`.
+struct JsonReader<'a> {
+    v: &'a Value,
+    what: String,
+}
+
+impl<'a> JsonReader<'a> {
+    /// Member `key` of the innermost object, or the innermost value itself
+    /// for an empty key (a list element).
+    fn member(&self, key: &str) -> Result<&'a Value, String> {
+        if key.is_empty() {
+            Ok(self.v)
+        } else {
+            json::field(self.v, key, &self.what)
+        }
+    }
+
+    fn array(&self, key: &str) -> Result<&'a [Value], String> {
+        let v = self.member(key)?;
+        v.as_array().ok_or_else(|| format!("{}: expected an array", located(&self.what, key)))
+    }
+
+    /// Runs `walk` with `v`, located at `what`, as the innermost value.
+    fn within(
+        &mut self,
+        v: &'a Value,
+        what: String,
+        walk: impl FnOnce(&mut Self) -> Visit,
+    ) -> Visit {
+        let outer = (std::mem::replace(&mut self.v, v), std::mem::replace(&mut self.what, what));
+        let res = walk(self);
+        (self.v, self.what) = outer;
+        res
+    }
+}
+
+impl Codec for JsonReader<'_> {
+    fn u32(&mut self, key: &'static str, v: &mut u32) -> Visit {
+        let mut wide = 0;
+        self.u64(key, &mut wide)?;
+        *v = u32::try_from(wide)
+            .map_err(|_| format!("{}: out of range", located(&self.what, key)))?;
+        Ok(())
+    }
+
+    fn u64(&mut self, key: &'static str, v: &mut u64) -> Visit {
+        *v = self
+            .member(key)?
+            .as_u64()
+            .ok_or_else(|| format!("{}: expected an exact integer", located(&self.what, key)))?;
+        Ok(())
+    }
+
+    fn quad(&mut self, key: &'static str, v: [&mut u64; 4]) -> Visit {
+        let (items, what) = (self.array(key)?, located(&self.what, key));
+        if items.len() != 4 {
+            return Err(format!("{what}: expected 4 counters, got {}", items.len()));
+        }
+        for (i, (n, item)) in v.into_iter().zip(items).enumerate() {
+            *n = item.as_u64().ok_or_else(|| format!("{what}[{i}]: expected an exact integer"))?;
+        }
+        Ok(())
+    }
+
+    fn record(&mut self, key: &'static str, walk: impl FnOnce(&mut Self) -> Visit) -> Visit {
+        let v = self.member(key)?;
+        self.within(v, located(&self.what, key), walk)
+    }
+
+    fn list<T: Default>(
+        &mut self,
+        key: &'static str,
+        v: &mut Vec<T>,
+        mut item: impl FnMut(&mut T, &mut Self) -> Visit,
+    ) -> Visit {
+        let (items, what) = (self.array(key)?, located(&self.what, key));
+        v.clear();
+        for (i, e) in items.iter().enumerate() {
+            let mut t = T::default();
+            self.within(e, format!("{what}[{i}]"), |c| item(&mut t, c))?;
+            v.push(t);
+        }
+        Ok(())
+    }
+}
+
+struct BinWriter<'w>(&'w mut ByteWriter);
+
+impl Codec for BinWriter<'_> {
+    fn u32(&mut self, _: &'static str, v: &mut u32) -> Visit {
+        self.0.u32(*v);
+        Ok(())
+    }
+
+    fn u64(&mut self, _: &'static str, v: &mut u64) -> Visit {
+        self.0.u64(*v);
+        Ok(())
+    }
+
+    fn list<T: Default>(
+        &mut self,
+        key: &'static str,
+        v: &mut Vec<T>,
+        mut item: impl FnMut(&mut T, &mut Self) -> Visit,
+    ) -> Visit {
+        assert!(v.len() <= u32::MAX as usize, "{key}: {} entries overflow the count", v.len());
+        self.0.u32(v.len() as u32);
+        v.iter_mut().try_for_each(|t| item(t, self))
+    }
+}
+
+/// Reads binary: `what` locates the innermost record.
+struct BinReader<'r, 'a> {
+    r: &'r mut ByteReader<'a>,
+    what: String,
+}
+
+impl BinReader<'_, '_> {
+    /// The error of a read of field `key` that ran out of bytes (the only way
+    /// a read fails), built only when it does.
+    fn truncated(&self, key: &str) -> String {
+        let at = self.r.position();
+        format!("truncated: reading {} at offset {at}", located(&self.what, key))
+    }
+
+    /// Runs `walk` with the innermost record located at `what`.
+    fn within(&mut self, what: String, walk: impl FnOnce(&mut Self) -> Visit) -> Visit {
+        let outer = std::mem::replace(&mut self.what, what);
+        let res = walk(self);
+        self.what = outer;
+        res
+    }
+}
+
+impl Codec for BinReader<'_, '_> {
+    fn u32(&mut self, key: &'static str, v: &mut u32) -> Visit {
+        *v = self.r.u32(key).map_err(|_| self.truncated(key))?;
+        Ok(())
+    }
+
+    fn u64(&mut self, key: &'static str, v: &mut u64) -> Visit {
+        *v = self.r.u64(key).map_err(|_| self.truncated(key))?;
+        Ok(())
+    }
+
+    fn record(&mut self, key: &'static str, walk: impl FnOnce(&mut Self) -> Visit) -> Visit {
+        self.within(located(&self.what, key), walk)
+    }
+
+    fn list<T: Default>(
+        &mut self,
+        key: &'static str,
+        v: &mut Vec<T>,
+        mut item: impl FnMut(&mut T, &mut Self) -> Visit,
+    ) -> Visit {
+        let mut n = 0;
+        self.u32(key, &mut n)?;
+        // Elements are pushed as they decode, so a corrupt count runs into a
+        // truncation error rather than a huge allocation.
+        let what = located(&self.what, key);
+        v.clear();
         for i in 0..n {
-            frames.push(FrameStats::from_reader(r, &format!("{what}.frames[{i}]"))?);
+            let mut t = T::default();
+            self.within(format!("{what}[{i}]"), |c| item(&mut t, c))?;
+            v.push(t);
         }
-        Ok(Self { frames })
+        Ok(())
     }
 }
 

@@ -17,7 +17,7 @@
 //! In oracle mode the raw hashed word streams ride along so a signature match
 //! can be verified against true input equality; a match with unequal inputs is
 //! a hash collision that would have produced a visibly wrong frame — counted
-//! as a *false negative* (the `--re-oracle` differential mode renders
+//! as a *false negative* (the `--mechanism re-oracle` differential mode renders
 //! everything anyway, so the run's outputs stay correct while the counter
 //! measures the real collision rate).
 

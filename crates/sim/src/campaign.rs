@@ -21,7 +21,7 @@
 //!    (same inputs → same cycle counts).
 //! 3. *Ordered result collection.* Workers write into the result slot indexed by
 //!    the job's position, so the returned `Vec` is in campaign order — the same
-//!    order `run_serial` produces — no matter which thread finished first.
+//!    order a one-thread run produces — no matter which thread finished first.
 //!
 //! Work distribution uses a work-stealing queue: jobs are dealt round-robin into
 //! per-worker deques; a worker pops from the front of its own deque and, when
@@ -55,7 +55,7 @@
 //!
 //! ```
 //! use tbr_common::config::{GpuConfig, ScreenConfig};
-//! use tbr_sim::campaign::Campaign;
+//! use tbr_sim::campaign::{Campaign, RunOptions};
 //! use tbr_sim::SchedulerKind;
 //! use tbr_workloads::suite;
 //!
@@ -64,8 +64,9 @@
 //! for p in suite().into_iter().take(2) {
 //!     c.push(&cfg, SchedulerKind::Libra, p, 1);
 //! }
-//! let parallel = c.run(2);
-//! let serial = c.run_serial();
+//! let run = |threads| c.run_resilient(&RunOptions { threads, ..RunOptions::default() });
+//! let parallel = run(2).unwrap().results;
+//! let serial = run(1).unwrap().results;
 //! assert_eq!(parallel, serial); // bit-identical, in campaign order
 //! ```
 
@@ -90,6 +91,10 @@ use crate::checkpoint::{
 };
 use crate::fault::{FaultKind, FaultSpec};
 use crate::gpu::{simulate_sequence_mech, GpuSimulator};
+
+/// Why a lock of the campaign driver can fail: only a worker panicking outside
+/// job isolation, while holding it, poisons one.
+const POISONED: &str = "a campaign worker panicked while holding a lock";
 
 /// The golden-gamma increment of SplitMix64 — spaces job indices far apart in the
 /// mixer's input domain so adjacent jobs get decorrelated seeds.
@@ -330,8 +335,8 @@ impl CampaignProfile {
 
 /// Knobs of a resilient campaign run ([`Campaign::run_resilient`]).
 ///
-/// The default is the behaviour of the plain drivers: one thread, no tracing,
-/// no budget, retry a failing job once, no fault injection, no checkpoint.
+/// The default runs on one thread with no tracing, no budget, one retry for a
+/// failing job, no fault injection and no checkpoint.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Worker threads (clamped to `1..=pending jobs`).
@@ -617,10 +622,6 @@ impl Campaign {
         h
     }
 
-    fn trace_label(r: &CampaignResult) -> String {
-        format!("job{} {} {}", r.job(), r.abbrev(), r.scheduler())
-    }
-
     /// One isolated attempt at job `index`: panic injection, then either the
     /// plain full-sequence path (no budget — the exact code path of
     /// [`simulate_sequence_mech`]) or the frame-granular watchdog loop. Both paths
@@ -702,49 +703,27 @@ impl Campaign {
             }
             let outcome =
                 quiet_catch_unwind(|| self.run_attempt(index, &profile, budget, inject_panic));
-            match outcome {
+            // Collected either way; a failed attempt's partial ones are dropped.
+            let t = opts.traced.then(trace::finish).flatten();
+            let hp = opts.hostprof.then(hostprof::finish).flatten();
+            let (job, attempts) = (index, attempt + 1);
+            last = Some(match outcome {
                 Ok(Attempt::Done(stats)) => {
-                    let t = if opts.traced { trace::finish() } else { None };
-                    let hp = if opts.hostprof {
-                        hostprof::finish().map(|p| p.totals())
-                    } else {
-                        None
-                    };
-                    let s = JobSuccess { job: index, abbrev, scheduler, effective_seed, stats };
-                    return (CampaignResult::Done(s), t, hp);
+                    let s = JobSuccess { job, abbrev, scheduler, effective_seed, stats };
+                    return (CampaignResult::Done(s), t, hp.map(|p| p.totals()));
                 }
-                Ok(Attempt::TimedOut { spent }) => {
-                    if opts.traced {
-                        let _ = trace::finish(); // drop the partial trace
-                    }
-                    if opts.hostprof {
-                        let _ = hostprof::finish(); // drop the partial profile
-                    }
-                    last = Some(CampaignResult::TimedOut {
-                        job: index,
-                        abbrev,
-                        scheduler,
-                        attempts: attempt + 1,
-                        budget_cycles: budget.unwrap_or(0),
-                        spent_cycles: spent,
-                    });
-                }
+                Ok(Attempt::TimedOut { spent }) => CampaignResult::TimedOut {
+                    job,
+                    abbrev,
+                    scheduler,
+                    attempts,
+                    budget_cycles: budget.unwrap_or(0),
+                    spent_cycles: spent,
+                },
                 Err(panic_msg) => {
-                    if opts.traced {
-                        let _ = trace::finish(); // drop the partial trace
-                    }
-                    if opts.hostprof {
-                        let _ = hostprof::finish(); // drop the partial profile
-                    }
-                    last = Some(CampaignResult::Failed {
-                        job: index,
-                        abbrev,
-                        scheduler,
-                        attempts: attempt + 1,
-                        panic_msg,
-                    });
+                    CampaignResult::Failed { job, abbrev, scheduler, attempts, panic_msg }
                 }
-            }
+            });
         }
         (last.expect("at least one attempt was made"), None, None)
     }
@@ -852,37 +831,15 @@ impl Campaign {
         }
         // Later records for the same job supersede earlier ones (a resumed run
         // appends corrections), so fold by job index in file order.
-        let mut latest: Vec<Option<&crate::checkpoint::Record>> = vec![None; n];
+        let mut latest: Vec<Option<CampaignResult>> = vec![None; n];
         for rec in &ckpt.records {
-            let job = &self.jobs[rec.job];
-            let (want_a, want_s) = (job.profile.abbrev, job.scheduler.build().name());
-            if rec.abbrev != want_a || rec.scheduler != want_s {
-                return Err(format!(
-                    "checkpoint {path}: record for job {} names {}/{} but the campaign job is \
-                     {}/{}",
-                    rec.job, rec.abbrev, rec.scheduler, want_a, want_s
-                ));
-            }
-            latest[rec.job] = Some(rec);
+            let r = self.adopt_record(rec).map_err(|e| format!("checkpoint {path}: {e}"))?;
+            latest[rec.job] = Some(r);
         }
         let mut adopted = 0;
-        for (i, rec) in latest.iter().enumerate() {
-            let Some(rec) = rec else { continue };
-            if let RecordOutcome::Done { effective_seed, stats } = &rec.outcome {
-                let want = self.effective_seed(i);
-                if *effective_seed != want {
-                    return Err(format!(
-                        "checkpoint {path}: job {i} recorded effective seed {:#x}, expected {want:#x}",
-                        effective_seed
-                    ));
-                }
-                prefilled[i] = Some(CampaignResult::Done(JobSuccess {
-                    job: i,
-                    abbrev: self.jobs[i].profile.abbrev,
-                    scheduler: self.jobs[i].scheduler.build().name(),
-                    effective_seed: *effective_seed,
-                    stats: stats.clone(),
-                }));
+        for (slot, r) in prefilled.iter_mut().zip(latest) {
+            if let Some(r @ CampaignResult::Done(_)) = r {
+                *slot = Some(r);
                 adopted += 1;
             }
         }
@@ -943,162 +900,102 @@ impl Campaign {
         let pending: Vec<usize> = (0..n).filter(|&i| prefilled[i].is_none()).collect();
         let threads = opts.threads.clamp(1, pending.len().max(1));
 
-        let mut job_profiles: Vec<Option<JobProfile>> = (0..n).map(|_| None).collect();
-        for (i, slot) in prefilled.iter().enumerate() {
-            if let Some(r) = slot {
-                job_profiles[i] = Some(JobProfile {
-                    job: i,
-                    abbrev: r.abbrev(),
-                    scheduler: r.scheduler(),
-                    worker: 0,
-                    secs: 0.0,
-                });
-            }
+        // Deal pending jobs round-robin into per-worker deques. Round-robin
+        // (rather than contiguous chunks) interleaves heavy and light
+        // workloads, so the initial split is already balanced and stealing is
+        // the exception.
+        let queues: Vec<Mutex<VecDeque<usize>>> =
+            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
+        for (k, &i) in pending.iter().enumerate() {
+            queues[k % threads].lock().expect(POISONED).push_back(i);
         }
-
+        type Slot = (CampaignResult, Option<Trace>, JobProfile);
+        let slots: Vec<Mutex<Option<Slot>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let ckpt_err: Mutex<Option<String>> = Mutex::new(None);
-        let note_ckpt = |res: Result<(), String>| {
-            if let Err(e) = res {
-                ckpt_err.lock().unwrap().get_or_insert(e);
-            }
-        };
-
-        let mut traces = Vec::new();
         let host_totals: Mutex<HostTotals> = Mutex::new(HostTotals::default());
-        let workers;
 
-        if threads <= 1 || pending.len() <= 1 {
-            let mut busy = 0.0;
-            for &i in &pending {
+        let work = |me: usize| {
+            let mut prof = WorkerProfile { worker: me, jobs_run: 0, steals: 0, busy_secs: 0.0 };
+            loop {
+                // Own queue first (front: preserves the dealt order)…
+                let mut stolen = false;
+                let job = queues[me].lock().expect(POISONED).pop_front().or_else(|| {
+                    // …then steal from the back of the first non-empty victim,
+                    // scanning away from ourselves.
+                    (1..threads).find_map(|k| {
+                        let j = queues[(me + k) % threads].lock().expect(POISONED).pop_back();
+                        stolen |= j.is_some();
+                        j
+                    })
+                });
+                let Some(i) = job else { return prof };
+                if stolen {
+                    prof.steals += 1;
+                }
                 let jt = Instant::now();
                 let (r, t, hp) = self.run_job_resilient(i, opts);
                 let secs = jt.elapsed().as_secs_f64();
-                busy += secs;
                 if let Some(hp) = hp {
-                    host_totals.lock().unwrap().merge(&hp);
+                    host_totals.lock().expect(POISONED).merge(&hp);
                 }
-                if let Some(w) = &writer {
-                    note_ckpt(w.append(&r));
+                prof.jobs_run += 1;
+                prof.busy_secs += secs;
+                if let Some(Err(e)) = writer.as_ref().map(|w| w.append(&r)) {
+                    ckpt_err.lock().expect(POISONED).get_or_insert(e);
                 }
-                job_profiles[i] = Some(JobProfile {
+                let jp = JobProfile {
                     job: i,
                     abbrev: r.abbrev(),
                     scheduler: r.scheduler(),
-                    worker: 0,
+                    worker: me,
                     secs,
-                });
-                if let Some(t) = t {
-                    traces.push((Self::trace_label(&r), t));
-                }
-                prefilled[i] = Some(r);
+                };
+                *slots[i].lock().expect(POISONED) = Some((r, t, jp));
             }
-            workers = vec![WorkerProfile {
-                worker: 0,
-                jobs_run: pending.len(),
-                steals: 0,
-                busy_secs: busy,
-            }];
-        } else {
-            // Deal pending jobs round-robin into per-worker deques. Round-robin
-            // (rather than contiguous chunks) interleaves heavy and light
-            // workloads, so the initial split is already balanced and stealing
-            // is the exception.
-            let queues: Vec<Mutex<VecDeque<usize>>> =
-                (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-            for (k, &i) in pending.iter().enumerate() {
-                queues[k % threads].lock().unwrap().push_back(i);
-            }
+        };
+        // The calling thread is worker 0, so a one-thread run spawns nothing.
+        let workers: Vec<WorkerProfile> = std::thread::scope(|scope| {
+            let work = &work;
+            let others: Vec<_> = (1..threads).map(|me| scope.spawn(move || work(me))).collect();
+            let mut profiles = vec![work(0)];
+            let joined = others.into_iter().map(|h| h.join().expect("campaign worker panicked"));
+            profiles.extend(joined);
+            profiles
+        });
 
-            type Slot = (CampaignResult, Option<Trace>, JobProfile);
-            let slots: Vec<Mutex<Option<Slot>>> = (0..n).map(|_| Mutex::new(None)).collect();
-            let worker_slots: Vec<Mutex<Option<WorkerProfile>>> =
-                (0..threads).map(|_| Mutex::new(None)).collect();
-
-            std::thread::scope(|scope| {
-                for me in 0..threads {
-                    let queues = &queues;
-                    let slots = &slots;
-                    let worker_slots = &worker_slots;
-                    let writer = &writer;
-                    let note_ckpt = &note_ckpt;
-                    let host_totals = &host_totals;
-                    scope.spawn(move || {
-                        let mut prof =
-                            WorkerProfile { worker: me, jobs_run: 0, steals: 0, busy_secs: 0.0 };
-                        loop {
-                            // Own queue first (front: preserves the dealt order)…
-                            let mut stolen = false;
-                            let job = queues[me].lock().unwrap().pop_front().or_else(|| {
-                                // …then steal from the back of the first non-empty
-                                // victim, scanning away from ourselves.
-                                (1..threads).find_map(|k| {
-                                    let j = queues[(me + k) % threads].lock().unwrap().pop_back();
-                                    stolen |= j.is_some();
-                                    j
-                                })
-                            });
-                            match job {
-                                Some(i) => {
-                                    if stolen {
-                                        prof.steals += 1;
-                                    }
-                                    let jt = Instant::now();
-                                    let (r, t, hp) = self.run_job_resilient(i, opts);
-                                    let secs = jt.elapsed().as_secs_f64();
-                                    if let Some(hp) = hp {
-                                        host_totals.lock().unwrap().merge(&hp);
-                                    }
-                                    prof.jobs_run += 1;
-                                    prof.busy_secs += secs;
-                                    if let Some(w) = writer {
-                                        note_ckpt(w.append(&r));
-                                    }
-                                    let jp = JobProfile {
-                                        job: i,
-                                        abbrev: r.abbrev(),
-                                        scheduler: r.scheduler(),
-                                        worker: me,
-                                        secs,
-                                    };
-                                    *slots[i].lock().unwrap() = Some((r, t, jp));
-                                }
-                                None => break,
-                            }
-                        }
-                        *worker_slots[me].lock().unwrap() = Some(prof);
-                    });
+        let mut traces = Vec::new();
+        let mut results = Vec::with_capacity(n);
+        let mut jobs = Vec::with_capacity(n);
+        for (i, (adopted, slot)) in prefilled.into_iter().zip(slots).enumerate() {
+            let (r, jp) = match (adopted, slot.into_inner().expect(POISONED)) {
+                (Some(r), _) => {
+                    let jp = JobProfile {
+                        job: i,
+                        abbrev: r.abbrev(),
+                        scheduler: r.scheduler(),
+                        worker: 0,
+                        secs: 0.0,
+                    };
+                    (r, jp)
                 }
-            });
-
-            for (i, s) in slots.into_iter().enumerate() {
-                if let Some((r, t, jp)) = s.into_inner().unwrap() {
+                (None, Some((r, t, jp))) => {
                     if let Some(t) = t {
-                        traces.push((Self::trace_label(&r), t));
+                        traces.push((format!("job{i} {} {}", r.abbrev(), r.scheduler()), t));
                     }
-                    job_profiles[i] = Some(jp);
-                    prefilled[i] = Some(r);
+                    (r, jp)
                 }
-            }
-            workers = worker_slots
-                .into_iter()
-                .map(|w| w.into_inner().unwrap().expect("worker profile filled"))
-                .collect();
+                (None, None) => unreachable!("job {i} was neither adopted nor run"),
+            };
+            results.push(r);
+            jobs.push(jp);
         }
-
-        let results: Vec<CampaignResult> = prefilled
-            .into_iter()
-            .map(|s| s.expect("every job was run or adopted"))
-            .collect();
         let profile = CampaignProfile {
             threads,
             wall_secs: t0.elapsed().as_secs_f64(),
             workers,
-            jobs: job_profiles
-                .into_iter()
-                .map(|j| j.expect("every job was profiled"))
-                .collect(),
+            jobs,
             host: opts.hostprof.then(|| {
-                let mut totals = host_totals.into_inner().unwrap();
+                let mut totals = host_totals.into_inner().expect(POISONED);
                 // Single-process runs contribute exactly one host stamp; the
                 // campaign service overrides this with one stamp per worker.
                 totals.hosts = vec![HostMeta::capture()];
@@ -1110,55 +1007,8 @@ impl Campaign {
             profile,
             traces,
             resumed_jobs,
-            checkpoint_error: ckpt_err.into_inner().unwrap(),
+            checkpoint_error: ckpt_err.into_inner().expect(POISONED),
         })
-    }
-
-    /// Runs every job on the calling thread, in campaign order.
-    pub fn run_serial(&self) -> Vec<CampaignResult> {
-        self.run_full(1, false).0
-    }
-
-    /// The driver behind [`run`](Campaign::run), [`run_profiled`](Campaign::run_profiled)
-    /// and [`run_traced`](Campaign::run_traced): runs the campaign on `threads`
-    /// workers and returns, in campaign order, the results, the host-side profile,
-    /// and (when `traced`) one simulated-time trace per job. Timestamps in the
-    /// traces are simulated cycles, so they are identical for every thread count.
-    ///
-    /// Faults requested via the `LIBRA_FAULT` environment variable are honoured
-    /// here, so any CLI path can be poisoned for testing.
-    pub fn run_full(
-        &self,
-        threads: usize,
-        traced: bool,
-    ) -> (Vec<CampaignResult>, CampaignProfile, Vec<(String, Trace)>) {
-        let opts =
-            RunOptions { threads, traced, fault: FaultSpec::from_env(), ..RunOptions::default() };
-        let run = self
-            .run_resilient(&opts)
-            .expect("a run without checkpoint files cannot fail setup");
-        (run.results, run.profile, run.traces)
-    }
-
-    /// Runs the campaign on `threads` worker threads (clamped to at least 1) and
-    /// returns results in campaign order, bit-identical to [`Campaign::run_serial`].
-    pub fn run(&self, threads: usize) -> Vec<CampaignResult> {
-        self.run_full(threads, false).0
-    }
-
-    /// [`run`](Campaign::run) plus the host-side wall-clock profile.
-    pub fn run_profiled(&self, threads: usize) -> (Vec<CampaignResult>, CampaignProfile) {
-        let (results, profile, _) = self.run_full(threads, false);
-        (results, profile)
-    }
-
-    /// [`run`](Campaign::run) with per-job cycle-level tracing enabled: returns one
-    /// labelled [`Trace`] per job, in campaign order. Merge them into one Perfetto
-    /// document with [`Trace::chrome_json_multi`]; since timestamps are simulated
-    /// cycles, the merged JSON is byte-identical for every `threads` value.
-    pub fn run_traced(&self, threads: usize) -> (Vec<CampaignResult>, Vec<(String, Trace)>) {
-        let (results, _, traces) = self.run_full(threads, true);
-        (results, traces)
     }
 }
 
@@ -1177,12 +1027,17 @@ mod tests {
         c
     }
 
+    /// A default run on `threads` workers, optionally traced.
+    fn run(c: &Campaign, threads: usize, traced: bool) -> CampaignRun {
+        c.run_resilient(&RunOptions { threads, traced, ..RunOptions::default() }).unwrap()
+    }
+
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let c = small_campaign(0, 5);
-        let serial = c.run_serial();
+        let serial = run(&c, 1, false).results;
         for threads in [2, 3, 5, 8] {
-            let par = c.run(threads);
+            let par = run(&c, threads, false).results;
             assert_eq!(par, serial, "thread count {threads} changed results");
         }
     }
@@ -1190,7 +1045,7 @@ mod tests {
     #[test]
     fn results_come_back_in_campaign_order() {
         let c = small_campaign(7, 6);
-        let res = c.run(4);
+        let res = run(&c, 4, false).results;
         for (i, r) in res.iter().enumerate() {
             assert_eq!(r.job(), i);
         }
@@ -1202,7 +1057,7 @@ mod tests {
         let p = suite().remove(0);
         let mut c = Campaign::new(0);
         c.push(&cfg, SchedulerKind::Libra, p.clone(), 2);
-        let res = c.run(2);
+        let res = run(&c, 2, false).results;
         let direct = crate::simulate_sequence(&cfg, SchedulerKind::Libra, &p, 2);
         assert_eq!(res[0].stats(), Some(&direct), "seed 0 must not perturb the canonical suite");
         assert_eq!(res[0].success().unwrap().effective_seed, p.seed);
@@ -1224,15 +1079,15 @@ mod tests {
     fn empty_and_single_job_campaigns_work() {
         let c = Campaign::new(0);
         assert!(c.is_empty());
-        assert!(c.run(4).is_empty());
+        assert!(run(&c, 4, false).results.is_empty());
         let c1 = small_campaign(0, 1);
-        assert_eq!(c1.run(8).len(), 1);
+        assert_eq!(run(&c1, 8, false).results.len(), 1);
     }
 
     #[test]
     fn profile_accounts_for_every_job_and_worker() {
         let c = small_campaign(0, 5);
-        let (res, prof) = c.run_profiled(3);
+        let CampaignRun { results: res, profile: prof, .. } = run(&c, 3, false);
         assert_eq!(res.len(), 5);
         assert_eq!(prof.threads, 3);
         assert_eq!(prof.workers.len(), 3);
@@ -1254,7 +1109,7 @@ mod tests {
     #[test]
     fn serial_path_profile_uses_worker_zero() {
         let c = small_campaign(0, 2);
-        let (_, prof) = c.run_profiled(1);
+        let prof = run(&c, 1, false).profile;
         assert_eq!(prof.threads, 1);
         assert_eq!(prof.workers.len(), 1);
         assert_eq!(prof.workers[0].steals, 0);
@@ -1264,8 +1119,8 @@ mod tests {
     #[test]
     fn tracing_changes_no_results_and_labels_every_job() {
         let c = small_campaign(0, 3);
-        let plain = c.run(2);
-        let (traced, traces) = c.run_traced(2);
+        let plain = run(&c, 2, false).results;
+        let CampaignRun { results: traced, traces, .. } = run(&c, 2, true);
         assert_eq!(traced, plain, "tracing must be observation-only");
         assert_eq!(traces.len(), 3);
         for (i, (label, trace)) in traces.iter().enumerate() {
@@ -1277,8 +1132,7 @@ mod tests {
     #[test]
     fn merged_trace_json_is_stable_across_thread_counts() {
         let c = small_campaign(0, 3);
-        let (_, t1) = c.run_traced(1);
-        let (_, t3) = c.run_traced(3);
+        let (t1, t3) = (run(&c, 1, true).traces, run(&c, 3, true).traces);
         assert_eq!(
             Trace::chrome_json_multi(&t1),
             Trace::chrome_json_multi(&t3),
@@ -1334,9 +1188,9 @@ mod tests {
             fault: Some(FaultSpec::parse("panic-once:1").unwrap()),
             ..RunOptions::default()
         };
-        let run = c.run_resilient(&opts).unwrap();
-        let clean: Vec<_> = c.run_serial();
-        assert_eq!(run.results, clean, "a retried transient fault must leave no residue");
+        let healed = c.run_resilient(&opts).unwrap();
+        let clean = run(&c, 1, false).results;
+        assert_eq!(healed.results, clean, "a retried transient fault must leave no residue");
     }
 
     #[test]
@@ -1361,7 +1215,11 @@ mod tests {
     fn generous_budget_changes_nothing() {
         let c = small_campaign(0, 2);
         let opts = RunOptions { budget_cycles: Some(u64::MAX), ..RunOptions::default() };
-        let run = c.run_resilient(&opts).unwrap();
-        assert_eq!(run.results, c.run_serial(), "an unreached budget must be invisible");
+        let budgeted = c.run_resilient(&opts).unwrap();
+        assert_eq!(
+            budgeted.results,
+            run(&c, 1, false).results,
+            "an unreached budget must be invisible"
+        );
     }
 }

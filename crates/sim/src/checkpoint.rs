@@ -71,7 +71,7 @@ use std::io::Write;
 use std::sync::Mutex;
 
 use tbr_common::binio::{ByteReader, ByteWriter};
-use tbr_common::json::{self, Value};
+use tbr_common::json::{self, field, field_hex, field_str, field_u64, Value};
 use tbr_common::stats::SequenceStats;
 
 use crate::campaign::CampaignResult;
@@ -162,29 +162,6 @@ pub struct Checkpoint {
 
 fn hex(v: u64) -> String {
     format!("{v:#x}")
-}
-
-fn field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("{what}: missing field `{key}`"))
-}
-
-fn field_str<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a str, String> {
-    field(v, key, what)?.as_str().ok_or_else(|| format!("{what}.{key}: expected a string"))
-}
-
-fn field_u64(v: &Value, key: &str, what: &str) -> Result<u64, String> {
-    field(v, key, what)?
-        .as_u64()
-        .ok_or_else(|| format!("{what}.{key}: expected an exact integer"))
-}
-
-/// Parses a `"0x…"` hex string back to the exact `u64` it encodes.
-fn field_hex(v: &Value, key: &str, what: &str) -> Result<u64, String> {
-    let s = field_str(v, key, what)?;
-    let digits = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("{what}.{key}: expected a 0x-prefixed hex string, got `{s}`"))?;
-    u64::from_str_radix(digits, 16).map_err(|_| format!("{what}.{key}: invalid hex value `{s}`"))
 }
 
 impl CheckpointHeader {
@@ -308,7 +285,29 @@ impl Record {
     /// Parses a record object (the inverse of [`Record::to_json`]); `what`
     /// names the location for error messages.
     pub fn from_value(v: &Value, what: &str) -> Result<Self, String> {
-        parse_record(v, what)
+        let job = field_u64(v, "job", what)? as usize;
+        let abbrev = field_str(v, "abbrev", what)?.to_string();
+        let scheduler = field_str(v, "scheduler", what)?.to_string();
+        let outcome = match field_str(v, "outcome", what)? {
+            "done" => RecordOutcome::Done {
+                effective_seed: field_hex(v, "effective_seed", what)?,
+                stats: SequenceStats::from_value(
+                    field(v, "stats", what)?,
+                    &format!("{what}.stats"),
+                )?,
+            },
+            "failed" => RecordOutcome::Failed {
+                attempts: field_u64(v, "attempts", what)? as u32,
+                panic_msg: field_str(v, "panic_msg", what)?.to_string(),
+            },
+            "timeout" => RecordOutcome::TimedOut {
+                attempts: field_u64(v, "attempts", what)? as u32,
+                budget_cycles: field_u64(v, "budget_cycles", what)?,
+                spent_cycles: field_u64(v, "spent_cycles", what)?,
+            },
+            other => return Err(format!("{what}: unknown outcome `{other}`")),
+        };
+        Ok(Self { job, abbrev, scheduler, outcome })
     }
 }
 
@@ -378,29 +377,6 @@ fn parse_record_binary(payload: &[u8], what: &str) -> Result<Record, String> {
     Ok(Record { job, abbrev, scheduler, outcome })
 }
 
-fn parse_record(v: &Value, what: &str) -> Result<Record, String> {
-    let job = field_u64(v, "job", what)? as usize;
-    let abbrev = field_str(v, "abbrev", what)?.to_string();
-    let scheduler = field_str(v, "scheduler", what)?.to_string();
-    let outcome = match field_str(v, "outcome", what)? {
-        "done" => RecordOutcome::Done {
-            effective_seed: field_hex(v, "effective_seed", what)?,
-            stats: SequenceStats::from_value(field(v, "stats", what)?, &format!("{what}.stats"))?,
-        },
-        "failed" => RecordOutcome::Failed {
-            attempts: field_u64(v, "attempts", what)? as u32,
-            panic_msg: field_str(v, "panic_msg", what)?.to_string(),
-        },
-        "timeout" => RecordOutcome::TimedOut {
-            attempts: field_u64(v, "attempts", what)? as u32,
-            budget_cycles: field_u64(v, "budget_cycles", what)?,
-            spent_cycles: field_u64(v, "spent_cycles", what)?,
-        },
-        other => return Err(format!("{what}: unknown outcome `{other}`")),
-    };
-    Ok(Record { job, abbrev, scheduler, outcome })
-}
-
 impl Checkpoint {
     /// Loads and validates a checkpoint file, auto-detecting the encoding by
     /// its leading bytes ([`BIN_MAGIC`] → binary, anything else → JSON lines).
@@ -439,7 +415,7 @@ impl Checkpoint {
                 return Err(format!("checkpoint {path} line {lineno}: blank line"));
             }
             let v = json::parse(line).map_err(|e| format!("checkpoint {path} line {lineno}: {e}"))?;
-            let rec = parse_record(&v, &format!("record at line {lineno}"))
+            let rec = Record::from_value(&v, &format!("record at line {lineno}"))
                 .map_err(|e| format!("checkpoint {path}: {e}"))?;
             if rec.job >= header.jobs {
                 return Err(format!(

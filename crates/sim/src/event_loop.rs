@@ -23,6 +23,10 @@
 //! they are produced — so campaign fan-out composes freely with per-job
 //! threads (total concurrency = campaign `--threads` × `--sim-threads`).
 //!
+//! A malformed environment value falls back to the default here; the CLI
+//! refuses it at start-up through [`check_env`], so a typo cannot silently
+//! measure the wrong driver.
+//!
 //! The overrides are relaxed atomics: concurrent simulations reading them while
 //! they change is benign *because* the modes are bit-identical — selection can
 //! never change a result, only how fast it is produced.
@@ -80,16 +84,7 @@ pub fn override_mode() -> Option<EventLoopMode> {
 
 /// Resolves the mode the next raster phase will run under.
 pub fn mode() -> EventLoopMode {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        HEAP => EventLoopMode::Heap,
-        SCAN => EventLoopMode::Scan,
-        PAR => EventLoopMode::Par,
-        _ => match std::env::var("LIBRA_EVENT_LOOP") {
-            Ok(v) if v.eq_ignore_ascii_case("scan") => EventLoopMode::Scan,
-            Ok(v) if v.eq_ignore_ascii_case("par") => EventLoopMode::Par,
-            _ => EventLoopMode::Heap,
-        },
-    }
+    override_mode().unwrap_or_else(|| env_mode().ok().flatten().unwrap_or(EventLoopMode::Heap))
 }
 
 /// Parses a mode name as accepted by `LIBRA_EVENT_LOOP` / `--event-loop`.
@@ -124,14 +119,36 @@ pub fn sim_threads_override() -> Option<usize> {
 /// Worker threads the parallel driver will use: the [`set_sim_threads`]
 /// override, else `LIBRA_SIM_THREADS`, else 1.
 pub fn sim_threads() -> usize {
-    match THREADS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => std::env::var("LIBRA_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1),
-        n => n,
+    sim_threads_override().unwrap_or_else(|| env_sim_threads().ok().flatten().unwrap_or(1))
+}
+
+/// `LIBRA_EVENT_LOOP`, parsed; `Ok(None)` when unset or empty.
+fn env_mode() -> Result<Option<EventLoopMode>, String> {
+    match std::env::var("LIBRA_EVENT_LOOP") {
+        Ok(v) if !v.is_empty() => parse(&v)
+            .map(Some)
+            .ok_or_else(|| format!("LIBRA_EVENT_LOOP: unknown event loop `{v}` (heap|scan|par)")),
+        _ => Ok(None),
     }
+}
+
+/// `LIBRA_SIM_THREADS`, parsed; `Ok(None)` when unset or empty.
+fn env_sim_threads() -> Result<Option<usize>, String> {
+    match std::env::var("LIBRA_SIM_THREADS") {
+        Ok(v) if !v.is_empty() => match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(Some(n)),
+            _ => Err(format!("LIBRA_SIM_THREADS: `{v}` is not a thread count >= 1")),
+        },
+        _ => Ok(None),
+    }
+}
+
+/// Rejects a malformed `LIBRA_EVENT_LOOP` or `LIBRA_SIM_THREADS`, with an
+/// error naming the variable (the CLI calls this at start-up).
+pub fn check_env() -> Result<(), String> {
+    env_mode()?;
+    env_sim_threads()?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -9,9 +9,11 @@
 //!
 //! A spec comes from either of two equivalent sources:
 //!
+//! * the `libra-sim campaign --fault <SPEC>` CLI flag, or
 //! * the `LIBRA_FAULT` environment variable (read by [`FaultSpec::from_env`]
-//!   at the start of every campaign run), or
-//! * the `libra-sim campaign --fault <SPEC>` CLI flag.
+//!   when `libra-sim campaign` starts without `--fault`).
+//!
+//! Library callers pass the spec in [`RunOptions::fault`](crate::campaign::RunOptions::fault).
 //!
 //! The spec grammar is `<kind>:<job>` where `<kind>` is one of:
 //!
@@ -73,16 +75,16 @@ impl FaultSpec {
         Ok(Self { kind, job, once })
     }
 
-    /// Reads `LIBRA_FAULT`, if set.
-    ///
-    /// # Panics
-    /// Panics on a malformed value — a silently ignored fault spec would make a
-    /// fault-injection test vacuously pass.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("LIBRA_FAULT")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(|v| Self::parse(&v).expect("invalid LIBRA_FAULT"))
+    /// Reads `LIBRA_FAULT`: `Ok(None)` when unset or empty, and an error
+    /// naming the variable for a malformed value — a silently ignored fault
+    /// spec would make a fault-injection test vacuously pass.
+    pub fn from_env() -> Result<Option<Self>, String> {
+        match std::env::var("LIBRA_FAULT") {
+            Ok(v) if !v.is_empty() => {
+                Self::parse(&v).map(Some).map_err(|e| format!("LIBRA_FAULT: {e}"))
+            }
+            _ => Ok(None),
+        }
     }
 
     /// Whether this spec fires for `(job, attempt)`.

@@ -185,7 +185,7 @@ impl Drop for WorkerProc {
 /// Outcome of one sharded sweep.
 #[derive(Debug)]
 pub struct ShardedRun {
-    /// Results in campaign order (same invariant as `Campaign::run`).
+    /// Results in campaign order (same invariant as `Campaign::run_resilient`).
     pub results: Vec<CampaignResult>,
     /// Host-side profile: one [`WorkerProfile`] per worker *process*, one
     /// [`JobProfile`] per job, and one [`HostMeta`] stamp per worker in

@@ -29,7 +29,7 @@
 use libra::scheduler::SchedulerKind;
 use tbr_common::config::{GpuConfig, ScreenConfig};
 use tbr_common::hostprof::HostMeta;
-use tbr_common::json::{self, escape_into, Value};
+use tbr_common::json::{self, escape_into, field, field_hex, field_str, field_u64, Value};
 use tbr_common::mechanism::MechanismSpec;
 use tbr_workloads::suite;
 
@@ -252,28 +252,6 @@ pub enum Message {
     },
     /// Coordinator → worker: drain and exit cleanly.
     Shutdown,
-}
-
-fn field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("{what}: missing field `{key}`"))
-}
-
-fn field_str<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a str, String> {
-    field(v, key, what)?.as_str().ok_or_else(|| format!("{what}.{key}: expected a string"))
-}
-
-fn field_u64(v: &Value, key: &str, what: &str) -> Result<u64, String> {
-    field(v, key, what)?
-        .as_u64()
-        .ok_or_else(|| format!("{what}.{key}: expected an exact integer"))
-}
-
-fn field_hex(v: &Value, key: &str, what: &str) -> Result<u64, String> {
-    let s = field_str(v, key, what)?;
-    let digits = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("{what}.{key}: expected a 0x-prefixed hex string, got `{s}`"))?;
-    u64::from_str_radix(digits, 16).map_err(|_| format!("{what}.{key}: invalid hex value `{s}`"))
 }
 
 fn quoted(s: &str) -> String {

@@ -51,9 +51,11 @@ cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 \
     --no-checkpoint --report-json target/ci_campaign_ref.json
 # Poisoned: LIBRA_FAULT (the env form) panics job 5, --retries 0 makes the
 # failure stick, and the run exits non-zero by design — assert exactly that.
+# The checkpoint is JSON, so this gate resumes the JSON encoding and gate 11
+# the binary one.
 rm -f target/ci_campaign.ckpt
 if LIBRA_FAULT=panic:5 cargo run --release --bin libra-sim -- campaign --frames 1 \
-    --threads 2 --retries 0 --checkpoint target/ci_campaign.ckpt \
+    --threads 2 --retries 0 --ckpt-format json --checkpoint target/ci_campaign.ckpt \
     --report-json target/ci_campaign_poisoned.json; then
     echo "ERROR: poisoned campaign was expected to exit non-zero" >&2
     exit 1

@@ -16,9 +16,9 @@
 //!          static4|static8|static16|libra   --rus N   --cores N   --ideal-memory
 //!          --mechanism none|re|wasp|re+wasp|re-oracle|re-oracle+wasp (orthogonal
 //!          mechanism axes: Rendering Elimination and/or WaSP, composable with
-//!          every scheduler; default none)   --re-oracle (differential RE mode:
+//!          every scheduler; default none; `re-oracle` is RE's differential mode:
 //!          render everything anyway and count would-be discards + hash
-//!          collisions; shorthand that upgrades the current --mechanism)
+//!          collisions)
 //!          --event-loop heap|scan|par (pin the raster event-loop driver)
 //!          --sim-threads N (worker threads for `--event-loop par`; also
 //!          settable via LIBRA_SIM_THREADS — the results are bit-identical at
@@ -69,6 +69,10 @@
 //! so `LIBRA_EVENT_LOOP` / `LIBRA_SIM_THREADS` in its environment A/B-test an
 //! event-loop driver.
 //!
+//! Malformed `LIBRA_EVENT_LOOP`, `LIBRA_SIM_THREADS` or `LIBRA_FAULT` values are
+//! refused at start-up, as the matching flags are. A closed stdout
+//! (`libra-sim suite | head -1`) ends the process quietly with status 1.
+//!
 //! A campaign with failed or timed-out jobs still writes every output for the
 //! survivors, prints a structured failure report, and exits non-zero. See
 //! `docs/OPERATIONS.md` for the full operational reference including a worked
@@ -82,13 +86,36 @@ use std::process::ExitCode;
 use libra_repro::prelude::*;
 use tbr_sim::{event_loop, report, CheckpointFormat};
 
+/// Writes to stdout. A closed stdout (`libra-sim suite | head -1`) ends the
+/// process quietly with status 1 instead of panicking as `print!` does.
+/// SIGPIPE stays ignored, so `serve` still outlives a dead worker's pipe.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing to stdout: {e}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 #[derive(Debug, Clone)]
 struct Opts {
     frames: u32,
     fhd: bool,
-    scheduler: SchedulerKind,
+    /// Scheduler name as given (validated while parsing).
+    scheduler: String,
     mechanism: MechanismSpec,
-    re_oracle: bool,
     rus: usize,
     cores: usize,
     ideal: bool,
@@ -117,9 +144,8 @@ impl Default for Opts {
         Self {
             frames: 6,
             fhd: false,
-            scheduler: SchedulerKind::Libra,
+            scheduler: "libra".into(),
             mechanism: MechanismSpec::NONE,
-            re_oracle: false,
             rus: 2,
             cores: 4,
             ideal: false,
@@ -157,9 +183,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--frames" => o.frames = need("--frames")?.parse().map_err(|e| format!("{e}"))?,
             "--fhd" => o.fhd = true,
-            "--scheduler" => o.scheduler = parse_scheduler(need("--scheduler")?)?,
+            "--scheduler" => {
+                o.scheduler = need("--scheduler")?.clone();
+                parse_scheduler(&o.scheduler)?;
+            }
             "--mechanism" => o.mechanism = MechanismSpec::parse(need("--mechanism")?)?,
-            "--re-oracle" => o.re_oracle = true,
             "--rus" => o.rus = need("--rus")?.parse().map_err(|e| format!("{e}"))?,
             "--cores" => o.cores = need("--cores")?.parse().map_err(|e| format!("{e}"))?,
             "--ideal-memory" => o.ideal = true,
@@ -235,17 +263,6 @@ fn config(o: &Opts) -> GpuConfig {
     cfg
 }
 
-/// The effective mechanism axis: `--re-oracle` is shorthand that upgrades
-/// whatever `--mechanism` selected into the differential oracle mode.
-fn mech(o: &Opts) -> MechanismSpec {
-    let mut m = o.mechanism;
-    if o.re_oracle {
-        m.re = true;
-        m.re_oracle = true;
-    }
-    m
-}
-
 fn find(abbrev: &str) -> Result<BenchmarkProfile, String> {
     suite()
         .into_iter()
@@ -254,12 +271,12 @@ fn find(abbrev: &str) -> Result<BenchmarkProfile, String> {
 }
 
 fn cmd_suite() {
-    println!(
+    outln!(
         "{:<6} {:<24} {:<5} {:<8} {:>8}",
         "abbr", "name", "cat", "class", "tris≈"
     );
     for p in suite() {
-        println!(
+        outln!(
             "{:<6} {:<24} {:<5} {:<8} {:>8}",
             p.abbrev,
             p.name,
@@ -281,7 +298,7 @@ fn write_file(path: &str, contents: &str, what: &str) -> Result<(), String> {
         }
     }
     std::fs::write(path, contents).map_err(|e| format!("writing {what} to {path}: {e}"))?;
-    println!("{what} written to {path}");
+    outln!("{what} written to {path}");
     Ok(())
 }
 
@@ -294,8 +311,9 @@ fn cmd_run(abbrev: &str, o: &Opts) -> Result<(), String> {
     // The simulator publishes into its metrics registry unconditionally; the
     // trace and host-profile collectors are installed only on request (they are
     // observation-only either way — stats are bit-identical with them on or off).
-    let mech = mech(o);
-    let mut sim = GpuSimulator::with_mechanism(cfg.clone(), o.scheduler, mech);
+    let mech = o.mechanism;
+    let sched = parse_scheduler(&o.scheduler)?;
+    let mut sim = GpuSimulator::with_mechanism(cfg.clone(), sched, mech);
     if o.trace_out.is_some() {
         trace::start();
     }
@@ -306,7 +324,7 @@ fn cmd_run(abbrev: &str, o: &Opts) -> Result<(), String> {
     let trace = trace::finish();
     let host = hostprof::finish();
 
-    println!(
+    outln!(
         "{}",
         report::sequence_summary(
             &if mech.is_default() {
@@ -319,10 +337,10 @@ fn cmd_run(abbrev: &str, o: &Opts) -> Result<(), String> {
         )
     );
     for f in &s.frames {
-        println!("  {}", report::frame_line(f));
+        outln!("  {}", report::frame_line(f));
     }
     if let Some(host) = &host {
-        print!("{}", host.render());
+        out!("{}", host.render());
     }
 
     if let Some(path) = &o.trace_out {
@@ -379,7 +397,7 @@ fn cmd_trace_check(path: &str) -> Result<(), String> {
             other => return Err(format!("{path}: event {i} has unexpected phase `{other}`")),
         }
     }
-    println!(
+    outln!(
         "{path}: ok — {} events ({spans} spans, {instants} instants, {metadata} metadata)",
         events.len()
     );
@@ -393,23 +411,23 @@ fn cmd_compare(abbrev: &str, o: &Opts) -> Result<(), String> {
     let base = simulate_sequence(&base_cfg, SchedulerKind::SingleZOrder, &p, o.frames);
     let ptr = simulate_sequence(&dual_cfg, SchedulerKind::InterleavedZOrder, &p, o.frames);
     let libra = simulate_sequence(&dual_cfg, SchedulerKind::Libra, &p, o.frames);
-    print!(
+    out!(
         "{}",
         report::sequence_summary("baseline 1RUx8", &base, &base_cfg)
     );
-    print!("{}", report::sequence_summary("PTR 2RUx4", &ptr, &dual_cfg));
-    print!(
+    out!("{}", report::sequence_summary("PTR 2RUx4", &ptr, &dual_cfg));
+    out!(
         "{}",
         report::sequence_summary("LIBRA 2RUx4", &libra, &dual_cfg)
     );
-    println!("{}", report::compare("baseline", &base, "PTR  ", &ptr));
-    println!("{}", report::compare("baseline", &base, "LIBRA", &libra));
+    outln!("{}", report::compare("baseline", &base, "PTR  ", &ptr));
+    outln!("{}", report::compare("baseline", &base, "LIBRA", &libra));
     Ok(())
 }
 
 fn cmd_sweep_ru(abbrev: &str, o: &Opts) -> Result<(), String> {
     let p = find(abbrev)?;
-    println!("{:<4} {:>12} {:>9}", "RUs", "cycles/f", "speedup");
+    outln!("{:<4} {:>12} {:>9}", "RUs", "cycles/f", "speedup");
     let mut base_cycles = 0.0;
     for n in 1..=4usize {
         let cfg = GpuConfig::libra(screen(o), n);
@@ -417,7 +435,7 @@ fn cmd_sweep_ru(abbrev: &str, o: &Opts) -> Result<(), String> {
         if n == 1 {
             base_cycles = s.avg_frame_cycles();
         }
-        println!(
+        outln!(
             "{:<4} {:>12.0} {:>8.3}x",
             n,
             s.avg_frame_cycles(),
@@ -437,28 +455,22 @@ use tbr_sim::report::campaign_metrics_json;
 /// structured failures (retried per `--retries`), completed jobs are appended to a
 /// checkpoint file, and `--resume` continues an interrupted sweep bit-identically.
 fn cmd_campaign(o: &Opts) -> Result<(), String> {
-    let cfg = config(o);
+    // The same construction `serve` and `submit` use, so a sharded sweep of
+    // the same options is the same campaign (equal fingerprints).
+    let (_, campaign) = spec_from_opts(o).to_campaign()?;
     let threads = o.threads.max(1);
-    let schedulers = [o.scheduler];
-    let mut profiles = suite();
-    if let Some(n) = o.take {
-        profiles.truncate(n);
-    }
-    let mech = mech(o);
-    let campaign = Campaign::grid_mech(o.seed, &cfg, &schedulers, mech, &profiles, o.frames);
-    println!(
-        "campaign: {} jobs ({} workloads x {} scheduler, mechanism {}) on {} thread(s), seed {}",
+    let mech = o.mechanism;
+    outln!(
+        "campaign: {} jobs ({} workloads x 1 scheduler, mechanism {mech}) on {threads} thread(s), \
+         seed {}",
         campaign.len(),
-        profiles.len(),
-        schedulers.len(),
-        mech,
-        threads,
+        campaign.len(),
         o.seed
     );
 
     let fault = match &o.fault {
         Some(spec) => Some(FaultSpec::parse(spec)?),
-        None => FaultSpec::from_env(),
+        None => FaultSpec::from_env()?,
     };
     // Checkpoint by default so an interrupted sweep is always resumable;
     // --resume without --checkpoint keeps appending to the resume file.
@@ -478,12 +490,11 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
         } else {
             format!("_{}", mech.name().replace('+', "-"))
         };
+        let sched = parse_scheduler(&o.scheduler)?.build().name();
         o.checkpoint.clone().or_else(|| {
             Some(format!(
-                "bench_results/campaign_{}{mech_tag}_seed{}_f{}.{ext}",
-                o.scheduler.build().name(),
-                o.seed,
-                o.frames
+                "bench_results/campaign_{sched}{mech_tag}_seed{}_f{}.{ext}",
+                o.seed, o.frames
             ))
         })
     };
@@ -505,7 +516,7 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
         verify_against_serial(&campaign, &opts, &run.results, secs)?;
     }
     if run.resumed_jobs > 0 {
-        println!(
+        outln!(
             "resume: adopted {} completed job(s) from {}, ran the remaining {}",
             run.resumed_jobs,
             o.resume.as_deref().unwrap_or("checkpoint"),
@@ -513,7 +524,7 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
         );
     }
     if let Some(path) = checkpoint_to.as_deref().or(o.resume.as_deref()) {
-        println!("checkpoint: {path}");
+        outln!("checkpoint: {path}");
     }
     if let Some(e) = &run.checkpoint_error {
         eprintln!("warning: checkpoint writes degraded ({e}); results are complete anyway");
@@ -537,7 +548,7 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
             &profile.jobs_csv(),
             "job profile",
         )?;
-        println!(
+        outln!(
             "profile: {} threads, {:.2}s wall, {:.1}% mean worker utilization, {} steals",
             profile.threads,
             profile.wall_secs,
@@ -550,19 +561,19 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
                 &host.to_json(),
                 "host telemetry",
             )?;
-            print!("{}", host.render());
+            out!("{}", host.render());
         }
     }
     let results = run.results;
     let elapsed = start.elapsed().as_secs_f64();
 
-    println!(
+    outln!(
         "{:<6} {:<10} {:>12} {:>12} {:>8}",
         "bench", "scheduler", "cycles/f", "dram", "texL1%"
     );
     for r in &results {
         match r.stats() {
-            Some(stats) => println!(
+            Some(stats) => outln!(
                 "{:<6} {:<10} {:>12.0} {:>12} {:>7.1}%",
                 r.abbrev(),
                 r.scheduler(),
@@ -570,7 +581,7 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
                 stats.total_dram_accesses(),
                 stats.texture_hit_ratio() * 100.0
             ),
-            None => println!("{:<6} {:<10} -- no result --", r.abbrev(), r.scheduler()),
+            None => outln!("{:<6} {:<10} -- no result --", r.abbrev(), r.scheduler()),
         }
     }
     if let Some(path) = &o.report_json {
@@ -583,7 +594,7 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
 
     let done = results.iter().filter(|r| r.is_success()).count();
     let failures: Vec<String> = results.iter().filter_map(|r| r.failure_line()).collect();
-    println!(
+    outln!(
         "campaign done: {done}/{} jobs x {} frames in {elapsed:.2}s wall-clock",
         results.len(),
         o.frames,
@@ -629,7 +640,7 @@ fn verify_against_serial(
             r.scheduler()
         ));
     }
-    println!(
+    outln!(
         "verify: parallel ({} threads) bit-identical to serial — {secs:.2}s vs {serial_secs:.2}s \
          ({:.2}x)",
         opts.threads,
@@ -638,37 +649,24 @@ fn verify_against_serial(
     Ok(())
 }
 
-/// The wire spelling of a scheduler kind (inverse of `wire::parse_scheduler`).
-/// Only kinds the CLI vocabulary can name are submittable.
-fn scheduler_wire_name(k: SchedulerKind) -> Result<String, String> {
-    Ok(match k {
-        SchedulerKind::SingleZOrder => "z".into(),
-        SchedulerKind::Scanline => "scanline".into(),
-        SchedulerKind::Hilbert => "hilbert".into(),
-        SchedulerKind::StaticSupertile(n) => format!("static{n}"),
-        SchedulerKind::Libra => "libra".into(),
-        other => return Err(format!("scheduler {other:?} has no wire spelling")),
-    })
-}
-
 /// The campaign spec the current CLI options describe, in wire form.
-fn spec_from_opts(o: &Opts) -> Result<tbr_sim::JobSpec, String> {
-    Ok(tbr_sim::JobSpec {
+fn spec_from_opts(o: &Opts) -> tbr_sim::JobSpec {
+    tbr_sim::JobSpec {
         seed: o.seed,
-        scheduler: scheduler_wire_name(o.scheduler)?,
-        mechanism: mech(o).name(),
+        scheduler: o.scheduler.clone(),
+        mechanism: o.mechanism.name(),
         frames: o.frames,
         rus: o.rus,
         cores: o.cores,
         screen: if o.fhd { "fhd".into() } else { "quarter".into() },
         ideal_memory: o.ideal,
         take: o.take,
-    })
+    }
 }
 
 fn progress_line(prefix: &str, msg: &tbr_sim::Message) {
     if let tbr_sim::Message::Progress { job, done, total, abbrev, scheduler, ok } = msg {
-        println!(
+        outln!(
             "{prefix}: job {job} ({abbrev}/{scheduler}) {} [{done}/{total}]",
             if *ok { "ok" } else { "FAILED" }
         );
@@ -694,12 +692,12 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
     let addr = coord.local_addr()?;
     // Scripts poll for this exact line (and parse the resolved port out of
     // it when binding port 0), so print-and-flush before accepting.
-    println!("serve: listening on {addr} ({workers} workers)");
+    outln!("serve: listening on {addr} ({workers} workers)");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     coord.serve(&mut |msg: &Message| match msg {
         Message::Progress { .. } => progress_line("serve", msg),
-        Message::Report { summary, .. } => println!("serve: report: {summary}"),
+        Message::Report { summary, .. } => outln!("serve: report: {summary}"),
         Message::Error { message } => eprintln!("serve: error: {message}"),
         _ => {}
     })
@@ -710,25 +708,25 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
 fn cmd_submit(o: &Opts) -> Result<(), String> {
     use tbr_sim::service;
 
-    let spec = spec_from_opts(o)?;
+    let spec = spec_from_opts(o);
     let outcome = service::submit(
         &o.addr,
         &spec,
         service::default_timeout(),
         &mut |msg| progress_line("submit", msg),
     )?;
-    println!(
+    outln!(
         "submit: {} jobs done, fingerprint {:#x}, {}",
         outcome.jobs, outcome.fingerprint, outcome.summary
     );
     for (i, h) in outcome.hosts.iter().enumerate() {
-        println!(
+        outln!(
             "submit: worker {i} host: {} core(s), rev {}, {}",
             h.cores, h.git_rev, h.utc
         );
     }
     if outcome.crashes > 0 {
-        println!(
+        outln!(
             "submit: sweep absorbed {} worker crash(es) (results are unaffected)",
             outcome.crashes
         );
@@ -743,7 +741,7 @@ fn usage() {
     eprintln!(
         "usage: libra-sim <suite|run|compare|sweep-ru|campaign|serve|submit|worker|trace-check> \
          [ABBREV|FILE] [--frames N] [--fhd] [--scheduler z|scanline|hilbert|staticN|libra] \
-         [--mechanism none|re|wasp|re+wasp|re-oracle|re-oracle+wasp] [--re-oracle] \
+         [--mechanism none|re|wasp|re+wasp|re-oracle|re-oracle+wasp] \
          [--rus N] [--cores N] [--ideal-memory] [--event-loop heap|scan|par] \
          [--sim-threads N] [--threads N] [--take N] \
          [--seed S] [--verify] [--profile] [--trace-out FILE] [--report-json FILE] \
@@ -752,8 +750,9 @@ fn usage() {
          [--retries N] [--fault KIND:JOB] \
          [--addr HOST:PORT] [--workers N] [--once] [--kill-worker JOB]\n\
          env: LIBRA_EVENT_LOOP (driver), LIBRA_SIM_THREADS (par-driver workers), \
-         LIBRA_HOSTPROF=1 (host-time telemetry), LIBRA_TEST_TIMEOUT_SECS (service read \
-         timeout)  (see docs/OPERATIONS.md; timing: libra-benchmark/README.md)"
+         LIBRA_FAULT (campaign fault injection), LIBRA_HOSTPROF=1 (host-time telemetry), \
+         LIBRA_TEST_TIMEOUT_SECS (service read timeout)  (see docs/OPERATIONS.md; timing: \
+         libra-benchmark/README.md)"
     );
 }
 
@@ -763,6 +762,10 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
+    if let Err(e) = event_loop::check_env() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     // CLI mistakes (bad flags, missing operands) get the usage text; runtime
     // failures (a failed campaign job, an invalid trace file) get only the
     // structured error — re-printing usage there would bury the report.

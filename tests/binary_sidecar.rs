@@ -1,16 +1,18 @@
-//! Property tests for the binary sidecar formats and the SoA hot path.
+//! Property tests for the checkpoint encodings and the SoA hot path.
 //!
-//! Three contracts, each exercised with seeded random inputs (replay with
-//! `LIBRA_PROPTEST_SEED` / `LIBRA_PROPTEST_CASES`):
+//! Three contracts, the first and last exercised with seeded random inputs
+//! (replay with `LIBRA_PROPTEST_SEED` / `LIBRA_PROPTEST_CASES`):
 //!
 //! * **Checkpoint records** (`libra-ckpt-bin-v1`) round-trip JSON ↔ binary
 //!   bit-exactly: the same [`CampaignResult`]s written in either encoding load
 //!   back as identical [`Record`]s, and re-encoding is byte-deterministic.
 //!   Full-range `u64` counters survive the binary encoding even where JSON
-//!   would be limited to exact-in-`f64` integers (≤ 2⁵³).
-//! * **Metrics snapshots** (`libra-metrics-bin-v1`) round-trip binary
-//!   bit-exactly, and corrupt / truncated / version-bumped sidecars of either
-//!   kind are rejected with a diagnosis, never misparsed.
+//!   would be limited to exact-in-`f64` integers (≤ 2⁵³). Corrupt, truncated
+//!   and version-bumped binary files are rejected with a diagnosis, never
+//!   misparsed.
+//! * **Pinned bytes**: one fixed checkpoint of each encoding is compared with
+//!   literals captured from an earlier build, so old checkpoints keep
+//!   resuming across refactors of the encoders.
 //! * **SoA ≡ AoS**: the [`TriangleStream`] lanes are a lossless re-layout of
 //!   the AoS triangles — geometry output, interned draw states and tile
 //!   binning agree exactly between the two representations on every suite
@@ -21,7 +23,6 @@ mod support;
 
 use libra_repro::prelude::*;
 use support::{check, Gen};
-use tbr_common::metrics::{self, MetricsRegistry};
 use tbr_common::stats::{CacheStats, DramStats, TileHeatmap, TileTally};
 use tbr_geom::pipeline::process_scene_stream;
 use tbr_geom::stream::TriangleStream;
@@ -324,71 +325,182 @@ fn corrupt_binary_checkpoints_are_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics sidecar
+// Pinned on-disk encodings
 // ---------------------------------------------------------------------------
 
-fn gen_registry(g: &mut Gen) -> MetricsRegistry {
-    // Metric kind is keyed by name (the registry rejects re-registering a
-    // name+labels pair as a different kind).
-    let counters = ["cycles_total", "dram_reads"];
-    let gauges = ["l2_hit_rate", "warp_occupancy"];
-    let histograms = ["tile_heat", "dram_latency"];
-    let label_pool: &[&[(&str, &str)]] =
-        &[&[], &[("ru", "0")], &[("ru", "1"), ("phase", "raster")], &[("sched", "libra")]];
-    let mut reg = MetricsRegistry::new();
-    for _ in 0..g.usize(0, 12) {
-        let labels = label_pool[g.usize(0, label_pool.len())];
-        match g.usize(0, 3) {
-            // Counters accumulate, so cap each increment to keep a dozen
-            // draws on one key from overflowing u64.
-            0 => reg.add_counter(counters[g.usize(0, 2)], labels, wide(g, u64::MAX >> 8)),
-            1 => reg.set_gauge(gauges[g.usize(0, 2)], labels, g.f32(-1.0e6, 1.0e6) as f64),
-            _ => {
-                let n = g.usize(0, 6);
-                let buckets = (0..n).map(|_| wide(g, u64::MAX)).collect();
-                reg.set_histogram(histograms[g.usize(0, 2)], labels, g.u64(1, 1 << 30), buckets)
-            }
+/// Two frames with every field set to a distinct non-default value: a
+/// three-bucket DRAM histogram, two heatmap tiles, and one counter above 2³²
+/// so the high bytes of the little-endian encoding are pinned too.
+fn pinned_stats() -> SequenceStats {
+    let frame = |k: u64| FrameStats {
+        frame: tbr_common::ids::FrameId(k as u32),
+        geometry_cycles: 1_000 + k,
+        raster_cycles: 9_000 + k,
+        vertex_cache: CacheStats { accesses: 10 + k, hits: 6, misses: 4 + k, evictions: 1 },
+        tile_cache: CacheStats { accesses: 20 + k, hits: 15, misses: 5 + k, evictions: 2 },
+        texture_cache: CacheStats { accesses: 30 + k, hits: 21, misses: 9 + k, evictions: 3 },
+        l2_cache: CacheStats { accesses: 40 + k, hits: 28, misses: 12 + k, evictions: 4 },
+        dram: DramStats {
+            reads: 120 + k,
+            writes: 45,
+            row_hits: 100,
+            row_misses: 65 + k,
+            latency_sum: 5_000_000_000 + k,
+            max_latency: 321,
+            intervals: vec![3, 0, 7 + k],
+            interval_width: 5_000,
+        },
+        heatmap: TileHeatmap {
+            tiles: vec![
+                TileTally { dram_accesses: 50 + k, instructions: 60, fragments: 70, warps: 8 },
+                TileTally { dram_accesses: 51, instructions: 61 + k, fragments: 71, warps: 9 },
+            ],
+        },
+        vertices: 300 + k,
+        primitives: 100 + k,
+        fragments: 4_096 + k,
+        warps: 128 + k,
+        instructions: 65_536 + k,
+        texture_requests: 777 + k,
+        texture_latency_sum: 23_456 + k,
+        texture_fill_lines: 640 + k,
+        texture_unique_lines: 320 + k,
+        micro_events: 99_999 + k,
+    };
+    SequenceStats { frames: vec![frame(1), frame(2)] }
+}
+
+/// One result per outcome; the panic message exercises the JSON escaper.
+fn pinned_results() -> Vec<CampaignResult> {
+    vec![
+        CampaignResult::Done(JobSuccess {
+            job: 0,
+            abbrev: "CCS",
+            scheduler: "libra",
+            effective_seed: 0xDEAD_BEEF_0123_4567,
+            stats: pinned_stats(),
+        }),
+        CampaignResult::Failed {
+            job: 1,
+            abbrev: "AAt",
+            scheduler: "libra",
+            attempts: 2,
+            panic_msg: "boom \"quoted\" \\ tab\t naïve".to_string(),
+        },
+        CampaignResult::TimedOut {
+            job: 2,
+            abbrev: "GrT",
+            scheduler: "libra",
+            attempts: 1,
+            budget_cycles: 1_000,
+            spent_cycles: 52_341,
+        },
+    ]
+}
+
+const PINNED_HEADER: CheckpointHeader =
+    CheckpointHeader { seed: 0x1234_5678_9ABC_DEF0, jobs: 3, fingerprint: 0x86ED_6B6D_51C2_3648 };
+
+/// The JSON checkpoint the fixture encodes to, as an earlier build wrote it.
+/// Files older builds wrote must keep resuming, so these bytes never change;
+/// they are literals, never re-derived from the encoder under test.
+const PINNED_JSON: &str = concat!(
+    r#"{"schema":"libra-campaign-ckpt-v1","seed":"0x123456789abcdef0","jobs":3,"#,
+    r#""fingerprint":"0x86ed6b6d51c23648"}"#, "\n",
+    r#"{"job":0,"outcome":"done","abbrev":"CCS","scheduler":"libra","#,
+    r#""effective_seed":"0xdeadbeef01234567","stats":{"frames":[{"frame":1,"#,
+    r#""geometry_cycles":1001,"raster_cycles":9001,"vertex_cache":[11,6,5,1],"tile_cache":[21,15,"#,
+    r#"6,2],"texture_cache":[31,21,10,3],"l2_cache":[41,28,13,4],"dram":{"reads":121,"writes":45,"#,
+    r#""row_hits":100,"row_misses":66,"latency_sum":5000000001,"max_latency":321,"#,
+    r#""interval_width":5000,"intervals":[3,0,8]},"heatmap":[[51,60,70,8],[51,62,71,9]],"#,
+    r#""vertices":301,"primitives":101,"fragments":4097,"warps":129,"instructions":65537,"#,
+    r#""texture_requests":778,"texture_latency_sum":23457,"texture_fill_lines":641,"#,
+    r#""texture_unique_lines":321,"micro_events":100000},{"frame":2,"geometry_cycles":1002,"#,
+    r#""raster_cycles":9002,"vertex_cache":[12,6,6,1],"tile_cache":[22,15,7,2],"#,
+    r#""texture_cache":[32,21,11,3],"l2_cache":[42,28,14,4],"dram":{"reads":122,"writes":45,"#,
+    r#""row_hits":100,"row_misses":67,"latency_sum":5000000002,"max_latency":321,"#,
+    r#""interval_width":5000,"intervals":[3,0,9]},"heatmap":[[52,60,70,8],[51,63,71,9]],"#,
+    r#""vertices":302,"primitives":102,"fragments":4098,"warps":130,"instructions":65538,"#,
+    r#""texture_requests":779,"texture_latency_sum":23458,"texture_fill_lines":642,"#,
+    r#""texture_unique_lines":322,"micro_events":100001}]}}"#, "\n",
+    r#"{"job":1,"outcome":"failed","abbrev":"AAt","scheduler":"libra","attempts":2,"#,
+    r#""panic_msg":"boom \"quoted\" \\ tab\u0009 naïve"}"#, "\n",
+    r#"{"job":2,"outcome":"timeout","abbrev":"GrT","scheduler":"libra","attempts":1,"#,
+    r#""budget_cycles":1000,"spent_cycles":52341}"#, "\n",
+);
+
+/// The binary checkpoint of the same fixture, as hex.
+const PINNED_BINARY: &str = concat!(
+    "4c49425241434b4201000000f0debc9a7856341203000000000000004836c251",
+    "6d6bed861503000000000000030043435305006c696272610067452301efbead",
+    "de0200000001000000e90300000000000029230000000000000b000000000000",
+    "0006000000000000000500000000000000010000000000000015000000000000",
+    "000f00000000000000060000000000000002000000000000001f000000000000",
+    "0015000000000000000a00000000000000030000000000000029000000000000",
+    "001c000000000000000d00000000000000040000000000000079000000000000",
+    "002d000000000000006400000000000000420000000000000001f2052a010000",
+    "0041010000000000008813000000000000030000000300000000000000000000",
+    "000000000008000000000000000200000033000000000000003c000000000000",
+    "004600000000000000080000000000000033000000000000003e000000000000",
+    "00470000000000000009000000000000002d0100000000000065000000000000",
+    "000110000000000000810000000000000001000100000000000a030000000000",
+    "00a15b00000000000081020000000000004101000000000000a0860100000000",
+    "0002000000ea030000000000002a230000000000000c00000000000000060000",
+    "00000000000600000000000000010000000000000016000000000000000f0000",
+    "0000000000070000000000000002000000000000002000000000000000150000",
+    "00000000000b0000000000000003000000000000002a000000000000001c0000",
+    "00000000000e0000000000000004000000000000007a000000000000002d0000",
+    "00000000006400000000000000430000000000000002f2052a01000000410100",
+    "0000000000881300000000000003000000030000000000000000000000000000",
+    "0009000000000000000200000034000000000000003c00000000000000460000",
+    "0000000000080000000000000033000000000000003f00000000000000470000",
+    "000000000009000000000000002e010000000000006600000000000000021000",
+    "0000000000820000000000000002000100000000000b03000000000000a25b00",
+    "000000000082020000000000004201000000000000a186010000000000340000",
+    "0001000000030041417405006c6962726101020000001b000000626f6f6d2022",
+    "71756f74656422205c2074616209206e61c3af76652500000002000000030047",
+    "725405006c696272610201000000e80300000000000075cc000000000000",
+);
+
+fn hex_bytes(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex literal"))
+        .collect()
+}
+
+#[test]
+fn checkpoint_encodings_are_pinned_and_old_files_still_load() {
+    let results = pinned_results();
+    let expected: Vec<checkpoint::Record> = results.iter().map(expected_record).collect();
+    for (format, pinned) in [
+        (CheckpointFormat::Json, PINNED_JSON.as_bytes().to_vec()),
+        (CheckpointFormat::Binary, hex_bytes(PINNED_BINARY)),
+    ] {
+        let path = tmp_path(&format!("pinned_{format:?}"));
+        let w = CheckpointWriter::create(&path, PINNED_HEADER, format).unwrap();
+        for r in &results {
+            w.append(r).unwrap();
         }
+        let written = std::fs::read(&path).unwrap();
+        cleanup(&path);
+        if written != pinned {
+            let shown: String = match format {
+                CheckpointFormat::Json => String::from_utf8_lossy(&written).into_owned(),
+                CheckpointFormat::Binary => written.iter().map(|b| format!("{b:02x}")).collect(),
+            };
+            panic!("{format:?} checkpoint bytes changed; the encoder now writes:\n{shown}");
+        }
+
+        // A file in the pinned bytes loads back into the fixture's records.
+        let old = tmp_path(&format!("pinned_old_{format:?}"));
+        std::fs::write(&old, &pinned).unwrap();
+        let ckpt = Checkpoint::load(&old).unwrap();
+        cleanup(&old);
+        assert_eq!(ckpt.format, format);
+        assert_eq!(ckpt.header, PINNED_HEADER);
+        assert_eq!(ckpt.records, expected, "{format:?}: pinned file decoded differently");
     }
-    reg
-}
-
-#[test]
-fn metrics_snapshots_round_trip_binary_bit_exactly() {
-    check("metrics_binary_round_trip", 32, |g| {
-        let reg = gen_registry(g);
-        let bytes = reg.to_binary();
-        ensure!(bytes.starts_with(metrics::BIN_MAGIC), "missing metrics magic");
-        let back = MetricsRegistry::from_binary(&bytes)?;
-        ensure!(back == reg, "decoded registry diverged");
-        ensure!(back.to_binary() == bytes, "re-encoding is not byte-deterministic");
-        ensure_eq!(back.to_json(), reg.to_json());
-        Ok(())
-    });
-}
-
-#[test]
-fn corrupt_binary_metrics_are_rejected() {
-    let mut g = Gen::new(11);
-    let mut reg = gen_registry(&mut g);
-    reg.add_counter("anchor", &[], 1); // never empty
-    let bytes = reg.to_binary();
-
-    for cut in 0..bytes.len() {
-        assert!(
-            MetricsRegistry::from_binary(&bytes[..cut]).is_err(),
-            "truncation at {cut} must be rejected"
-        );
-    }
-
-    let mut wrong_magic = bytes.clone();
-    wrong_magic[0] ^= 0xFF;
-    assert!(MetricsRegistry::from_binary(&wrong_magic).is_err());
-
-    let mut v2 = bytes.clone();
-    v2[metrics::BIN_MAGIC.len()] = metrics::BIN_VERSION as u8 + 1;
-    let err = MetricsRegistry::from_binary(&v2).unwrap_err();
-    assert!(err.contains("version"), "{err}");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-//! `libra-sim campaign --verify` driven as a user drives it: the binary Cargo
-//! built for this test run, in a temporary directory of its own.
+//! `libra-sim` driven as a user drives it: the binary Cargo built for this
+//! test run, in a temporary directory of its own.
 //!
-//! `--verify` runs the sweep through the same resilient driver as a plain
-//! campaign, so every other option (profile, trace, checkpoint, report, resume)
-//! still applies, and then re-runs it serially and fails on the first job whose
-//! result differs.
+//! `campaign --verify` runs the sweep through the same resilient driver as a
+//! plain campaign, so every other option (profile, trace, checkpoint, report,
+//! resume) still applies, and then re-runs it serially and fails on the first
+//! job whose result differs. Malformed environment values are refused at
+//! start-up, and a closed stdout ends the process without a panic.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use tbr_common::json;
 use tbr_sim::Checkpoint;
@@ -20,11 +21,20 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// `libra-sim` in `dir`, with none of the environment variables it validates.
+fn libra_sim(dir: &Path) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_libra-sim"));
+    cmd.current_dir(dir);
+    for var in ["LIBRA_FAULT", "LIBRA_EVENT_LOOP", "LIBRA_SIM_THREADS"] {
+        cmd.env_remove(var);
+    }
+    cmd
+}
+
 /// Runs `libra-sim campaign` with the whitespace-separated `args` in `dir`:
 /// two titles, one frame.
 fn campaign(dir: &Path, args: &str) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_libra-sim"))
-        .current_dir(dir)
+    libra_sim(dir)
         .args(["campaign", "--take", "2", "--frames", "1"])
         .args(args.split_whitespace())
         .output()
@@ -128,5 +138,43 @@ fn verify_fails_when_a_result_differs_from_the_serial_run() {
         !dir.join("r.json").exists(),
         "no report is written for a failed verification"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn malformed_environment_is_refused_at_start_up() {
+    let dir = temp_dir("bad_env");
+    for (var, value) in
+        [("LIBRA_FAULT", "bogus"), ("LIBRA_EVENT_LOOP", "bogus"), ("LIBRA_SIM_THREADS", "0")]
+    {
+        let out = libra_sim(&dir)
+            .args(["campaign", "--take", "1", "--frames", "1", "--no-checkpoint"])
+            .env(var, value)
+            .output()
+            .expect("spawn libra-sim");
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
+        assert!(stderr.contains(var), "{var}={value} is not named: {stderr}");
+        assert!(!stderr.contains("panicked"), "{var}={value}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_closed_stdout_ends_the_cli_without_a_panic() {
+    let dir = temp_dir("closed_stdout");
+    for args in [&["suite"][..], &["run", "CCS", "--frames", "1"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = libra_sim(&dir)
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn libra-sim");
+        let stderr = text(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

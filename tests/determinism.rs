@@ -59,6 +59,11 @@ fn simulate_sequence_is_bit_identical_across_runs() {
     }
 }
 
+/// The campaign's results on `threads` workers, default options.
+fn run(c: &Campaign, threads: usize) -> Vec<CampaignResult> {
+    c.run_resilient(&RunOptions { threads, ..RunOptions::default() }).unwrap().results
+}
+
 #[test]
 fn campaign_parallel_is_bit_identical_to_serial() {
     let cfg = GpuConfig::libra(ScreenConfig::tiny(), 2);
@@ -66,10 +71,10 @@ fn campaign_parallel_is_bit_identical_to_serial() {
     let schedulers = [SchedulerKind::SingleZOrder, SchedulerKind::Libra];
     let campaign = Campaign::grid(2024, &cfg, &schedulers, &profiles, 2);
 
-    let serial = campaign.run_serial();
+    let serial = run(&campaign, 1);
     assert_eq!(serial.len(), 12);
     for threads in [2, 4, 7] {
-        let parallel = campaign.run(threads);
+        let parallel = run(&campaign, threads);
         assert_eq!(parallel.len(), serial.len(), "{threads} threads lost jobs");
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(p.job(), s.job(), "{threads} threads: result order diverged");
@@ -90,11 +95,11 @@ fn campaign_seed_is_reproducible_but_resamples_layouts() {
     let profiles: Vec<BenchmarkProfile> = suite().into_iter().take(2).collect();
     let schedulers = [SchedulerKind::Libra];
 
-    let a = Campaign::grid(7, &cfg, &schedulers, &profiles, 1).run(2);
-    let b = Campaign::grid(7, &cfg, &schedulers, &profiles, 1).run(3);
+    let a = run(&Campaign::grid(7, &cfg, &schedulers, &profiles, 1), 2);
+    let b = run(&Campaign::grid(7, &cfg, &schedulers, &profiles, 1), 3);
     assert_eq!(a, b, "same campaign seed must reproduce regardless of thread count");
 
-    let c = Campaign::grid(8, &cfg, &schedulers, &profiles, 1).run(2);
+    let c = run(&Campaign::grid(8, &cfg, &schedulers, &profiles, 1), 2);
     assert_ne!(
         a[0].success().unwrap().effective_seed,
         c[0].success().unwrap().effective_seed,

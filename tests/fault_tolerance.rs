@@ -95,7 +95,7 @@ fn injected_timeout_is_isolated_identically_for_serial_and_parallel() {
 #[test]
 fn transient_faults_are_healed_by_the_default_retry() {
     let c = small_campaign(3, 1);
-    let clean = c.run_serial();
+    let clean = c.run_resilient(&RunOptions::default()).unwrap().results;
     for spec in ["panic-once:1", "timeout-once:1"] {
         let fault = Some(FaultSpec::parse(spec).unwrap());
         let run = c
@@ -108,7 +108,7 @@ fn transient_faults_are_healed_by_the_default_retry() {
 #[test]
 fn watchdog_budget_is_deterministic_and_only_fires_when_exceeded() {
     let c = small_campaign(2, 2);
-    let clean = c.run_serial();
+    let clean = c.run_resilient(&RunOptions::default()).unwrap().results;
 
     let generous = c
         .run_resilient(&RunOptions { budget_cycles: Some(u64::MAX), ..RunOptions::default() })
@@ -136,7 +136,7 @@ fn watchdog_budget_is_deterministic_and_only_fires_when_exceeded() {
 fn failed_jobs_are_rerun_on_resume_and_the_final_state_matches_a_clean_run() {
     let ckpt = tmp_path("salvage.ckpt");
     let c = small_campaign(4, 1);
-    let clean = c.run_serial();
+    let clean = c.run_resilient(&RunOptions::default()).unwrap().results;
 
     // "Interrupted" run: job 2 is poisoned, no retry — the checkpoint records
     // three successes and one structured failure.

@@ -229,13 +229,15 @@ fn campaign_traces_merge_identically_for_any_thread_count() {
     {
         c.push(&cfg(), SchedulerKind::Libra, p, 1);
     }
-    let (r1, t1) = c.run_traced(1);
-    let (r3, t3) = c.run_traced(3);
-    assert_eq!(r1, r3);
-    let j1 = Trace::chrome_json_multi(&t1);
+    let traced = |threads| {
+        c.run_resilient(&RunOptions { threads, traced: true, ..RunOptions::default() }).unwrap()
+    };
+    let (one, three) = (traced(1), traced(3));
+    assert_eq!(one.results, three.results);
+    let j1 = Trace::chrome_json_multi(&one.traces);
     assert_eq!(
         j1,
-        Trace::chrome_json_multi(&t3),
+        Trace::chrome_json_multi(&three.traces),
         "merged trace must not depend on threads"
     );
     json::parse(&j1).expect("merged campaign trace must parse");

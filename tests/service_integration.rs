@@ -19,7 +19,7 @@ use std::collections::HashSet;
 use support::net::{test_timeout, worker_cmd};
 use tbr_sim::report::campaign_metrics_json;
 use tbr_sim::wire::{JobSpec, Message};
-use tbr_sim::{submit, Checkpoint, Coordinator, ServeOptions, SubmitOutcome};
+use tbr_sim::{submit, Checkpoint, Coordinator, RunOptions, ServeOptions, SubmitOutcome};
 
 /// The test sweep: first `take` workloads, tiny screen, one frame — small
 /// enough for debug-build worker processes, structured enough to detect any
@@ -38,10 +38,10 @@ fn spec_tiny(take: usize) -> JobSpec {
     }
 }
 
-/// The single-process ground truth: plain `Campaign::run`, serial.
+/// The single-process ground truth: a plain serial `Campaign::run_resilient`.
 fn serial_report(spec: &JobSpec) -> (String, u64, usize) {
     let (_cfg, campaign) = spec.to_campaign().expect("spec is valid");
-    let results = campaign.run(1);
+    let results = campaign.run_resilient(&RunOptions::default()).expect("no setup to fail").results;
     (campaign_metrics_json(&results), campaign.fingerprint(), campaign.len())
 }
 
