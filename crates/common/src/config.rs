@@ -325,6 +325,10 @@ impl Default for PipelineCosts {
     }
 }
 
+/// The most Raster Units a [`GpuConfig`] may have: one per
+/// [`RasterUnitId`](crate::ids::RasterUnitId) value.
+pub const MAX_RASTER_UNITS: usize = 256;
+
 /// Complete configuration of the simulated GPU.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
@@ -429,6 +433,14 @@ impl GpuConfig {
         self.screen.validate()?;
         if self.num_raster_units == 0 {
             return Err(ConfigError::Zero { field: "num_raster_units" });
+        }
+        // Raster Unit ids are `u8`s: a 257th RU would alias RU 0.
+        if self.num_raster_units > MAX_RASTER_UNITS {
+            return Err(ConfigError::TooLarge {
+                field: "num_raster_units",
+                value: self.num_raster_units as u64,
+                max: MAX_RASTER_UNITS as u64,
+            });
         }
         if self.cores_per_ru == 0 {
             return Err(ConfigError::Zero { field: "cores_per_ru" });

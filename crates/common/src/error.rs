@@ -18,6 +18,15 @@ pub enum ConfigError {
         /// Name of the offending field.
         field: &'static str,
     },
+    /// A field exceeds the largest value the model can represent.
+    TooLarge {
+        /// Name of the offending field.
+        field: &'static str,
+        /// The rejected value.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
     /// A cache's size is not divisible by `line_bytes * associativity`, so it cannot
     /// be organised into an integral number of sets.
     CacheGeometry {
@@ -48,6 +57,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "field `{field}` must be a power of two, got {value}")
             }
             ConfigError::Zero { field } => write!(f, "field `{field}` must be non-zero"),
+            ConfigError::TooLarge { field, value, max } => {
+                write!(f, "field `{field}` must be at most {max}, got {value}")
+            }
             ConfigError::CacheGeometry { cache, size_bytes, line_bytes, assoc } => write!(
                 f,
                 "cache `{cache}` geometry invalid: {size_bytes} B is not divisible by \

@@ -1,5 +1,5 @@
 //! Typed metrics registry: `Counter` / `Gauge` / `Histogram` values with labels,
-//! serialisable to JSON and CSV.
+//! serialisable to JSON.
 //!
 //! The GPU model, memory hierarchy and scheduler publish their per-frame counters
 //! into one [`MetricsRegistry`], replacing ad-hoc "pick fields out of
@@ -16,7 +16,6 @@
 //! reg.set_gauge("texture_hit_ratio", &[("frame", "0")], 0.87);
 //! assert_eq!(reg.counter_value("dram_reads", &[("frame", "0")]), Some(50));
 //! assert!(reg.to_json().contains("\"dram_reads\""));
-//! assert!(reg.to_csv().starts_with("name,labels,type,value\n"));
 //! ```
 
 use std::collections::BTreeMap;
@@ -39,13 +38,6 @@ impl MetricKey {
             labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         labels.sort();
         Self { name: name.to_string(), labels }
-    }
-
-    /// The `k=v,k2=v2` rendering of the label set (empty string when unlabelled).
-    pub fn labels_string(&self) -> String {
-        let parts: Vec<String> =
-            self.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        parts.join(",")
     }
 }
 
@@ -103,21 +95,6 @@ impl MetricValue {
         }
         // Unreachable for consistent inputs (rank ≤ total); cover it anyway.
         Some(buckets.len() as f64 * width)
-    }
-
-    /// The median ([`Self::quantile`] at 0.50).
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile(0.50)
-    }
-
-    /// The 95th percentile ([`Self::quantile`] at 0.95).
-    pub fn p95(&self) -> Option<f64> {
-        self.quantile(0.95)
-    }
-
-    /// The 99th percentile ([`Self::quantile`] at 0.99).
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile(0.99)
     }
 }
 
@@ -283,30 +260,6 @@ impl MetricsRegistry {
         out.push_str("]}");
         out
     }
-
-    /// Serialises the registry as CSV (`name,labels,type,value`); histograms
-    /// render their buckets as a `;`-separated list.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("name,labels,type,value\n");
-        for (key, value) in &self.entries {
-            let rendered = match value {
-                MetricValue::Counter(c) => c.to_string(),
-                MetricValue::Gauge(g) => finite_json_number(*g),
-                MetricValue::Histogram { width, buckets } => {
-                    let b: Vec<String> = buckets.iter().map(u64::to_string).collect();
-                    format!("w{width}:{}", b.join(";"))
-                }
-            };
-            out.push_str(&format!(
-                "{},\"{}\",{},{}\n",
-                key.name,
-                key.labels_string(),
-                value.type_name(),
-                rendered
-            ));
-        }
-        out
-    }
 }
 
 /// Renders a float as a valid JSON number (non-finite values degrade to 0).
@@ -374,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_csv_render_all_types() {
+    fn json_renders_all_types() {
         let mut r = MetricsRegistry::new();
         r.add_counter("reads", &[("frame", "0")], 7);
         r.set_gauge("ratio", &[], 0.25);
@@ -384,9 +337,6 @@ mod tests {
         assert!(j.contains("\"value\":7"));
         assert!(j.contains("\"value\":0.25"));
         assert!(j.contains("\"width\":5000,\"buckets\":[3,0,1]"));
-        let c = r.to_csv();
-        assert!(c.contains("reads,\"frame=0\",counter,7"));
-        assert!(c.contains("intervals,\"\",histogram,w5000:3;0;1"));
     }
 
     #[test]
@@ -394,10 +344,10 @@ mod tests {
         // 10 samples spread as [4, 4, 2] over width-5 buckets.
         let h = MetricValue::Histogram { width: 5, buckets: vec![4, 4, 2] };
         // p50 → rank 5, one sample into the second bucket: (1 + 1/4) * 5.
-        assert_eq!(h.p50(), Some(6.25));
+        assert_eq!(h.quantile(0.50), Some(6.25));
         // p95 → rank 9.5, 1.5 samples into the third bucket: (2 + 1.5/2) * 5.
-        assert_eq!(h.p95(), Some(13.75));
-        assert_eq!(h.p99(), Some(14.75));
+        assert_eq!(h.quantile(0.95), Some(13.75));
+        assert_eq!(h.quantile(0.99), Some(14.75));
         // Extremes stay within the populated value range.
         assert_eq!(h.quantile(0.0), Some(0.0));
         assert_eq!(h.quantile(1.0), Some(15.0));
@@ -410,18 +360,18 @@ mod tests {
     fn quantiles_skip_leading_empty_buckets() {
         let h = MetricValue::Histogram { width: 2, buckets: vec![0, 0, 10] };
         assert_eq!(h.quantile(0.0), Some(4.0));
-        assert_eq!(h.p50(), Some(5.0));
+        assert_eq!(h.quantile(0.50), Some(5.0));
         // A degenerate zero width is treated as width 1.
         let d = MetricValue::Histogram { width: 0, buckets: vec![0, 10] };
-        assert_eq!(d.p50(), Some(1.5));
+        assert_eq!(d.quantile(0.50), Some(1.5));
     }
 
     #[test]
     fn quantiles_are_none_for_empty_or_non_histograms() {
-        assert_eq!(MetricValue::Counter(7).p50(), None);
-        assert_eq!(MetricValue::Gauge(1.0).p95(), None);
+        assert_eq!(MetricValue::Counter(7).quantile(0.50), None);
+        assert_eq!(MetricValue::Gauge(1.0).quantile(0.95), None);
         let empty = MetricValue::Histogram { width: 10, buckets: vec![0, 0] };
-        assert_eq!(empty.p99(), None);
+        assert_eq!(empty.quantile(0.99), None);
         let none = MetricValue::Histogram { width: 10, buckets: Vec::new() };
         assert_eq!(none.quantile(0.5), None);
     }

@@ -27,6 +27,9 @@
 //! per-worker deques; a worker pops from the front of its own deque and, when
 //! empty, steals from the back of a victim's. Stealing only changes *who* runs a
 //! job, never *what* the job computes, so the guarantee above is unaffected.
+//! The campaign service shards its sweeps on this same pool, each worker
+//! driving a worker process instead of simulating in this one
+//! ([`crate::service`]).
 //!
 //! # Fault tolerance
 //!
@@ -452,11 +455,6 @@ impl CampaignRun {
         }
         s
     }
-
-    /// The failed/timed-out results, in campaign order.
-    pub fn failures(&self) -> impl Iterator<Item = &CampaignResult> {
-        self.results.iter().filter(|r| !r.is_success())
-    }
 }
 
 /// Runs `f` under `catch_unwind` with panic output suppressed *for this thread
@@ -490,6 +488,31 @@ fn quiet_catch_unwind<R>(f: impl FnOnce() -> R) -> Result<R, String> {
             "non-string panic payload".to_string()
         }
     })
+}
+
+/// What a pool worker's [`JobRunner`] hands back for one campaign position:
+/// the result, plus the trace and host telemetry the in-process runner
+/// collects on request.
+pub(crate) type Ran = (CampaignResult, Option<Trace>, Option<HostTotals>);
+
+/// One worker of [`Campaign::run_pool`]: runs campaign positions one at a
+/// time. [`Campaign::run_resilient`]'s runner simulates in this process; the
+/// campaign service's runner drives a `libra-sim worker` process.
+pub(crate) trait JobRunner {
+    /// What the worker hands back when the pool runs out of jobs for it.
+    type Done: Send;
+    /// Runs position `job`. An `Err` stops this worker and fails the sweep.
+    fn run(&mut self, job: usize) -> Result<Ran, String>;
+    /// Ends the worker, on its own thread.
+    fn done(self) -> Self::Done;
+}
+
+impl<F: FnMut(usize) -> Result<Ran, String>> JobRunner for F {
+    type Done = ();
+    fn run(&mut self, job: usize) -> Result<Ran, String> {
+        self(job)
+    }
+    fn done(self) {}
 }
 
 /// Outcome of a single isolated attempt at one job.
@@ -673,11 +696,7 @@ impl Campaign {
     /// failure, never an abort. The trace and host-telemetry totals (each if
     /// requested) cover only the successful attempt; failed attempts discard
     /// their partial collections.
-    fn run_job_resilient(
-        &self,
-        index: usize,
-        opts: &RunOptions,
-    ) -> (CampaignResult, Option<Trace>, Option<HostTotals>) {
+    fn run_job_resilient(&self, index: usize, opts: &RunOptions) -> Ran {
         let job = &self.jobs[index];
         let abbrev = job.profile.abbrev;
         let scheduler = job.scheduler.build().name();
@@ -886,6 +905,25 @@ impl Campaign {
     /// for every interrupted/resumed schedule, because job seeds are
     /// position-derived and adopted stats round-trip exactly.
     pub fn run_resilient(&self, opts: &RunOptions) -> Result<CampaignRun, String> {
+        let in_process =
+            |job: usize| -> Result<Ran, String> { Ok(self.run_job_resilient(job, opts)) };
+        Ok(self.run_pool(opts, &|_| Ok(in_process), &|_| {})?.0)
+    }
+
+    /// The one worker pool every sweep runs on, threads and worker processes
+    /// alike: it adopts `opts.resume_from`'s successes, deals the pending
+    /// positions round-robin into per-worker deques, appends each result to
+    /// the checkpoint, calls `on_result`, and slots results and profiles by
+    /// campaign position. `runner(w)` builds worker `w`'s [`JobRunner`] on
+    /// that worker's thread (the calling thread is worker 0); what the
+    /// runners' `done` returns comes back in worker order. A runner error
+    /// stops its worker, whose jobs the others steal, and fails the sweep.
+    pub(crate) fn run_pool<W: JobRunner>(
+        &self,
+        opts: &RunOptions,
+        runner: &(dyn Fn(usize) -> Result<W, String> + Sync),
+        on_result: &(dyn Fn(&CampaignResult) + Sync),
+    ) -> Result<(CampaignRun, Vec<W::Done>), String> {
         let t0 = Instant::now();
         let n = self.jobs.len();
 
@@ -909,12 +947,14 @@ impl Campaign {
         for (k, &i) in pending.iter().enumerate() {
             queues[k % threads].lock().expect(POISONED).push_back(i);
         }
-        type Slot = (CampaignResult, Option<Trace>, JobProfile);
+        // A run job's result, trace, worker and wall-clock seconds.
+        type Slot = (CampaignResult, Option<Trace>, usize, f64);
         let slots: Vec<Mutex<Option<Slot>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let ckpt_err: Mutex<Option<String>> = Mutex::new(None);
         let host_totals: Mutex<HostTotals> = Mutex::new(HostTotals::default());
 
-        let work = |me: usize| {
+        let work = |me: usize| -> Result<(WorkerProfile, W::Done), String> {
+            let mut run = runner(me)?;
             let mut prof = WorkerProfile { worker: me, jobs_run: 0, steals: 0, busy_secs: 0.0 };
             loop {
                 // Own queue first (front: preserves the dealt order)…
@@ -928,12 +968,12 @@ impl Campaign {
                         j
                     })
                 });
-                let Some(i) = job else { return prof };
+                let Some(i) = job else { return Ok((prof, run.done())) };
                 if stolen {
                     prof.steals += 1;
                 }
                 let jt = Instant::now();
-                let (r, t, hp) = self.run_job_resilient(i, opts);
+                let (r, t, hp) = run.run(i)?;
                 let secs = jt.elapsed().as_secs_f64();
                 if let Some(hp) = hp {
                     host_totals.lock().expect(POISONED).merge(&hp);
@@ -943,51 +983,38 @@ impl Campaign {
                 if let Some(Err(e)) = writer.as_ref().map(|w| w.append(&r)) {
                     ckpt_err.lock().expect(POISONED).get_or_insert(e);
                 }
-                let jp = JobProfile {
-                    job: i,
-                    abbrev: r.abbrev(),
-                    scheduler: r.scheduler(),
-                    worker: me,
-                    secs,
-                };
-                *slots[i].lock().expect(POISONED) = Some((r, t, jp));
+                on_result(&r);
+                *slots[i].lock().expect(POISONED) = Some((r, t, me, secs));
             }
         };
-        // The calling thread is worker 0, so a one-thread run spawns nothing.
-        let workers: Vec<WorkerProfile> = std::thread::scope(|scope| {
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
             let work = &work;
             let others: Vec<_> = (1..threads).map(|me| scope.spawn(move || work(me))).collect();
-            let mut profiles = vec![work(0)];
+            let mut outcomes = vec![work(0)];
             let joined = others.into_iter().map(|h| h.join().expect("campaign worker panicked"));
-            profiles.extend(joined);
-            profiles
+            outcomes.extend(joined);
+            outcomes
         });
+        let (workers, done): (Vec<WorkerProfile>, Vec<W::Done>) =
+            outcomes.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
 
         let mut traces = Vec::new();
         let mut results = Vec::with_capacity(n);
         let mut jobs = Vec::with_capacity(n);
         for (i, (adopted, slot)) in prefilled.into_iter().zip(slots).enumerate() {
-            let (r, jp) = match (adopted, slot.into_inner().expect(POISONED)) {
-                (Some(r), _) => {
-                    let jp = JobProfile {
-                        job: i,
-                        abbrev: r.abbrev(),
-                        scheduler: r.scheduler(),
-                        worker: 0,
-                        secs: 0.0,
-                    };
-                    (r, jp)
-                }
-                (None, Some((r, t, jp))) => {
+            let (r, worker, secs) = match (adopted, slot.into_inner().expect(POISONED)) {
+                (Some(r), _) => (r, 0, 0.0),
+                (None, Some((r, t, worker, secs))) => {
                     if let Some(t) = t {
                         traces.push((format!("job{i} {} {}", r.abbrev(), r.scheduler()), t));
                     }
-                    (r, jp)
+                    (r, worker, secs)
                 }
                 (None, None) => unreachable!("job {i} was neither adopted nor run"),
             };
+            let (abbrev, scheduler) = (r.abbrev(), r.scheduler());
+            jobs.push(JobProfile { job: i, abbrev, scheduler, worker, secs });
             results.push(r);
-            jobs.push(jp);
         }
         let profile = CampaignProfile {
             threads,
@@ -997,18 +1024,19 @@ impl Campaign {
             host: opts.hostprof.then(|| {
                 let mut totals = host_totals.into_inner().expect(POISONED);
                 // Single-process runs contribute exactly one host stamp; the
-                // campaign service overrides this with one stamp per worker.
+                // campaign service stamps one per worker process instead.
                 totals.hosts = vec![HostMeta::capture()];
                 totals
             }),
         };
-        Ok(CampaignRun {
+        let run = CampaignRun {
             results,
             profile,
             traces,
             resumed_jobs,
             checkpoint_error: ckpt_err.into_inner().expect(POISONED),
-        })
+        };
+        Ok((run, done))
     }
 }
 

@@ -519,16 +519,6 @@ impl CheckpointWriter {
         Ok(Self { file: Mutex::new(file), path: path.to_string(), format })
     }
 
-    /// The file this writer appends to.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// The encoding this writer appends in.
-    pub fn format(&self) -> CheckpointFormat {
-        self.format
-    }
-
     /// Appends one job record atomically (single write of a full line/frame).
     pub fn append(&self, r: &CampaignResult) -> Result<(), String> {
         let bytes = match self.format {

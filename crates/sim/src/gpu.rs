@@ -300,11 +300,6 @@ impl core::fmt::Debug for GpuSimulator {
     }
 }
 
-/// Renders a single scene on a fresh GPU (convenience for tests/examples).
-pub fn simulate_frame(cfg: &GpuConfig, scheduler: SchedulerKind, scene: &Scene) -> FrameStats {
-    GpuSimulator::new(cfg.clone(), scheduler).render_frame(scene)
-}
-
 /// Renders a benchmark sequence on a fresh GPU (convenience for the harness).
 pub fn simulate_sequence(
     cfg: &GpuConfig,

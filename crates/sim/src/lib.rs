@@ -59,13 +59,13 @@ pub use campaign::{
 };
 pub use checkpoint::{Checkpoint, CheckpointFormat, CheckpointWriter, Record, RecordOutcome};
 pub use service::{
-    run_sharded, run_worker, submit, Coordinator, ServeOptions, ShardedRun, SubmitOutcome,
+    run_sharded, run_worker, submit, Coordinator, ServeOptions, SubmitOutcome,
 };
 pub use wire::{JobSpec, Message, WIRE_VERSION};
 pub use fault::{FaultKind, FaultSpec};
 pub use event_loop::EventLoopMode;
 pub use gpu::{
-    simulate_frame, simulate_sequence, simulate_sequence_mech, simulate_sequence_oracle,
+    simulate_sequence, simulate_sequence_mech, simulate_sequence_oracle,
     GpuSimulator,
 };
 pub use imr::simulate_sequence_imr;

@@ -5,9 +5,10 @@
 //! `libra-wire-v1` connections (see [`crate::wire`]). Each `submit` frame names
 //! a campaign constructively (a [`JobSpec`]); the coordinator rebuilds the
 //! [`Campaign`] locally, answers with its job count and fingerprint, then runs
-//! the sweep through [`run_sharded`]: a pool of spawned worker *processes*,
-//! each fed one campaign position at a time over stdio, with results flowing
-//! back as checkpoint [`Record`]s.
+//! the sweep through [`run_sharded`]: the same work-stealing pool as
+//! [`Campaign::run_resilient`], with each pool worker driving a spawned worker
+//! *process* that is fed one campaign position at a time over stdio, and
+//! results flowing back as checkpoint [`Record`]s.
 //!
 //! # Determinism
 //!
@@ -22,31 +23,29 @@
 //!
 //! # Fault tolerance
 //!
-//! A worker that dies mid-job surfaces as EOF on its stdout pipe. The
-//! coordinator re-queues the in-flight position at the *front* of the queue
-//! (so recovery work is not starved behind the backlog), respawns the worker,
-//! and counts the crash. Results are validated on adoption through
-//! [`Campaign::adopt_record`] — the same re-binding the `--resume` path uses
-//! for checkpoint records — so a confused worker cannot slot a result from a
-//! different sweep. When [`ServeOptions::checkpoint_to`] is set, every adopted
-//! result is also appended to an ordinary campaign checkpoint, making a
-//! killed *coordinator* resumable by `libra-sim campaign --resume`.
+//! A worker that dies mid-job surfaces as EOF on its stdout pipe. Its pool
+//! worker counts the crash against a budget of `jobs + 2 × workers`,
+//! respawns the process and re-runs the same position on it, so recovery
+//! work never waits behind the backlog. Results are validated on adoption
+//! through [`Campaign::adopt_record`] — the same re-binding the `--resume`
+//! path uses for checkpoint records — so a confused worker cannot slot a
+//! result from a different sweep. When [`ServeOptions::checkpoint_to`] is
+//! set, every adopted result is also appended to an ordinary campaign
+//! checkpoint, making a killed *coordinator* resumable by
+//! `libra-sim campaign --resume`.
 
-use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tbr_common::hostprof::{HostMeta, HostTotals};
 use tbr_common::wire::{write_frame, FrameReader};
 
-use crate::campaign::{
-    Campaign, CampaignProfile, CampaignResult, JobProfile, RunOptions, WorkerProfile,
-};
-use crate::checkpoint::{CheckpointFormat, CheckpointHeader, CheckpointWriter, Record};
+use crate::campaign::{Campaign, CampaignResult, CampaignRun, JobRunner, Ran, RunOptions};
+use crate::checkpoint::Record;
 use crate::report;
 use crate::wire::{JobSpec, Message};
 
@@ -68,7 +67,7 @@ pub fn default_timeout() -> Duration {
     Duration::from_secs(secs)
 }
 
-/// Configuration of a [`Coordinator`] / [`run_sharded`] pool.
+/// Configuration of a [`Coordinator`] and its [`run_sharded`] sweeps.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Worker processes to spawn per submitted sweep.
@@ -114,21 +113,38 @@ pub fn default_worker_cmd() -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker process handle
+// Sharded execution
 // ---------------------------------------------------------------------------
 
-/// One spawned worker process: stdio pipes plus the host stamp from its hello.
-struct WorkerProc {
+/// What the worker processes of one sharded sweep share.
+struct Shard<'a> {
+    campaign: &'a Campaign,
+    spec: &'a JobSpec,
+    opts: &'a ServeOptions,
+    /// Worker processes that died mid-job so far.
+    crashes: AtomicUsize,
+    /// The most crashes the sweep absorbs before giving up.
+    crash_budget: usize,
+    /// Whether the [`ServeOptions::kill_job`] fault has fired.
+    killed: AtomicBool,
+}
+
+/// One spawned `libra-sim worker` process: the campaign pool's runner for
+/// a sharded sweep, fed one campaign position per `assign` frame.
+struct WorkerProc<'a> {
+    shard: &'a Shard<'a>,
     child: Child,
-    stdin: Option<ChildStdin>,
+    stdin: ChildStdin,
     reader: FrameReader<BufReader<ChildStdout>>,
+    /// Host stamp from the worker's hello.
     host: HostMeta,
 }
 
-impl WorkerProc {
-    /// Spawns `cmd` and performs the hello handshake (worker speaks first on
-    /// stdio, so a wrong binary fails here, not mid-sweep).
-    fn spawn(cmd: &[String]) -> Result<Self, String> {
+impl<'a> WorkerProc<'a> {
+    /// Spawns a worker and performs the hello handshake (worker speaks first
+    /// on stdio, so a wrong binary fails here, not mid-sweep).
+    fn spawn(shard: &'a Shard<'a>) -> Result<Self, String> {
+        let cmd = &shard.opts.worker_cmd;
         let (exe, args) = cmd.split_first().ok_or("service: empty worker command")?;
         let mut child = Command::new(exe)
             .args(args)
@@ -136,7 +152,7 @@ impl WorkerProc {
             .stdout(Stdio::piped())
             .spawn()
             .map_err(|e| format!("service: spawning worker `{exe}`: {e}"))?;
-        let stdin = child.stdin.take();
+        let stdin = child.stdin.take().ok_or("service: worker stdin unavailable")?;
         let stdout = child.stdout.take().ok_or("service: worker stdout unavailable")?;
         let mut reader = FrameReader::new(BufReader::new(stdout));
         let hello = reader
@@ -146,254 +162,133 @@ impl WorkerProc {
             Message::Hello { host, .. } => host,
             other => return Err(format!("service: worker sent {} before hello", other.tag())),
         };
-        Ok(Self { child, stdin, reader, host })
+        Ok(Self { shard, child, stdin, reader, host })
     }
 
     fn send(&mut self, msg: &Message) -> Result<(), String> {
-        let stdin = self.stdin.as_mut().ok_or("service: worker stdin closed")?;
-        write_frame(stdin, &msg.encode(), "worker")
-    }
-
-    fn recv(&mut self) -> Result<Message, String> {
-        let frame = self
-            .reader
-            .read_frame("worker")?
-            .ok_or("service: worker closed its stdout mid-sweep")?;
-        Message::decode(&frame)
-    }
-
-    /// Asks the worker to exit and reaps it (pipe close is the backstop).
-    fn shutdown(mut self) {
-        let _ = self.send(&Message::Shutdown);
-        drop(self.stdin.take());
-        let _ = self.child.wait();
+        write_frame(&mut self.stdin, &msg.encode(), "worker")
     }
 }
 
-impl Drop for WorkerProc {
+impl JobRunner for WorkerProc<'_> {
+    /// The last hello's host stamp; the process shuts down as `self` drops.
+    type Done = HostMeta;
+
+    fn done(self) -> HostMeta {
+        self.host.clone()
+    }
+
+    fn run(&mut self, job: usize) -> Result<Ran, String> {
+        let s = self.shard;
+        loop {
+            let assign = Message::Assign { job, spec: s.spec.clone() };
+            let reply = self.send(&assign).and_then(|()| {
+                if s.opts.kill_job == Some(job) && !s.killed.swap(true, Ordering::SeqCst) {
+                    // Fault injection: murder the worker mid-job. The read
+                    // below sees EOF and takes the recovery path.
+                    let _ = self.child.kill();
+                }
+                let frame = self.reader.read_frame("worker")?;
+                Message::decode(&frame.ok_or("service: worker closed its stdout mid-sweep")?)
+            });
+            match reply {
+                Ok(Message::JobResult { record, host: _ }) => {
+                    let result = s.campaign.adopt_record(&record)?;
+                    if result.job() != job {
+                        return Err(format!(
+                            "service: worker answered job {} for assignment {job}",
+                            result.job()
+                        ));
+                    }
+                    return Ok((result, None, None));
+                }
+                Ok(Message::Error { message }) => {
+                    return Err(format!("service: worker error: {message}"))
+                }
+                Ok(other) => {
+                    return Err(format!("service: worker sent unexpected {} frame", other.tag()))
+                }
+                Err(e) => {
+                    // The pipe died (or the worker spoke garbage) mid-job:
+                    // respawn the worker and re-run the same position. The
+                    // result is bit-identical, because the job seed derives
+                    // from the position.
+                    let n = s.crashes.fetch_add(1, Ordering::SeqCst) + 1;
+                    if n > s.crash_budget {
+                        return Err(format!(
+                            "service: {n} worker crashes exceed the budget of {} (last: {e})",
+                            s.crash_budget
+                        ));
+                    }
+                    *self = Self::spawn(s)?;
+                }
+            }
+        }
+    }
+}
+
+impl Drop for WorkerProc<'_> {
+    /// Asks the worker to exit and reaps it, so no path leaks a child
+    /// process. A dead worker just fails the send.
     fn drop(&mut self) {
-        // Reap unconditionally so an error path never leaks a child process.
-        let _ = self.child.kill();
+        let _ = self.send(&Message::Shutdown);
         let _ = self.child.wait();
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded execution
-// ---------------------------------------------------------------------------
-
-/// Outcome of one sharded sweep.
-#[derive(Debug)]
-pub struct ShardedRun {
-    /// Results in campaign order (same invariant as `Campaign::run_resilient`).
-    pub results: Vec<CampaignResult>,
-    /// Host-side profile: one [`WorkerProfile`] per worker *process*, one
-    /// [`JobProfile`] per job, and one [`HostMeta`] stamp per worker in
-    /// `host.hosts` (worker order) for multi-host attribution.
-    pub profile: CampaignProfile,
-    /// Worker processes that died mid-job and were respawned.
-    pub crashes: usize,
-}
-
-/// Runs `campaign` across [`ServeOptions::workers`] spawned worker processes
-/// and returns results in campaign order.
+/// Runs `campaign` on the campaign's worker pool with one spawned worker
+/// process per pool worker ([`ServeOptions::workers`]), and returns the run
+/// with the worker crashes it absorbed. The run's results are in campaign
+/// order; its profile stamps one host per worker process, in worker order.
 ///
 /// `progress` is invoked (serialised under a lock) with one
 /// [`Message::Progress`] per finished job, in completion order — completion
-/// order is nondeterministic, the slotted results are not.
+/// order is nondeterministic, the slotted results are not. A failed
+/// checkpoint append fails the sweep.
 pub fn run_sharded(
     campaign: &Campaign,
     spec: &JobSpec,
     opts: &ServeOptions,
     progress: &mut (dyn FnMut(&Message) + Send),
-) -> Result<ShardedRun, String> {
+) -> Result<(CampaignRun, usize), String> {
     let total = campaign.len();
-    let workers = opts.workers.max(1).min(total.max(1));
-    let t0 = Instant::now();
-
-    let ckpt = match &opts.checkpoint_to {
-        Some(path) => Some(CheckpointWriter::create(
-            path,
-            CheckpointHeader {
-                seed: campaign.seed,
-                jobs: total,
-                fingerprint: campaign.fingerprint(),
-            },
-            CheckpointFormat::default(),
-        )?),
-        None => None,
+    let workers = opts.workers.clamp(1, total.max(1));
+    let shard = Shard {
+        campaign,
+        spec,
+        opts,
+        crashes: AtomicUsize::new(0),
+        // A worker that keeps dying must not loop forever: allow every job
+        // its re-run plus a little slack per worker, then give up.
+        crash_budget: total + workers * 2,
+        killed: AtomicBool::new(false),
     };
-
-    let queue: Mutex<VecDeque<usize>> = Mutex::new((0..total).collect());
-    let slots: Mutex<Vec<Option<CampaignResult>>> = Mutex::new(vec![None; total]);
-    let job_profiles: Mutex<Vec<Option<JobProfile>>> = Mutex::new(vec![None; total]);
-    let hosts: Mutex<Vec<Option<HostMeta>>> = Mutex::new(vec![None; workers]);
-    let done = AtomicUsize::new(0);
-    let crashes = AtomicUsize::new(0);
-    let killed = AtomicBool::new(false);
-    let tallies: Mutex<Vec<WorkerTally>> = Mutex::new(Vec::new());
-    let progress = Mutex::new(progress);
-    // A worker that keeps dying must not loop forever: allow every job its
-    // re-run plus a little slack per worker, then give up structurally.
-    let crash_budget = total + workers * 2;
-
-    let worker_errors: Vec<Result<(), String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queue = &queue;
-                let slots = &slots;
-                let job_profiles = &job_profiles;
-                let hosts = &hosts;
-                let done = &done;
-                let crashes = &crashes;
-                let killed = &killed;
-                let tallies = &tallies;
-                let progress = &progress;
-                let ckpt = ckpt.as_ref();
-                scope.spawn(move || -> Result<(), String> {
-                    let mut proc = WorkerProc::spawn(&opts.worker_cmd)?;
-                    hosts.lock().unwrap()[w] = Some(proc.host.clone());
-                    let mut jobs_run = 0usize;
-                    let mut busy = 0.0f64;
-                    loop {
-                        let Some(job) = queue.lock().unwrap().pop_front() else {
-                            break;
-                        };
-                        let t_job = Instant::now();
-                        proc.send(&Message::Assign { job, spec: spec.clone() })?;
-                        if opts.kill_job == Some(job)
-                            && !killed.swap(true, Ordering::SeqCst)
-                        {
-                            // Fault injection: murder the worker mid-job. The
-                            // recv below sees EOF and takes the recovery path.
-                            let _ = proc.child.kill();
-                        }
-                        match proc.recv() {
-                            Ok(Message::JobResult { record, host: _ }) => {
-                                let result = campaign.adopt_record(&record)?;
-                                if result.job() != job {
-                                    return Err(format!(
-                                        "service: worker answered job {} for assignment {job}",
-                                        result.job()
-                                    ));
-                                }
-                                if let Some(ckpt) = ckpt {
-                                    ckpt.append(&result)?;
-                                }
-                                let n = done.fetch_add(1, Ordering::SeqCst) + 1;
-                                let msg = Message::Progress {
-                                    job,
-                                    done: n,
-                                    total,
-                                    abbrev: result.abbrev().to_string(),
-                                    scheduler: result.scheduler().to_string(),
-                                    ok: result.is_success(),
-                                };
-                                jobs_run += 1;
-                                busy += t_job.elapsed().as_secs_f64();
-                                job_profiles.lock().unwrap()[job] = Some(JobProfile {
-                                    job,
-                                    abbrev: campaign.jobs()[job].profile.abbrev,
-                                    scheduler: campaign.jobs()[job].scheduler.build().name(),
-                                    worker: w,
-                                    secs: t_job.elapsed().as_secs_f64(),
-                                });
-                                slots.lock().unwrap()[job] = Some(result);
-                                (progress.lock().unwrap())(&msg);
-                            }
-                            Ok(Message::Error { message }) => {
-                                return Err(format!("service: worker error: {message}"));
-                            }
-                            Ok(other) => {
-                                return Err(format!(
-                                    "service: worker sent unexpected {} frame",
-                                    other.tag()
-                                ));
-                            }
-                            Err(e) => {
-                                // Worker died (or spoke garbage) mid-job:
-                                // requeue the position at the front so the
-                                // respawned worker finishes it first, then
-                                // respawn. The result is bit-identical —
-                                // the job seed derives from the position.
-                                let n = crashes.fetch_add(1, Ordering::SeqCst) + 1;
-                                if n > crash_budget {
-                                    return Err(format!(
-                                        "service: {n} worker crashes exceed the budget of \
-                                         {crash_budget} (last: {e})"
-                                    ));
-                                }
-                                queue.lock().unwrap().push_front(job);
-                                proc = WorkerProc::spawn(&opts.worker_cmd)?;
-                                hosts.lock().unwrap()[w] = Some(proc.host.clone());
-                            }
-                        }
-                    }
-                    proc.shutdown();
-                    tallies
-                        .lock()
-                        .unwrap()
-                        .push(WorkerTally { worker: w, jobs_run, busy_secs: busy });
-                    Ok(())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-    });
-
-    for r in &worker_errors {
-        if let Err(e) = r {
-            return Err(e.clone());
-        }
-    }
-
-    let results: Vec<CampaignResult> = slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.ok_or_else(|| format!("service: job {i} was never completed")))
-        .collect::<Result<_, _>>()?;
-
-    let mut worker_profiles: Vec<WorkerProfile> = (0..workers)
-        .map(|w| WorkerProfile { worker: w, jobs_run: 0, steals: 0, busy_secs: 0.0 })
-        .collect();
-    for tally in tallies.into_inner().unwrap() {
-        if let Some(p) = worker_profiles.get_mut(tally.worker) {
-            p.jobs_run = tally.jobs_run;
-            p.busy_secs = tally.busy_secs;
-        }
-    }
-
-    let profile = CampaignProfile {
+    let progress = Mutex::new((0, progress));
+    let on_result = |r: &CampaignResult| {
+        let mut guard = progress.lock().expect("a pool worker panicked reporting progress");
+        let (done, notify) = &mut *guard;
+        *done += 1;
+        notify(&Message::Progress {
+            job: r.job(),
+            done: *done,
+            total,
+            abbrev: r.abbrev().to_string(),
+            scheduler: r.scheduler().to_string(),
+            ok: r.is_success(),
+        });
+    };
+    let spawn = |_| WorkerProc::spawn(&shard);
+    let run_opts = RunOptions {
         threads: workers,
-        wall_secs: t0.elapsed().as_secs_f64(),
-        workers: worker_profiles,
-        jobs: job_profiles
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|j| j.expect("every completed job was profiled"))
-            .collect(),
-        host: Some(HostTotals {
-            hosts: hosts
-                .into_inner()
-                .unwrap()
-                .into_iter()
-                .map(|h| h.expect("every worker slot hello'd"))
-                .collect(),
-            ..Default::default()
-        }),
+        checkpoint_to: opts.checkpoint_to.clone(),
+        ..RunOptions::default()
     };
-
-    Ok(ShardedRun { results, profile, crashes: crashes.into_inner() })
-}
-
-/// Per-worker wall-clock tally, carried out of the scoped threads.
-struct WorkerTally {
-    worker: usize,
-    jobs_run: usize,
-    busy_secs: f64,
+    let (mut run, hosts) = campaign.run_pool(&run_opts, &spawn, &on_result)?;
+    if let Some(e) = run.checkpoint_error {
+        return Err(e);
+    }
+    run.profile.host = Some(HostTotals { hosts, ..HostTotals::default() });
+    Ok((run, shard.crashes.load(Ordering::SeqCst)))
 }
 
 // ---------------------------------------------------------------------------
@@ -471,27 +366,20 @@ impl Coordinator {
             peer,
         )?;
 
-        // Read up to the submit frame (a polite client hellos first).
-        let spec = loop {
-            let frame = reader
-                .read_frame(peer)?
-                .ok_or_else(|| format!("service: {peer} disconnected before submitting"))?;
-            match Message::decode(&frame) {
-                Ok(Message::Hello { .. }) => continue,
-                Ok(Message::Submit { spec }) => break spec,
-                Ok(other) => {
-                    let e = format!("service: expected submit, got {} frame", other.tag());
-                    let _ = write_frame(&mut writer, &Message::Error { message: e.clone() }.encode(), peer);
-                    return Err(e);
-                }
-                Err(e) => {
-                    let _ = write_frame(&mut writer, &Message::Error { message: e.clone() }.encode(), peer);
-                    return Err(e);
-                }
-            }
-        };
-
         let outcome = (|| -> Result<(), String> {
+            // Read up to the submit frame (a polite client hellos first).
+            let spec = loop {
+                let frame = reader
+                    .read_frame(peer)?
+                    .ok_or_else(|| format!("service: {peer} disconnected before submitting"))?;
+                match Message::decode(&frame)? {
+                    Message::Hello { .. } => continue,
+                    Message::Submit { spec } => break spec,
+                    other => {
+                        return Err(format!("service: expected submit, got {} frame", other.tag()))
+                    }
+                }
+            };
             let (_cfg, campaign) = spec.to_campaign()?;
             write_frame(
                 &mut writer,
@@ -502,34 +390,26 @@ impl Coordinator {
                 .encode(),
                 peer,
             )?;
-            let writer_cell = Mutex::new(&mut writer);
-            let notify_cell = Mutex::new(notify);
             let mut forward = |msg: &Message| {
-                let _ = write_frame(*writer_cell.lock().unwrap(), &msg.encode(), peer);
-                (notify_cell.lock().unwrap())(msg);
+                let _ = write_frame(&mut writer, &msg.encode(), peer);
+                notify(msg);
             };
-            let run = run_sharded(&campaign, &spec, &self.opts, &mut forward)?;
+            let (run, crashes) = run_sharded(&campaign, &spec, &self.opts, &mut forward)?;
             let ok = run.results.iter().filter(|r| r.is_success()).count();
             let report = Message::Report {
                 fingerprint: campaign.fingerprint(),
                 summary: format!(
-                    "{ok}/{} jobs ok, {} worker crash(es), {:.2}s wall, {} worker(s)",
+                    "{ok}/{} jobs ok, {crashes} worker crash(es), {:.2}s wall, {} worker(s)",
                     run.results.len(),
-                    run.crashes,
                     run.profile.wall_secs,
                     run.profile.threads
                 ),
-                crashes: run.crashes,
-                hosts: run
-                    .profile
-                    .host
-                    .as_ref()
-                    .map(|h| h.hosts.clone())
-                    .unwrap_or_default(),
+                crashes,
+                hosts: run.profile.host.map(|h| h.hosts).unwrap_or_default(),
                 report_json: report::campaign_metrics_json(&run.results),
             };
-            write_frame(*writer_cell.lock().unwrap(), &report.encode(), peer)?;
-            (notify_cell.lock().unwrap())(&report);
+            write_frame(&mut writer, &report.encode(), peer)?;
+            notify(&report);
             Ok(())
         })();
         if let Err(e) = &outcome {

@@ -98,15 +98,10 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Rebuilds the GPU configuration and [`Campaign`] this spec names.
-    ///
-    /// Mirrors `libra-sim campaign` exactly (LIBRA preset, `cores_per_ru` and
-    /// `ideal_memory` overrides, one job per workload under one scheduler) so
-    /// a sharded service run and a single-process sweep construct
-    /// fingerprint-identical campaigns.
-    pub fn to_campaign(&self) -> Result<(GpuConfig, Campaign), String> {
-        let sched = parse_scheduler(&self.scheduler)?;
-        let mech = MechanismSpec::parse(&self.mechanism).map_err(|e| format!("job spec: {e}"))?;
+    /// The GPU configuration this spec names: the LIBRA preset on its screen
+    /// with the `rus`, `cores` and `ideal_memory` overrides. It is validated,
+    /// so an impossible shape is refused before anything is simulated.
+    pub fn gpu_config(&self) -> Result<GpuConfig, String> {
         let screen = match self.screen.as_str() {
             "tiny" => ScreenConfig::tiny(),
             "quarter" => ScreenConfig::quarter_fhd(),
@@ -116,6 +111,20 @@ impl JobSpec {
         let mut cfg = GpuConfig::libra(screen, self.rus);
         cfg.cores_per_ru = self.cores;
         cfg.ideal_memory = self.ideal_memory;
+        cfg.validate()
+            .map_err(|e| format!("job spec (rus {}, cores {}): {e}", self.rus, self.cores))?;
+        Ok(cfg)
+    }
+
+    /// Rebuilds the GPU configuration and [`Campaign`] this spec names: one
+    /// job per workload under one scheduler on [`gpu_config`](Self::gpu_config).
+    /// `libra-sim campaign`, `serve` and `submit` all build their sweep here,
+    /// so a sharded service run and a single-process sweep construct
+    /// fingerprint-identical campaigns.
+    pub fn to_campaign(&self) -> Result<(GpuConfig, Campaign), String> {
+        let sched = parse_scheduler(&self.scheduler)?;
+        let mech = MechanismSpec::parse(&self.mechanism).map_err(|e| format!("job spec: {e}"))?;
+        let cfg = self.gpu_config()?;
         let mut profiles = suite();
         if let Some(n) = self.take {
             if n == 0 {
@@ -166,7 +175,10 @@ impl JobSpec {
             seed: field_hex(v, "seed", what)?,
             scheduler: field_str(v, "scheduler", what)?.to_string(),
             mechanism,
-            frames: field_u64(v, "frames", what)? as u32,
+            frames: {
+                let n = field_u64(v, "frames", what)?;
+                u32::try_from(n).map_err(|_| format!("{what}.frames: {n} is out of range"))?
+            },
             rus: field_u64(v, "rus", what)? as usize,
             cores: field_u64(v, "cores", what)? as usize,
             screen: field_str(v, "screen", what)?.to_string(),

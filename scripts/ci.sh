@@ -99,15 +99,16 @@ done
 cmp target/ci_drivers_scan.json target/ci_drivers_heap.json
 cmp target/ci_drivers_heap.json target/ci_drivers_par.json
 
-echo "== [13/14] campaign service smoke (serve/submit on loopback, 2 workers, report byte-identical to serial campaign) =="
+echo "== [13/14] campaign service smoke (serve/submit on loopback, 2 workers, one killed; report byte-identical to serial campaign, checkpoint resumable) =="
 # Reference: a plain single-process 4-job sweep.
 cargo run --release --bin libra-sim -- campaign --frames 1 --take 4 --threads 1 \
     --no-checkpoint --report-json target/ci_serve_ref.json >/dev/null
 # Coordinator on an ephemeral port (printed in the "listening on" line), one
-# connection, two worker processes.
-rm -f target/ci_serve_listen.log
+# connection, two worker processes; the worker assigned job 1 is killed once,
+# and every adopted result is appended to the coordinator's checkpoint.
+rm -f target/ci_serve_listen.log target/ci_serve.ckptb
 cargo run --release --bin libra-sim -- serve --addr 127.0.0.1:0 --workers 2 --once \
-    > target/ci_serve_listen.log 2>&1 &
+    --kill-worker 1 --checkpoint target/ci_serve.ckptb > target/ci_serve_listen.log 2>&1 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
     grep -q "listening on" target/ci_serve_listen.log && break
@@ -121,10 +122,19 @@ if [ -z "$SERVE_ADDR" ]; then
     exit 1
 fi
 cargo run --release --bin libra-sim -- submit --addr "$SERVE_ADDR" --frames 1 --take 4 \
-    --report-json target/ci_serve_report.json
+    --report-json target/ci_serve_report.json | tee target/ci_serve_submit.log
 wait "$SERVE_PID"
-# The sharded report must be byte-identical to the single-process one.
+grep -q "absorbed 1 worker crash" target/ci_serve_submit.log
+# The sharded report must be byte-identical to the single-process one, crash
+# and respawn included.
 cmp target/ci_serve_ref.json target/ci_serve_report.json
+# The coordinator's checkpoint resumes in a plain campaign: all 4 jobs are
+# adopted, none re-run, and the report is unchanged.
+cargo run --release --bin libra-sim -- campaign --frames 1 --take 4 --threads 1 \
+    --resume target/ci_serve.ckptb --report-json target/ci_serve_resumed.json \
+    | tee target/ci_serve_resume.log
+grep -q "adopted 4 completed job(s)" target/ci_serve_resume.log
+cmp target/ci_serve_ref.json target/ci_serve_resumed.json
 
 echo "== [14/14] mechanism sweep smoke (re+wasp campaign, serial == 2-thread bit-identical) =="
 # The mechanism axes must compose with the campaign driver deterministically:

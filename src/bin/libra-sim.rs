@@ -2,61 +2,61 @@
 //!
 //! ```text
 //! libra-sim suite                         list the 32 benchmarks
-//! libra-sim run <ABBREV> [opts]           simulate one benchmark
-//! libra-sim compare <ABBREV> [opts]       baseline vs PTR vs LIBRA
-//! libra-sim sweep-ru <ABBREV> [opts]      1..4 Raster Units
-//! libra-sim campaign [opts]               parallel sweep over the whole suite
-//! libra-sim serve [opts]                  campaign service: TCP coordinator +
+//! libra-sim run <ABBREV> [flags]          simulate one benchmark
+//! libra-sim compare <ABBREV> [flags]      baseline vs PTR vs LIBRA
+//! libra-sim sweep-ru <ABBREV> [flags]     1..4 Raster Units
+//! libra-sim campaign [flags]              parallel sweep over the whole suite
+//! libra-sim serve [flags]                 campaign service: TCP coordinator +
 //!                                         multi-process worker sharding
-//! libra-sim submit [opts]                 send a sweep to a running coordinator
+//! libra-sim submit [flags]                send a sweep to a running coordinator
 //! libra-sim worker                        stdio shard worker (spawned by serve)
 //! libra-sim trace-check <FILE>            validate an emitted Chrome trace
-//!
-//! options: --frames N (default 6)   --fhd   --scheduler z|scanline|hilbert|static2|
-//!          static4|static8|static16|libra   --rus N   --cores N   --ideal-memory
-//!          --mechanism none|re|wasp|re+wasp|re-oracle|re-oracle+wasp (orthogonal
-//!          mechanism axes: Rendering Elimination and/or WaSP, composable with
-//!          every scheduler; default none; `re-oracle` is RE's differential mode:
-//!          render everything anyway and count would-be discards + hash
-//!          collisions)
-//!          --event-loop heap|scan|par (pin the raster event-loop driver)
-//!          --sim-threads N (worker threads for `--event-loop par`; also
-//!          settable via LIBRA_SIM_THREADS — the results are bit-identical at
-//!          every thread count)
-//!
-//! run options (additionally): --trace-out FILE (Perfetto/Chrome trace JSON;
-//!          with LIBRA_HOSTPROF=1 the trace gains host-time lanes)
-//!          --report-json FILE (full metrics-registry report)
-//!
-//! campaign options (additionally): --threads N (default: all cores)   --seed S
-//!          --verify (re-run serially with the same fault/budget/retries, fail on
-//!          the first job that differs; every other option still applies)
-//!          --profile (write worker/job wall-clock CSVs to bench_results/, plus
-//!          aggregated host telemetry to bench_results/campaign_hostprof.json)
-//!          --trace-out FILE (merged per-job traces, one Perfetto process each)
-//!          --report-json FILE (survivor metrics, `libra-metrics-v1`)
-//!          --checkpoint FILE | --no-checkpoint (default: auto path under
-//!          bench_results/)   --ckpt-format binary|json (default: binary; the
-//!          `libra-ckpt-bin-v1` sidecar, `.ckptb` auto paths)   --resume FILE
-//!          (adopt completed jobs of either encoding, re-run the rest)
-//!          --budget-cycles N (watchdog: abort a job past N simulated cycles)
-//!          --retries N (re-run failing jobs N more times; default 1)
-//!          --fault KIND:JOB (inject panic|panic-once|timeout|timeout-once)
-//!          --take N (truncate the suite to its first N workloads)
-//!
-//! serve options: --addr HOST:PORT (default 127.0.0.1:4650; port 0 binds an
-//!          ephemeral port, echoed in the "listening on" line)   --workers N
-//!          (worker processes per sweep; default 2)   --once (serve one
-//!          connection, then exit)   --checkpoint FILE (append adopted results
-//!          to a `--resume`-compatible campaign checkpoint)
-//!          --kill-worker JOB (fault injection: kill the worker assigned JOB
-//!          once, exercising crash recovery)
-//!
-//! submit options: --addr HOST:PORT plus the campaign spec flags (--frames,
-//!          --scheduler, --mechanism, --rus, --cores, --fhd, --ideal-memory,
-//!          --seed, --take); --report-json FILE writes the returned report — byte-
-//!          identical to `libra-sim campaign --report-json` of the same spec
 //! ```
+//!
+//! Each subcommand takes exactly the flags it honours; any other argument
+//! exits 1 naming it. `suite` and `worker` take none.
+//!
+//! ```text
+//! run       GPU: --frames N (default 6)  --fhd  --scheduler z|scanline|hilbert|
+//!           static2|static4|static8|static16|libra (default libra)  --mechanism
+//!           none|re|wasp|re+wasp|re-oracle|re-oracle+wasp (Rendering Elimination
+//!           and/or WaSP on top of any scheduler; `re-oracle` renders everything
+//!           and counts would-be discards + hash collisions)  --rus N (default 2,
+//!           at most 256)  --cores N (per RU, default 4)  --ideal-memory
+//!           driver: --event-loop heap|scan|par  --sim-threads N (par workers;
+//!           results are bit-identical for every driver and thread count)
+//!           outputs: --trace-out FILE (Perfetto/Chrome trace JSON; with
+//!           LIBRA_HOSTPROF=1 it gains host-time lanes)  --report-json FILE
+//!           (full metrics-registry report)
+//! compare   --frames N  --fhd  and the driver flags
+//! sweep-ru  --frames N  --fhd  and the driver flags
+//! campaign  run's GPU and driver flags, plus --seed S  --take N (the suite's
+//!           first N workloads)  --threads N (default: all cores)
+//!           --verify (re-run serially with the same fault/budget/retries, fail
+//!           on the first job that differs; every other flag still applies)
+//!           --profile (worker/job wall-clock CSVs and host telemetry under
+//!           bench_results/)  --trace-out FILE (merged per-job traces)
+//!           --report-json FILE (survivor metrics, `libra-metrics-v1`)
+//!           --checkpoint FILE | --no-checkpoint (default: auto path under
+//!           bench_results/)  --ckpt-format binary|json (default binary, `.ckptb`
+//!           auto paths)  --resume FILE (adopt completed jobs of either encoding,
+//!           re-run the rest)  --budget-cycles N (watchdog: abort a job past N
+//!           simulated cycles)  --retries N (default 1)  --fault KIND:JOB (inject
+//!           panic|panic-once|timeout|timeout-once)
+//! serve     --addr HOST:PORT (default 127.0.0.1:4650; port 0 binds an ephemeral
+//!           port, echoed in the "listening on" line)  --workers N (worker
+//!           processes per sweep, default 2)  --once (serve one connection, then
+//!           exit)  --checkpoint FILE (append adopted results to a binary
+//!           `--resume`-compatible campaign checkpoint)  --kill-worker JOB (kill
+//!           the worker assigned JOB once, exercising crash recovery)
+//! submit    --addr HOST:PORT, the sweep flags --frames --fhd --scheduler
+//!           --mechanism --rus --cores --ideal-memory --seed --take, and
+//!           --report-json FILE (the returned report, byte-identical to
+//!           `libra-sim campaign --report-json` of the same sweep)
+//! ```
+//!
+//! The worker processes of `serve` inherit its environment, so
+//! `LIBRA_EVENT_LOOP` and `LIBRA_SIM_THREADS` pick their event-loop driver.
 //!
 //! Traces carry *simulated* timestamps (1 GPU cycle = 1 µs on the Perfetto
 //! timeline), so trace output is bit-identical for every `--threads` value.
@@ -84,7 +84,8 @@
 use std::process::ExitCode;
 
 use libra_repro::prelude::*;
-use tbr_sim::{event_loop, report, CheckpointFormat};
+use tbr_sim::wire::parse_scheduler;
+use tbr_sim::{event_loop, report, CheckpointFormat, JobSpec, ServeOptions};
 
 /// Writes to stdout. A closed stdout (`libra-sim suite | head -1`) ends the
 /// process quietly with status 1 instead of panicking as `print!` does.
@@ -109,158 +110,141 @@ macro_rules! outln {
     ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
-#[derive(Debug, Clone)]
-struct Opts {
-    frames: u32,
-    fhd: bool,
-    /// Scheduler name as given (validated while parsing).
-    scheduler: String,
-    mechanism: MechanismSpec,
-    rus: usize,
-    cores: usize,
-    ideal: bool,
-    threads: usize,
-    seed: u64,
+/// A flag and its value placeholder; an empty placeholder marks a switch.
+type Flag = (&'static str, &'static str);
+
+const SCREEN: &[Flag] = &[("--frames", "N"), ("--fhd", "")];
+const GPU: &[Flag] = &[
+    ("--scheduler", "z|scanline|hilbert|static2|static4|static8|static16|libra"),
+    ("--mechanism", "none|re|wasp|re+wasp|re-oracle|re-oracle+wasp"),
+    ("--rus", "N"), ("--cores", "N"), ("--ideal-memory", ""),
+];
+const SWEEP: &[Flag] = &[("--seed", "S"), ("--take", "N")];
+const DRIVER: &[Flag] = &[("--event-loop", "heap|scan|par"), ("--sim-threads", "N")];
+const OUTPUTS: &[Flag] = &[("--trace-out", "FILE"), ("--report-json", "FILE")];
+const CAMPAIGN: &[Flag] = &[
+    ("--threads", "N"), ("--verify", ""), ("--profile", ""), ("--checkpoint", "FILE"),
+    ("--no-checkpoint", ""), ("--ckpt-format", "binary|json"), ("--resume", "FILE"),
+    ("--budget-cycles", "N"), ("--retries", "N"), ("--fault", "KIND:JOB"),
+];
+const SERVE: &[Flag] = &[
+    ("--addr", "HOST:PORT"), ("--workers", "N"), ("--once", ""), ("--checkpoint", "FILE"),
+    ("--kill-worker", "JOB"),
+];
+
+/// Each subcommand, its operand, and the flags it honours. Any other
+/// argument is refused.
+const COMMANDS: &[(&str, &str, &[&[Flag]])] = &[
+    ("suite", "", &[]),
+    ("run", "<ABBREV>", &[SCREEN, GPU, DRIVER, OUTPUTS]),
+    ("compare", "<ABBREV>", &[SCREEN, DRIVER]),
+    ("sweep-ru", "<ABBREV>", &[SCREEN, DRIVER]),
+    ("campaign", "", &[SCREEN, GPU, SWEEP, DRIVER, OUTPUTS, CAMPAIGN]),
+    ("serve", "", &[SERVE]),
+    ("submit", "", &[&[("--addr", "HOST:PORT")], SCREEN, GPU, SWEEP, &[("--report-json", "FILE")]]),
+    ("worker", "", &[]),
+    ("trace-check", "<FILE>", &[]),
+];
+
+/// A parsed command line: each flag lands in the library type that
+/// consumes it, so the defaults are those types' own.
+#[derive(Default)]
+struct Cli {
+    /// The sweep; `run`, `compare` and `sweep-ru` read its GPU and frames.
+    spec: JobSpec,
+    /// How `campaign` runs the sweep.
+    run: RunOptions,
+    /// How `serve` shards sweeps.
+    serve: ServeOptions,
+    addr: String,
     verify: bool,
     profile: bool,
+    no_checkpoint: bool,
     trace_out: Option<String>,
     report_json: Option<String>,
-    checkpoint: Option<String>,
-    no_checkpoint: bool,
-    ckpt_format: CheckpointFormat,
-    resume: Option<String>,
-    budget_cycles: Option<u64>,
-    retries: u32,
-    fault: Option<String>,
-    take: Option<usize>,
-    addr: String,
-    workers: usize,
-    once: bool,
-    kill_worker: Option<usize>,
 }
 
-impl Default for Opts {
-    fn default() -> Self {
-        Self {
-            frames: 6,
-            fhd: false,
-            scheduler: "libra".into(),
-            mechanism: MechanismSpec::NONE,
-            rus: 2,
-            cores: 4,
-            ideal: false,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            seed: 0,
-            verify: false,
-            profile: false,
-            trace_out: None,
-            report_json: None,
-            checkpoint: None,
-            no_checkpoint: false,
-            ckpt_format: CheckpointFormat::default(),
-            resume: None,
-            budget_cycles: None,
-            retries: 1,
-            fault: None,
-            take: None,
-            addr: "127.0.0.1:4650".to_string(),
-            workers: 2,
-            once: false,
-            kill_worker: None,
-        }
-    }
-}
-
-use tbr_sim::wire::parse_scheduler;
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut need = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
+impl Cli {
+    /// Parses `args` against the flags `cmd` honours.
+    fn parse(cmd: &str, flags: &[&[Flag]], args: &[String]) -> Result<Self, String> {
+        let mut cli = Self {
+            run: RunOptions {
+                threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+                ..RunOptions::default()
+            },
+            addr: "127.0.0.1:4650".into(),
+            ..Self::default()
         };
-        match a.as_str() {
-            "--frames" => o.frames = need("--frames")?.parse().map_err(|e| format!("{e}"))?,
-            "--fhd" => o.fhd = true,
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(&(flag, value)) = flags.iter().copied().flatten().find(|(f, _)| f == arg)
+            else {
+                return Err(format!("`{cmd}` does not take `{arg}`"));
+            };
+            let value = match value {
+                "" => "",
+                _ => it.next().ok_or_else(|| format!("{flag} needs a value"))?,
+            };
+            cli.set(flag, value).map_err(|e| format!("{flag}: {e}"))?;
+        }
+        Ok(cli)
+    }
+
+    fn set(&mut self, flag: &str, v: &str) -> Result<(), String> {
+        fn num<T: std::str::FromStr<Err: std::fmt::Display>>(v: &str) -> Result<T, String> {
+            v.parse().map_err(|e| format!("{e}"))
+        }
+        fn positive(v: &str) -> Result<usize, String> {
+            num(v).and_then(|n| if n == 0 { Err("must be >= 1".into()) } else { Ok(n) })
+        }
+        match flag {
+            "--frames" => self.spec.frames = num(v)?,
+            "--fhd" => self.spec.screen = "fhd".into(),
             "--scheduler" => {
-                o.scheduler = need("--scheduler")?.clone();
-                parse_scheduler(&o.scheduler)?;
+                parse_scheduler(v)?;
+                self.spec.scheduler = v.into();
             }
-            "--mechanism" => o.mechanism = MechanismSpec::parse(need("--mechanism")?)?,
-            "--rus" => o.rus = need("--rus")?.parse().map_err(|e| format!("{e}"))?,
-            "--cores" => o.cores = need("--cores")?.parse().map_err(|e| format!("{e}"))?,
-            "--ideal-memory" => o.ideal = true,
-            "--threads" => o.threads = need("--threads")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => o.seed = need("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--verify" => o.verify = true,
-            "--profile" => o.profile = true,
-            "--trace-out" => o.trace_out = Some(need("--trace-out")?.clone()),
-            "--report-json" => o.report_json = Some(need("--report-json")?.clone()),
-            "--checkpoint" => o.checkpoint = Some(need("--checkpoint")?.clone()),
-            "--no-checkpoint" => o.no_checkpoint = true,
+            "--mechanism" => self.spec.mechanism = MechanismSpec::parse(v)?.name(),
+            "--rus" => self.spec.rus = num(v)?,
+            "--cores" => self.spec.cores = num(v)?,
+            "--ideal-memory" => self.spec.ideal_memory = true,
+            "--seed" => self.spec.seed = num(v)?,
+            "--take" => self.spec.take = Some(positive(v)?),
+            "--threads" => self.run.threads = num::<usize>(v)?.max(1),
+            "--verify" => self.verify = true,
+            "--profile" => self.profile = true,
+            "--trace-out" => self.trace_out = Some(v.into()),
+            "--report-json" => self.report_json = Some(v.into()),
+            "--checkpoint" => {
+                self.run.checkpoint_to = Some(v.into());
+                self.serve.checkpoint_to = Some(v.into());
+            }
+            "--no-checkpoint" => self.no_checkpoint = true,
             "--ckpt-format" => {
-                o.ckpt_format = match need("--ckpt-format")?.as_str() {
+                self.run.ckpt_format = match v {
                     "binary" => CheckpointFormat::Binary,
                     "json" => CheckpointFormat::Json,
-                    other => return Err(format!("unknown checkpoint format `{other}` (binary|json)")),
+                    _ => return Err(format!("unknown checkpoint format `{v}` (binary|json)")),
                 }
             }
-            "--resume" => o.resume = Some(need("--resume")?.clone()),
-            "--budget-cycles" => {
-                o.budget_cycles = Some(
-                    need("--budget-cycles")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--retries" => o.retries = need("--retries")?.parse().map_err(|e| format!("{e}"))?,
-            "--fault" => o.fault = Some(need("--fault")?.clone()),
-            "--take" => {
-                let n: usize = need("--take")?.parse().map_err(|e| format!("{e}"))?;
-                if n == 0 {
-                    return Err("--take needs a value >= 1".into());
-                }
-                o.take = Some(n);
-            }
-            "--addr" => o.addr = need("--addr")?.clone(),
-            "--workers" => o.workers = need("--workers")?.parse().map_err(|e| format!("{e}"))?,
-            "--once" => o.once = true,
-            "--kill-worker" => {
-                o.kill_worker = Some(need("--kill-worker")?.parse().map_err(|e| format!("{e}"))?)
-            }
+            "--resume" => self.run.resume_from = Some(v.into()),
+            "--budget-cycles" => self.run.budget_cycles = Some(num(v)?),
+            "--retries" => self.run.retries = num(v)?,
+            "--fault" => self.run.fault = Some(FaultSpec::parse(v)?),
+            "--addr" => self.addr = v.into(),
+            "--workers" => self.serve.workers = num::<usize>(v)?.max(1),
+            "--once" => self.serve.once = true,
+            "--kill-worker" => self.serve.kill_job = Some(num(v)?),
             "--event-loop" => {
-                let name = need("--event-loop")?;
-                let mode = event_loop::parse(name)
-                    .ok_or_else(|| format!("unknown event loop `{name}` (heap|scan|par)"))?;
+                let mode = event_loop::parse(v)
+                    .ok_or_else(|| format!("unknown event loop `{v}` (heap|scan|par)"))?;
                 event_loop::set_mode(Some(mode));
             }
-            "--sim-threads" => {
-                let n: usize = need("--sim-threads")?.parse().map_err(|e| format!("{e}"))?;
-                if n == 0 {
-                    return Err("--sim-threads needs a value >= 1".into());
-                }
-                event_loop::set_sim_threads(Some(n));
-            }
-            other => return Err(format!("unknown option `{other}`")),
+            "--sim-threads" => event_loop::set_sim_threads(Some(positive(v)?)),
+            _ => unreachable!("`{flag}` is in a flag table but has no parser"),
         }
+        Ok(())
     }
-    Ok(o)
-}
-
-fn screen(o: &Opts) -> ScreenConfig {
-    if o.fhd {
-        ScreenConfig::fhd()
-    } else {
-        ScreenConfig::quarter_fhd()
-    }
-}
-
-fn config(o: &Opts) -> GpuConfig {
-    let mut cfg = GpuConfig::libra(screen(o), o.rus);
-    cfg.cores_per_ru = o.cores;
-    cfg.ideal_memory = o.ideal;
-    cfg
 }
 
 fn find(abbrev: &str) -> Result<BenchmarkProfile, String> {
@@ -302,25 +286,26 @@ fn write_file(path: &str, contents: &str, what: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(abbrev: &str, o: &Opts) -> Result<(), String> {
+fn cmd_run(abbrev: &str, cli: &Cli) -> Result<(), String> {
     use tbr_common::{hostprof, trace};
 
     let p = find(abbrev)?;
-    let cfg = config(o);
+    let spec = &cli.spec;
+    let cfg = spec.gpu_config()?;
 
     // The simulator publishes into its metrics registry unconditionally; the
     // trace and host-profile collectors are installed only on request (they are
     // observation-only either way — stats are bit-identical with them on or off).
-    let mech = o.mechanism;
-    let sched = parse_scheduler(&o.scheduler)?;
+    let mech = MechanismSpec::parse(&spec.mechanism)?;
+    let sched = parse_scheduler(&spec.scheduler)?;
     let mut sim = GpuSimulator::with_mechanism(cfg.clone(), sched, mech);
-    if o.trace_out.is_some() {
+    if cli.trace_out.is_some() {
         trace::start();
     }
     if hostprof::env_enabled() {
         hostprof::start();
     }
-    let s = sim.render_sequence(&p, o.frames);
+    let s = sim.render_sequence(&p, spec.frames);
     let trace = trace::finish();
     let host = hostprof::finish();
 
@@ -328,9 +313,9 @@ fn cmd_run(abbrev: &str, o: &Opts) -> Result<(), String> {
         "{}",
         report::sequence_summary(
             &if mech.is_default() {
-                format!("{} ({} RU x {} cores)", p.abbrev, o.rus, o.cores)
+                format!("{} ({} RU x {} cores)", p.abbrev, spec.rus, spec.cores)
             } else {
-                format!("{} ({} RU x {} cores, {mech})", p.abbrev, o.rus, o.cores)
+                format!("{} ({} RU x {} cores, {mech})", p.abbrev, spec.rus, spec.cores)
             },
             &s,
             &cfg
@@ -343,7 +328,7 @@ fn cmd_run(abbrev: &str, o: &Opts) -> Result<(), String> {
         out!("{}", host.render());
     }
 
-    if let Some(path) = &o.trace_out {
+    if let Some(path) = &cli.trace_out {
         let mut trace = trace.expect("collector was installed above");
         if let Some(host) = &host {
             // Host lanes ride along as extra tracks; timestamps are host
@@ -352,7 +337,7 @@ fn cmd_run(abbrev: &str, o: &Opts) -> Result<(), String> {
         }
         write_file(path, &trace.chrome_json(), "Chrome trace")?;
     }
-    if let Some(path) = &o.report_json {
+    if let Some(path) = &cli.report_json {
         write_file(path, &sim.metrics().to_json(), "metrics report")?;
     }
     Ok(())
@@ -404,13 +389,13 @@ fn cmd_trace_check(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(abbrev: &str, o: &Opts) -> Result<(), String> {
+fn cmd_compare(abbrev: &str, spec: &JobSpec) -> Result<(), String> {
     let p = find(abbrev)?;
-    let base_cfg = GpuConfig::baseline(screen(o));
-    let dual_cfg = GpuConfig::libra(screen(o), 2);
-    let base = simulate_sequence(&base_cfg, SchedulerKind::SingleZOrder, &p, o.frames);
-    let ptr = simulate_sequence(&dual_cfg, SchedulerKind::InterleavedZOrder, &p, o.frames);
-    let libra = simulate_sequence(&dual_cfg, SchedulerKind::Libra, &p, o.frames);
+    let dual_cfg = spec.gpu_config()?;
+    let base_cfg = GpuConfig::baseline(dual_cfg.screen);
+    let base = simulate_sequence(&base_cfg, SchedulerKind::SingleZOrder, &p, spec.frames);
+    let ptr = simulate_sequence(&dual_cfg, SchedulerKind::InterleavedZOrder, &p, spec.frames);
+    let libra = simulate_sequence(&dual_cfg, SchedulerKind::Libra, &p, spec.frames);
     out!(
         "{}",
         report::sequence_summary("baseline 1RUx8", &base, &base_cfg)
@@ -425,19 +410,19 @@ fn cmd_compare(abbrev: &str, o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep_ru(abbrev: &str, o: &Opts) -> Result<(), String> {
+fn cmd_sweep_ru(abbrev: &str, spec: &JobSpec) -> Result<(), String> {
     let p = find(abbrev)?;
     outln!("{:<4} {:>12} {:>9}", "RUs", "cycles/f", "speedup");
     let mut base_cycles = 0.0;
-    for n in 1..=4usize {
-        let cfg = GpuConfig::libra(screen(o), n);
-        let s = simulate_sequence(&cfg, SchedulerKind::Libra, &p, o.frames);
-        if n == 1 {
+    for rus in 1..=4usize {
+        let cfg = JobSpec { rus, ..spec.clone() }.gpu_config()?;
+        let s = simulate_sequence(&cfg, SchedulerKind::Libra, &p, spec.frames);
+        if rus == 1 {
             base_cycles = s.avg_frame_cycles();
         }
         outln!(
             "{:<4} {:>12.0} {:>8.3}x",
-            n,
+            rus,
             s.avg_frame_cycles(),
             base_cycles / s.avg_frame_cycles()
         );
@@ -454,64 +439,50 @@ use tbr_sim::report::campaign_metrics_json;
 /// Fault-tolerant by default: jobs that panic or exceed `--budget-cycles` become
 /// structured failures (retried per `--retries`), completed jobs are appended to a
 /// checkpoint file, and `--resume` continues an interrupted sweep bit-identically.
-fn cmd_campaign(o: &Opts) -> Result<(), String> {
+fn cmd_campaign(cli: &Cli) -> Result<(), String> {
     // The same construction `serve` and `submit` use, so a sharded sweep of
     // the same options is the same campaign (equal fingerprints).
-    let (_, campaign) = spec_from_opts(o).to_campaign()?;
-    let threads = o.threads.max(1);
-    let mech = o.mechanism;
+    let spec = &cli.spec;
+    let (_, campaign) = spec.to_campaign()?;
+    let mut opts = cli.run.clone();
     outln!(
-        "campaign: {} jobs ({} workloads x 1 scheduler, mechanism {mech}) on {threads} thread(s), \
-         seed {}",
+        "campaign: {} jobs ({} workloads x 1 scheduler, mechanism {}) on {} thread(s), seed {}",
         campaign.len(),
         campaign.len(),
-        o.seed
+        spec.mechanism,
+        opts.threads,
+        spec.seed
     );
 
-    let fault = match &o.fault {
-        Some(spec) => Some(FaultSpec::parse(spec)?),
-        None => FaultSpec::from_env()?,
-    };
+    if opts.fault.is_none() {
+        opts.fault = FaultSpec::from_env()?;
+    }
     // Checkpoint by default so an interrupted sweep is always resumable;
     // --resume without --checkpoint keeps appending to the resume file.
-    let checkpoint_to = if o.no_checkpoint || o.resume.is_some() {
-        o.checkpoint.clone()
-    } else {
+    if !cli.no_checkpoint && opts.resume_from.is_none() && opts.checkpoint_to.is_none() {
         // Binary sidecars get their own extension so a glance at
         // bench_results/ tells the encoding apart.
-        let ext = match o.ckpt_format {
+        let ext = match opts.ckpt_format {
             CheckpointFormat::Binary => "ckptb",
             CheckpointFormat::Json => "ckpt",
         };
         // Non-default mechanisms get their own sidecar so an `re` sweep
         // never clobbers (or resumes into) the plain sweep's checkpoint.
-        let mech_tag = if mech.is_default() {
-            String::new()
-        } else {
-            format!("_{}", mech.name().replace('+', "-"))
+        let mech_tag = match spec.mechanism.as_str() {
+            "none" => String::new(),
+            mech => format!("_{}", mech.replace('+', "-")),
         };
-        let sched = parse_scheduler(&o.scheduler)?.build().name();
-        o.checkpoint.clone().or_else(|| {
-            Some(format!(
-                "bench_results/campaign_{sched}{mech_tag}_seed{}_f{}.{ext}",
-                o.seed, o.frames
-            ))
-        })
-    };
-    let opts = RunOptions {
-        threads,
-        traced: o.trace_out.is_some(),
-        budget_cycles: o.budget_cycles,
-        retries: o.retries,
-        fault,
-        checkpoint_to: checkpoint_to.clone(),
-        resume_from: o.resume.clone(),
-        ckpt_format: o.ckpt_format,
-        hostprof: o.profile || tbr_common::hostprof::env_enabled(),
-    };
+        let sched = parse_scheduler(&spec.scheduler)?.build().name();
+        opts.checkpoint_to = Some(format!(
+            "bench_results/campaign_{sched}{mech_tag}_seed{}_f{}.{ext}",
+            spec.seed, spec.frames
+        ));
+    }
+    opts.traced = cli.trace_out.is_some();
+    opts.hostprof = cli.profile || tbr_common::hostprof::env_enabled();
     let start = std::time::Instant::now();
     let run = campaign.run_resilient(&opts)?;
-    if o.verify {
+    if cli.verify {
         let secs = start.elapsed().as_secs_f64();
         verify_against_serial(&campaign, &opts, &run.results, secs)?;
     }
@@ -519,24 +490,24 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
         outln!(
             "resume: adopted {} completed job(s) from {}, ran the remaining {}",
             run.resumed_jobs,
-            o.resume.as_deref().unwrap_or("checkpoint"),
+            opts.resume_from.as_deref().unwrap_or("checkpoint"),
             run.results.len() - run.resumed_jobs
         );
     }
-    if let Some(path) = checkpoint_to.as_deref().or(o.resume.as_deref()) {
+    if let Some(path) = opts.checkpoint_to.as_deref().or(opts.resume_from.as_deref()) {
         outln!("checkpoint: {path}");
     }
     if let Some(e) = &run.checkpoint_error {
         eprintln!("warning: checkpoint writes degraded ({e}); results are complete anyway");
     }
-    if let Some(path) = &o.trace_out {
+    if let Some(path) = &cli.trace_out {
         write_file(
             path,
             &tbr_common::trace::Trace::chrome_json_multi(&run.traces),
             "Chrome trace",
         )?;
     }
-    if o.profile {
+    if cli.profile {
         let profile = &run.profile;
         write_file(
             "bench_results/campaign_workers.csv",
@@ -584,7 +555,7 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
             None => outln!("{:<6} {:<10} -- no result --", r.abbrev(), r.scheduler()),
         }
     }
-    if let Some(path) = &o.report_json {
+    if let Some(path) = &cli.report_json {
         write_file(
             path,
             &campaign_metrics_json(&results),
@@ -597,7 +568,7 @@ fn cmd_campaign(o: &Opts) -> Result<(), String> {
     outln!(
         "campaign done: {done}/{} jobs x {} frames in {elapsed:.2}s wall-clock",
         results.len(),
-        o.frames,
+        spec.frames,
     );
     if !failures.is_empty() {
         for line in &failures {
@@ -649,21 +620,6 @@ fn verify_against_serial(
     Ok(())
 }
 
-/// The campaign spec the current CLI options describe, in wire form.
-fn spec_from_opts(o: &Opts) -> tbr_sim::JobSpec {
-    tbr_sim::JobSpec {
-        seed: o.seed,
-        scheduler: o.scheduler.clone(),
-        mechanism: o.mechanism.name(),
-        frames: o.frames,
-        rus: o.rus,
-        cores: o.cores,
-        screen: if o.fhd { "fhd".into() } else { "quarter".into() },
-        ideal_memory: o.ideal,
-        take: o.take,
-    }
-}
-
 fn progress_line(prefix: &str, msg: &tbr_sim::Message) {
     if let tbr_sim::Message::Progress { job, done, total, abbrev, scheduler, ok } = msg {
         outln!(
@@ -677,22 +633,14 @@ fn progress_line(prefix: &str, msg: &tbr_sim::Message) {
 /// each sweep across `--workers` spawned `libra-sim worker` processes. The
 /// aggregated report is byte-identical to `libra-sim campaign` of the same
 /// spec (see docs/OPERATIONS.md §8).
-fn cmd_serve(o: &Opts) -> Result<(), String> {
-    use tbr_sim::{Coordinator, Message, ServeOptions};
+fn cmd_serve(cli: &Cli) -> Result<(), String> {
+    use tbr_sim::{Coordinator, Message};
 
-    let workers = o.workers.max(1);
-    let opts = ServeOptions {
-        workers,
-        once: o.once,
-        kill_job: o.kill_worker,
-        checkpoint_to: o.checkpoint.clone(),
-        ..ServeOptions::default()
-    };
-    let coord = Coordinator::bind(&o.addr, opts)?;
+    let coord = Coordinator::bind(&cli.addr, cli.serve.clone())?;
     let addr = coord.local_addr()?;
     // Scripts poll for this exact line (and parse the resolved port out of
     // it when binding port 0), so print-and-flush before accepting.
-    outln!("serve: listening on {addr} ({workers} workers)");
+    outln!("serve: listening on {addr} ({} workers)", cli.serve.workers);
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     coord.serve(&mut |msg: &Message| match msg {
@@ -705,13 +653,12 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
 
 /// Client side of the campaign service: submit a sweep spec to a coordinator,
 /// stream its progress, and (optionally) write the returned report.
-fn cmd_submit(o: &Opts) -> Result<(), String> {
+fn cmd_submit(cli: &Cli) -> Result<(), String> {
     use tbr_sim::service;
 
-    let spec = spec_from_opts(o);
     let outcome = service::submit(
-        &o.addr,
-        &spec,
+        &cli.addr,
+        &cli.spec,
         service::default_timeout(),
         &mut |msg| progress_line("submit", msg),
     )?;
@@ -731,34 +678,42 @@ fn cmd_submit(o: &Opts) -> Result<(), String> {
             outcome.crashes
         );
     }
-    if let Some(path) = &o.report_json {
+    if let Some(path) = &cli.report_json {
         write_file(path, &outcome.report_json, "campaign metrics report")?;
     }
     Ok(())
 }
 
+/// Prints every subcommand with its operand and the flags it honours.
 fn usage() {
+    let mut text = String::from("usage: libra-sim <command> ...");
+    for (cmd, operand, flags) in COMMANDS {
+        let mut line = format!("\n  {cmd}");
+        let words = std::iter::once(operand.to_string()).filter(|o| !o.is_empty());
+        let words = words.chain(flags.iter().copied().flatten().map(|(flag, value)| {
+            if value.is_empty() { format!("[{flag}]") } else { format!("[{flag} {value}]") }
+        }));
+        for word in words {
+            if line.len() + word.len() > 100 {
+                text.push_str(&line);
+                line = "\n     ".into();
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        text.push_str(&line);
+    }
     eprintln!(
-        "usage: libra-sim <suite|run|compare|sweep-ru|campaign|serve|submit|worker|trace-check> \
-         [ABBREV|FILE] [--frames N] [--fhd] [--scheduler z|scanline|hilbert|staticN|libra] \
-         [--mechanism none|re|wasp|re+wasp|re-oracle|re-oracle+wasp] \
-         [--rus N] [--cores N] [--ideal-memory] [--event-loop heap|scan|par] \
-         [--sim-threads N] [--threads N] [--take N] \
-         [--seed S] [--verify] [--profile] [--trace-out FILE] [--report-json FILE] \
-         [--checkpoint FILE] [--no-checkpoint] [--ckpt-format binary|json] [--resume FILE] \
-         [--budget-cycles N] \
-         [--retries N] [--fault KIND:JOB] \
-         [--addr HOST:PORT] [--workers N] [--once] [--kill-worker JOB]\n\
-         env: LIBRA_EVENT_LOOP (driver), LIBRA_SIM_THREADS (par-driver workers), \
-         LIBRA_FAULT (campaign fault injection), LIBRA_HOSTPROF=1 (host-time telemetry), \
-         LIBRA_TEST_TIMEOUT_SECS (service read timeout)  (see docs/OPERATIONS.md; timing: \
-         libra-benchmark/README.md)"
+        "{text}\nenv: LIBRA_EVENT_LOOP (driver) and LIBRA_SIM_THREADS (par-driver workers), which\n     \
+         `serve` passes on to its worker processes; LIBRA_FAULT (campaign fault injection);\n     \
+         LIBRA_HOSTPROF=1 (host-time telemetry); LIBRA_TEST_TIMEOUT_SECS (service read timeout)\n\
+         see docs/OPERATIONS.md; timing: libra-benchmark/README.md"
     );
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().map(String::as_str) else {
+    let Some((cmd, rest)) = args.split_first() else {
         usage();
         return ExitCode::FAILURE;
     };
@@ -769,56 +724,41 @@ fn main() -> ExitCode {
     // CLI mistakes (bad flags, missing operands) get the usage text; runtime
     // failures (a failed campaign job, an invalid trace file) get only the
     // structured error — re-printing usage there would bury the report.
-    let result = match cmd {
+    let parsed = COMMANDS
+        .iter()
+        .find(|(name, ..)| name == cmd)
+        .ok_or_else(|| format!("unknown command `{cmd}`"))
+        .and_then(|&(_, operand, flags)| {
+            let (operand, rest) = match (operand, rest.split_first()) {
+                ("", _) => ("", rest),
+                (_, Some((operand, rest))) => (operand.as_str(), rest),
+                (_, None) => return Err(format!("`{cmd}` needs {operand}")),
+            };
+            Ok((operand, Cli::parse(cmd, flags, rest)?))
+        });
+    let (operand, cli) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
+    let result = match cmd.as_str() {
         "suite" => {
             cmd_suite();
             Ok(())
         }
-        "campaign" | "serve" | "submit" => match parse_opts(&args[1..]) {
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                return ExitCode::FAILURE;
-            }
-            Ok(o) => match cmd {
-                "campaign" => cmd_campaign(&o),
-                "serve" => cmd_serve(&o),
-                _ => cmd_submit(&o),
-            },
-        },
-        // The worker speaks libra-wire-v1 on stdio and takes no options; its
-        // stdout belongs to the protocol, so nothing else may print there.
+        "run" => cmd_run(operand, &cli),
+        "compare" => cmd_compare(operand, &cli.spec),
+        "sweep-ru" => cmd_sweep_ru(operand, &cli.spec),
+        "campaign" => cmd_campaign(&cli),
+        "serve" => cmd_serve(&cli),
+        "submit" => cmd_submit(&cli),
+        // The worker speaks libra-wire-v1 on stdio; its stdout belongs to
+        // the protocol, so nothing else may print there.
         "worker" => tbr_sim::service::run_worker(),
-        "trace-check" => {
-            let Some(path) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            cmd_trace_check(path)
-        }
-        "run" | "compare" | "sweep-ru" => {
-            let Some(abbrev) = args.get(1) else {
-                usage();
-                return ExitCode::FAILURE;
-            };
-            match parse_opts(&args[2..]) {
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-                Ok(o) => match cmd {
-                    "run" => cmd_run(abbrev, &o),
-                    "compare" => cmd_compare(abbrev, &o),
-                    _ => cmd_sweep_ru(abbrev, &o),
-                },
-            }
-        }
-        _ => {
-            eprintln!("error: unknown command `{cmd}`");
-            usage();
-            return ExitCode::FAILURE;
-        }
+        _ => cmd_trace_check(operand),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -52,7 +52,7 @@ pub mod prelude {
     pub use tbr_common::trace::{self, Trace, Track};
     pub use tbr_energy::EnergyModel;
     pub use tbr_sim::{
-        event_loop, simulate_frame, simulate_sequence, simulate_sequence_mech, Campaign,
+        event_loop, simulate_sequence, simulate_sequence_mech, Campaign,
         CampaignProfile, CampaignResult, CampaignRun, CampaignSummary, CheckpointFormat,
         EventLoopMode, FaultSpec, GpuSimulator, JobSuccess, RunOptions,
     };

@@ -5,7 +5,8 @@
 //! plain campaign, so every other option (profile, trace, checkpoint, report,
 //! resume) still applies, and then re-runs it serially and fails on the first
 //! job whose result differs. Malformed environment values are refused at
-//! start-up, and a closed stdout ends the process without a panic.
+//! start-up, each subcommand refuses the flags it does not honour, and a
+//! closed stdout ends the process without a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -175,6 +176,55 @@ fn a_closed_stdout_ends_the_cli_without_a_panic() {
         let stderr = text(&out.stderr);
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_subcommand_refuses_what_it_does_not_honour() {
+    let dir = temp_dir("refusals");
+    // (command line, what stderr must name)
+    for (args, named) in [
+        ("compare CCS --rus 8", "`--rus`"),
+        ("sweep-ru CCS --scheduler z", "`--scheduler`"),
+        ("run CCS --seed 3", "`--seed`"),
+        ("run CCS --threads 2", "`--threads`"),
+        ("campaign --kill-worker 1", "`--kill-worker`"),
+        ("serve --ckpt-format json", "`--ckpt-format`"),
+        ("serve --event-loop par", "`--event-loop`"),
+        ("submit --verify", "`--verify`"),
+        ("suite --frames 2", "`--frames`"),
+        ("worker --frames 1", "`--frames`"),
+        ("trace-check a b", "`b`"),
+        // Impossible GPU shapes are refused before anything is simulated.
+        ("run CCS --rus 0", "rus 0"),
+        ("campaign --take 1 --frames 1 --cores 0 --no-checkpoint", "cores 0"),
+    ] {
+        let out = libra_sim(&dir)
+            .args(args.split_whitespace())
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawn libra-sim");
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(stderr.contains(named), "{args}: {named} is not named: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args}: {stderr}");
+        let written: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert!(written.is_empty(), "{args} wrote {written:?}");
+    }
+
+    // Every flag `run` and `compare` honour, at once.
+    for args in [
+        "run CCS --frames 1 --fhd --scheduler z --mechanism re --rus 1 --cores 1 --ideal-memory \
+         --event-loop heap --sim-threads 1 --trace-out t.json --report-json r.json",
+        "compare CCS --frames 1 --fhd --event-loop heap --sim-threads 1",
+    ] {
+        let out = libra_sim(&dir).args(args.split_whitespace()).output().expect("spawn libra-sim");
+        assert_ok(&out, args);
+    }
+    for file in ["t.json", "r.json"] {
+        assert!(dir.join(file).exists(), "run did not write {file}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

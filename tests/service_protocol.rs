@@ -250,8 +250,22 @@ fn job_spec_rejects_nonsense() {
     assert!(bad_sched.to_campaign().unwrap_err().contains("unknown scheduler"));
     let bad_screen = JobSpec { screen: "imax".into(), ..base.clone() };
     assert!(bad_screen.to_campaign().unwrap_err().contains("unknown screen"));
-    let bad_take = JobSpec { take: Some(0), ..base };
+    let bad_take = JobSpec { take: Some(0), ..base.clone() };
     assert!(bad_take.to_campaign().unwrap_err().contains("take"));
+    // Impossible GPU shapes: RU ids are u8s, so RU 256 would alias RU 0.
+    for (rus, cores, field) in
+        [(0, 4, "num_raster_units"), (2, 0, "cores_per_ru"), (257, 4, "num_raster_units")]
+    {
+        let bad_shape = JobSpec { rus, cores, ..base.clone() };
+        let e = bad_shape.to_campaign().unwrap_err();
+        assert!(e.contains(field), "rus {rus}, cores {cores}: {e}");
+    }
+    assert!(JobSpec { rus: 256, ..base.clone() }.gpu_config().is_ok());
+    // A frame count past u32 must not wrap to a small one on decode.
+    let frame = Message::Submit { spec: base }.encode();
+    let wrapped = frame.replace("\"frames\": 6", "\"frames\": 4294967297");
+    let e = Message::decode(&wrapped).unwrap_err();
+    assert!(e.contains("frames"), "{e}");
 }
 
 #[test]
