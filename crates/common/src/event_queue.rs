@@ -150,172 +150,6 @@ impl<K: Copy + Ord> EventQueue<K> {
     }
 }
 
-/// An [`EventQueue`] partitioned into per-shard sub-queues with an epoch API.
-///
-/// The intra-frame parallel raster driver shards its event set by Raster Unit
-/// (and the memory system by DRAM channel): each shard's sub-queue can be
-/// advanced independently by a worker, while barrier-synchronisation decisions
-/// are made from the *merged* view. Two operations define the epoch protocol:
-///
-/// * [`ShardedEventQueue::horizon`] — the lexicographic `(time, key)` minimum
-///   across every shard head. No shard may process an event beyond another
-///   shard's horizon without coordination, so this is the conservative epoch
-///   bound a barrier is placed at.
-/// * [`ShardedEventQueue::pop_min_valid`] — removes the merged-order minimum
-///   (the canonical `(ready_cycle, stable key)` order), which is exactly the
-///   order a single flat [`EventQueue`] over the union would pop in. This is
-///   what makes the sharded and flat organisations bit-identical.
-///
-/// Sub-queues can be detached with [`ShardedEventQueue::into_shards`] (handed
-/// to worker threads for a drain phase) and re-attached with
-/// [`ShardedEventQueue::from_shards`] at the barrier.
-///
-/// Keys must be globally unique across shards (e.g. global RU indices) for the
-/// merged tie-break to be total; validity predicates work exactly as on
-/// [`EventQueue`].
-#[derive(Debug, Clone, Default)]
-pub struct ShardedEventQueue<K> {
-    shards: Vec<EventQueue<K>>,
-    /// Lifetime push count — exchange-volume telemetry for `hostprof`, same
-    /// contract as `ChannelQueues::total_pushed` in `tbr-mem`.
-    pushed: u64,
-    /// Lifetime count of entries handed back by the popping APIs (stale
-    /// entries discarded by lazy invalidation are not "drained").
-    drained: u64,
-}
-
-impl<K: Copy + Ord> ShardedEventQueue<K> {
-    /// `num_shards` empty sub-queues.
-    pub fn new(num_shards: usize) -> Self {
-        Self {
-            shards: (0..num_shards).map(|_| EventQueue::new()).collect(),
-            pushed: 0,
-            drained: 0,
-        }
-    }
-
-    /// Reassembles a queue from detached sub-queues (the barrier direction of
-    /// [`ShardedEventQueue::into_shards`]). The lifetime counters restart at
-    /// zero — a detach/re-attach cycle hands ownership to workers, whose local
-    /// activity is accounted on their side.
-    pub fn from_shards(shards: Vec<EventQueue<K>>) -> Self {
-        Self { shards, pushed: 0, drained: 0 }
-    }
-
-    /// Detaches the sub-queues so each can be moved to a worker.
-    pub fn into_shards(self) -> Vec<EventQueue<K>> {
-        self.shards
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Entries across all shards (including stale ones).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(EventQueue::len).sum()
-    }
-
-    /// Whether no shard holds any entry.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(EventQueue::is_empty)
-    }
-
-    /// Direct access to one sub-queue.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_mut(&mut self, shard: usize) -> &mut EventQueue<K> {
-        &mut self.shards[shard]
-    }
-
-    /// Schedules `key` at `time` on `shard`.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn push(&mut self, shard: usize, time: Cycle, key: K) {
-        self.pushed += 1;
-        self.shards[shard].push(time, key);
-    }
-
-    /// Lifetime number of entries pushed through [`ShardedEventQueue::push`]
-    /// (direct `shard_mut` pushes are not counted).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Lifetime number of valid entries returned by
-    /// [`ShardedEventQueue::pop_min_valid`] / [`ShardedEventQueue::pop_shard_until`].
-    pub fn total_drained(&self) -> u64 {
-        self.drained
-    }
-
-    /// The valid head of one shard (stale entries are discarded on the way).
-    pub fn peek_shard_valid(
-        &mut self,
-        shard: usize,
-        valid: impl FnMut(Cycle, K) -> bool,
-    ) -> Option<(Cycle, K)> {
-        self.shards[shard].peek_valid(valid)
-    }
-
-    /// The epoch horizon: the lexicographic `(time, key)` minimum over all
-    /// shard heads, after lazy invalidation. `None` when every shard is empty
-    /// of valid entries.
-    pub fn horizon(&mut self, mut valid: impl FnMut(Cycle, K) -> bool) -> Option<(Cycle, K)> {
-        let mut best: Option<(Cycle, K)> = None;
-        for q in &mut self.shards {
-            if let Some(head) = q.peek_valid(&mut valid) {
-                if best.is_none_or(|b| head < b) {
-                    best = Some(head);
-                }
-            }
-        }
-        best
-    }
-
-    /// Removes and returns the merged-order minimum `(shard, time, key)` —
-    /// the same entry a flat [`EventQueue`] over the union would pop next.
-    pub fn pop_min_valid(
-        &mut self,
-        mut valid: impl FnMut(Cycle, K) -> bool,
-    ) -> Option<(usize, Cycle, K)> {
-        let mut best: Option<(usize, (Cycle, K))> = None;
-        for (s, q) in self.shards.iter_mut().enumerate() {
-            if let Some(head) = q.peek_valid(&mut valid) {
-                if best.is_none_or(|(_, b)| head < b) {
-                    best = Some((s, head));
-                }
-            }
-        }
-        let (s, _) = best?;
-        let (t, k) = self.shards[s].pop().expect("peeked head exists");
-        self.drained += 1;
-        Some((s, t, k))
-    }
-
-    /// Drains one shard up to (and including) `horizon`: pops valid entries
-    /// while the shard head's time is `<= horizon`. Events beyond the horizon
-    /// stay queued — the "no event crosses an epoch barrier" discipline.
-    pub fn pop_shard_until(
-        &mut self,
-        shard: usize,
-        horizon: Cycle,
-        mut valid: impl FnMut(Cycle, K) -> bool,
-        mut f: impl FnMut(Cycle, K),
-    ) {
-        while let Some((t, k)) = self.shards[shard].peek_valid(&mut valid) {
-            if t > horizon {
-                break;
-            }
-            self.shards[shard].pop();
-            self.drained += 1;
-            f(t, k);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,84 +226,5 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn sharded_merged_pop_matches_flat_queue() {
-        // The canonical-merge contract: pop_min_valid over shards reproduces a
-        // flat queue's pop order exactly, for any distribution of events.
-        let events = [(5u64, 7u32), (1, 3), (5, 2), (9, 0), (1, 8), (3, 5), (3, 4)];
-        let mut flat = EventQueue::new();
-        let mut sharded = ShardedEventQueue::new(3);
-        for &(t, k) in &events {
-            flat.push(t, k);
-            sharded.push(k as usize % 3, t, k);
-        }
-        while let Some((t, k)) = flat.pop() {
-            let (s, st, sk) = sharded.pop_min_valid(|_, _| true).expect("same population");
-            assert_eq!((st, sk), (t, k));
-            assert_eq!(s, k as usize % 3, "entry popped from its home shard");
-        }
-        assert!(sharded.pop_min_valid(|_, _| true).is_none());
-        assert!(sharded.is_empty());
-    }
-
-    #[test]
-    fn sharded_horizon_is_min_over_shard_heads() {
-        let mut q = ShardedEventQueue::new(2);
-        assert_eq!(q.horizon(|_, _| true), None);
-        q.push(0, 10, 1u32);
-        q.push(1, 4, 2);
-        assert_eq!(q.horizon(|_, _| true), Some((4, 2)));
-        // Stale entries are invisible to the horizon.
-        assert_eq!(q.horizon(|_, k| k != 2), Some((10, 1)));
-    }
-
-    #[test]
-    fn sharded_pop_until_respects_the_horizon() {
-        let mut q = ShardedEventQueue::new(2);
-        for (t, k) in [(1u64, 0u32), (3, 2), (7, 4)] {
-            q.push(0, t, k);
-        }
-        q.push(1, 5, 1);
-        let mut drained = Vec::new();
-        q.pop_shard_until(0, 5, |_, _| true, |t, k| drained.push((t, k)));
-        assert_eq!(
-            drained,
-            vec![(1, 0), (3, 2)],
-            "the event at t=7 must not cross t=5"
-        );
-        assert_eq!(q.shard_mut(0).peek(), Some((7, 4)));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn sharded_counters_track_pushes_and_valid_drains() {
-        let mut q = ShardedEventQueue::new(2);
-        assert_eq!((q.total_pushed(), q.total_drained()), (0, 0));
-        q.push(0, 1, 1u32);
-        q.push(0, 2, 9); // will be invalidated, never drained
-        q.push(1, 3, 2);
-        assert_eq!(q.total_pushed(), 3);
-        assert_eq!(q.pop_min_valid(|_, k| k < 5), Some((0, 1, 1)));
-        let mut seen = Vec::new();
-        q.pop_shard_until(1, 10, |_, k| k < 5, |t, k| seen.push((t, k)));
-        q.pop_shard_until(0, 10, |_, k| k < 5, |t, k| seen.push((t, k)));
-        assert_eq!(seen, vec![(3, 2)]);
-        assert_eq!(q.total_drained(), 2, "stale entries are not drained");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_detach_and_reattach_round_trips() {
-        let mut q = ShardedEventQueue::new(2);
-        q.push(0, 2, 10u32);
-        q.push(1, 1, 11);
-        let shards = q.into_shards();
-        assert_eq!(shards.len(), 2);
-        let mut q = ShardedEventQueue::from_shards(shards);
-        assert_eq!(q.num_shards(), 2);
-        assert_eq!(q.pop_min_valid(|_, _| true), Some((1, 1, 11)));
-        assert_eq!(q.pop_min_valid(|_, _| true), Some((0, 2, 10)));
     }
 }

@@ -8,8 +8,10 @@
 //! host-time twin of the tracer: a thread-local, runtime-gated collector the
 //! parallel raster driver publishes one [`PhaseProfile`] into per raster
 //! phase, recording per-worker epoch timelines (busy/wait spans, Local-run
-//! lengths), coordinator commit/barrier time, per-RU shard occupancy and the
-//! Local-vs-Shared classification split.
+//! lengths), coordinator commit/barrier time, per-RU event occupancy and the
+//! Local-vs-Shared classification split: `local_events` ran on the worker and
+//! coordinator lanes, `shared_commits` were popped one at a time from the
+//! coordinator's single parking queue.
 //!
 //! # Zero overhead when disabled
 //!
@@ -134,20 +136,9 @@ pub struct PhaseProfile {
     pub parallel_epochs: u64,
     /// Micro-events classified Local and run on worker/coordinator lanes.
     pub local_events: u64,
-    /// Micro-events classified Shared and committed serially.
+    /// Micro-events classified Shared and committed serially, one at a time
+    /// from the coordinator's parking queue.
     pub shared_commits: u64,
-    /// Shared commits merged from the DRAM-channel ledger.
-    pub chan_commits: u64,
-    /// Shared commits merged from the RU-shard ledger.
-    pub ru_ledger_commits: u64,
-    /// Events ever pushed into the channel ledger (exchange volume).
-    pub chan_pushed: u64,
-    /// Events ever drained from the channel ledger.
-    pub chan_drained: u64,
-    /// Events ever pushed into the RU-shard ledger.
-    pub ru_pushed: u64,
-    /// Events ever drained from the RU-shard ledger.
-    pub ru_drained: u64,
     /// Micro-events processed per RU shard (Local + Shared) — the occupancy
     /// distribution behind the imbalance statistic.
     pub ru_events: Vec<u64>,
@@ -196,7 +187,7 @@ impl PhaseProfile {
         self.frac(self.barrier_ns)
     }
 
-    /// The unattributed remainder (classification, parking, ledger merges).
+    /// The unattributed remainder (classification and parking).
     pub fn other_fraction(&self) -> f64 {
         (1.0 - self.serial_fraction() - self.parallel_fraction() - self.barrier_fraction())
             .clamp(0.0, 1.0)
@@ -249,10 +240,6 @@ pub struct HostTotals {
     pub local_events: u64,
     /// Summed Shared commits.
     pub shared_commits: u64,
-    /// Summed channel-ledger pushes.
-    pub chan_pushed: u64,
-    /// Summed RU-ledger pushes.
-    pub ru_pushed: u64,
     /// Merged Local-run-length histogram (width-1 buckets).
     pub run_lengths: Vec<u64>,
     /// Host metadata of every machine that contributed work, one entry per
@@ -279,8 +266,6 @@ impl HostTotals {
         self.parallel_epochs += other.parallel_epochs;
         self.local_events += other.local_events;
         self.shared_commits += other.shared_commits;
-        self.chan_pushed += other.chan_pushed;
-        self.ru_pushed += other.ru_pushed;
         if self.run_lengths.len() < other.run_lengths.len() {
             self.run_lengths.resize(other.run_lengths.len(), 0);
         }
@@ -354,7 +339,7 @@ impl HostTotals {
             "{{\"phases\": {}, \"wall_ns\": {}, \"commit_ns\": {}, \"coord_drain_ns\": {}, \
              \"barrier_ns\": {}, \"worker_busy_ns\": {}, \"worker_wait_ns\": {}, \
              \"epochs\": {}, \"parallel_epochs\": {}, \"local_events\": {}, \
-             \"shared_commits\": {}, \"chan_pushed\": {}, \"ru_pushed\": {}, \
+             \"shared_commits\": {}, \
              \"serial_fraction\": {:.6}, \"parallel_fraction\": {:.6}, \
              \"barrier_fraction\": {:.6}, \"other_fraction\": {:.6}, \
              \"local_share\": {:.6}, \"run_lengths\": [{}], \"hosts\": [{}]}}",
@@ -369,8 +354,6 @@ impl HostTotals {
             self.parallel_epochs,
             self.local_events,
             self.shared_commits,
-            self.chan_pushed,
-            self.ru_pushed,
             self.serial_fraction(),
             self.parallel_fraction(),
             self.barrier_fraction(),
@@ -434,8 +417,6 @@ impl HostProfile {
             t.parallel_epochs += p.parallel_epochs;
             t.local_events += p.local_events;
             t.shared_commits += p.shared_commits;
-            t.chan_pushed += p.chan_pushed;
-            t.ru_pushed += p.ru_pushed;
             for w in &p.workers {
                 t.worker_busy_ns += w.busy_ns;
                 t.worker_wait_ns += w.wait_ns;
@@ -510,8 +491,7 @@ impl HostProfile {
                 "{{\"label\": \"{}\", \"threads\": {}, \"wall_ns\": {}, \"commit_ns\": {}, \
                  \"coord_drain_ns\": {}, \"barrier_ns\": {}, \"epochs\": {}, \
                  \"parallel_epochs\": {}, \"local_events\": {}, \"shared_commits\": {}, \
-                 \"chan_commits\": {}, \"ru_ledger_commits\": {}, \"imbalance\": {:.4}, \
-                 \"ru_events\": [{}]}}",
+                 \"imbalance\": {:.4}, \"ru_events\": [{}]}}",
                 {
                     let mut l = String::new();
                     json_escape_into(&mut l, &p.label);
@@ -526,8 +506,6 @@ impl HostProfile {
                 p.parallel_epochs,
                 p.local_events,
                 p.shared_commits,
-                p.chan_commits,
-                p.ru_ledger_commits,
                 p.imbalance(),
                 ru,
             ));

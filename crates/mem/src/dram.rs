@@ -88,12 +88,6 @@ impl DramModel {
         self.stats_refreshes
     }
 
-    /// The configured timing parameters.
-    #[inline]
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
     /// Channel, bank-within-channel and row of an address. Channels interleave at
     /// 64 B line granularity; banks interleave at row granularity within a channel.
     fn map(&self, addr: u64) -> (usize, usize, u64) {
@@ -103,13 +97,6 @@ impl DramModel {
         let row = chan_addr / self.cfg.row_bytes;
         let bank = (row % self.cfg.banks_per_channel) as usize;
         (channel, bank, row)
-    }
-
-    /// The channel `addr` maps to — the partition key for channel-sharded event
-    /// handling (e.g. [`crate::channels::ChannelQueues`]).
-    #[inline]
-    pub fn channel_of(&self, addr: u64) -> usize {
-        self.map(addr).0
     }
 
     /// Services one 64 B request arriving at `now`; returns the cycle at which the

@@ -157,18 +157,6 @@ impl MemoryHierarchy {
         self.dram.stats()
     }
 
-    /// Number of DRAM channels behind the L2.
-    #[inline]
-    pub fn dram_channels(&self) -> usize {
-        self.dram.config().channels as usize
-    }
-
-    /// The DRAM channel `addr` maps to (line-interleaved, like the DRAM model).
-    #[inline]
-    pub fn dram_channel_of(&self, addr: u64) -> usize {
-        self.dram.channel_of(addr)
-    }
-
     /// Ends a frame: returns `(l2, dram)` counters and resets them along with all
     /// timing reservations; cache contents and open rows stay warm (frame-to-frame
     /// locality is real in TBR GPUs).

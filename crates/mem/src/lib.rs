@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod channels;
 pub mod dram;
 pub mod hierarchy;
 

@@ -320,17 +320,6 @@ impl RasterUnit {
         ShaderCore::step_retires(&warp.shader, self.sample_lines_ref(warp), state)
     }
 
-    /// The first L1-missing line of the warp's next step on `core` (see
-    /// [`ShaderCore::step_first_miss`]).
-    pub fn warp_step_first_miss(
-        &self,
-        core: usize,
-        warp: &WarpWork,
-        state: &crate::shader::WarpExecState,
-    ) -> Option<u64> {
-        self.cores[core].step_first_miss(self.sample_lines_ref(warp), state)
-    }
-
     /// [`RasterUnit::step_warp_on`] for a step proven resident via
     /// [`RasterUnit::warp_step_is_resident`]: no shared hierarchy required.
     pub fn step_warp_on_resident(

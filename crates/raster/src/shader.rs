@@ -104,12 +104,6 @@ impl SampleLines {
         self.lines.len()
     }
 
-    /// Appends a line to the stage currently being built.
-    #[inline]
-    pub fn push_line(&mut self, line: u64) {
-        self.lines.push(line);
-    }
-
     /// Appends several lines to the stage currently being built.
     #[inline]
     pub fn extend_lines(&mut self, lines: &[u64]) {
@@ -291,25 +285,6 @@ impl ShaderCore {
         } else {
             true
         }
-    }
-
-    /// The first line of the warp's current stage that is *not* resident in
-    /// this core's L1 (`None` for a resident or pure-ALU-tail step). The line
-    /// names the DRAM channel that will serve the blocking miss, which is how
-    /// the parallel driver files a non-resident step under a channel queue.
-    pub fn step_first_miss(
-        &self,
-        sample_lines: SampleLinesRef<'_>,
-        state: &WarpExecState,
-    ) -> Option<u64> {
-        if state.stage >= sample_lines.stages() {
-            return None;
-        }
-        sample_lines
-            .stage(state.stage)
-            .iter()
-            .copied()
-            .find(|&l| !self.l1.is_resident(l))
     }
 
     /// [`ShaderCore::step_warp`] for a step the caller has proven resident via

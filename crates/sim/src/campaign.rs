@@ -93,7 +93,7 @@ use crate::checkpoint::{
     Checkpoint, CheckpointFormat, CheckpointHeader, CheckpointWriter, Record, RecordOutcome,
 };
 use crate::fault::{FaultKind, FaultSpec};
-use crate::gpu::{simulate_sequence_mech, GpuSimulator};
+use crate::gpu::GpuSimulator;
 
 /// Why a lock of the campaign driver can fail: only a worker panicking outside
 /// job isolation, while holding it, poisons one.
@@ -645,11 +645,11 @@ impl Campaign {
         h
     }
 
-    /// One isolated attempt at job `index`: panic injection, then either the
-    /// plain full-sequence path (no budget — the exact code path of
-    /// [`simulate_sequence_mech`]) or the frame-granular watchdog loop. Both paths
-    /// render frames through the same `render_frame`, so a generous budget
-    /// yields bit-identical stats to no budget at all.
+    /// One isolated attempt at job `index`: panic injection, then the frames
+    /// rendered one by one with the watchdog checked after each. A `None`
+    /// budget never fires, and the frames are the ones
+    /// [`GpuSimulator::render_sequence`] renders, so a generous budget yields
+    /// bit-identical stats to no budget at all.
     fn run_attempt(
         &self,
         index: usize,
@@ -665,30 +665,17 @@ impl Campaign {
                 job.scheduler.build().name()
             );
         }
-        match budget {
-            None => Attempt::Done(simulate_sequence_mech(
-                &job.cfg,
-                job.scheduler,
-                job.mechanism,
-                profile,
-                job.frames,
-            )),
-            Some(b) => {
-                let mut sim =
-                    GpuSimulator::with_mechanism(job.cfg.clone(), job.scheduler, job.mechanism);
-                let gen = SceneGenerator::new(profile, &job.cfg.screen);
-                let mut seq = SequenceStats::default();
-                for f in 0..job.frames {
-                    let scene = gen.scene(f);
-                    seq.frames.push(sim.render_frame(&scene));
-                    let spent = seq.total_cycles();
-                    if spent > b {
-                        return Attempt::TimedOut { spent };
-                    }
-                }
-                Attempt::Done(seq)
+        let mut sim = GpuSimulator::with_mechanism(job.cfg.clone(), job.scheduler, job.mechanism);
+        let gen = SceneGenerator::new(profile, &job.cfg.screen);
+        let mut seq = SequenceStats::default();
+        for f in 0..job.frames {
+            seq.frames.push(sim.render_frame(&gen.scene(f)));
+            let spent = seq.total_cycles();
+            if budget.is_some_and(|b| spent > b) {
+                return Attempt::TimedOut { spent };
             }
         }
+        Attempt::Done(seq)
     }
 
     /// Runs job `index` with isolation, watchdog, fault injection and retries.

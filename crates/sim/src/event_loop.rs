@@ -4,10 +4,11 @@
 //! earliest timestamp": the **indexed** driver (binary heaps with lazy
 //! invalidation — the default, and the fast serial path), the legacy **scan**
 //! driver (O(RUs × warps) linear scan per event), and the **parallel** driver
-//! (per-RU-shard sub-queues advanced by worker threads between epoch barriers).
-//! The scan loop is the behavioural specification: the other drivers must
-//! reproduce its event sequence *bit-identically*, and `tests/event_loop_diff.rs`
-//! plus `tests/parallel_core_diff.rs` hold them against each other as
+//! (each RU's Local events drained by worker threads between epoch barriers,
+//! Shared events committed serially from one parking queue). The scan loop is
+//! the behavioural specification: the other drivers must reproduce its event
+//! sequence *bit-identically*, and `tests/event_loop_diff.rs` plus
+//! `tests/parallel_core_diff.rs` hold them against each other as
 //! differential oracles.
 //!
 //! The mode is resolved per raster phase from, in priority order:
@@ -41,11 +42,11 @@ pub enum EventLoopMode {
     Heap,
     /// The legacy per-event linear scan, kept as the differential oracle.
     Scan,
-    /// Intra-frame parallel core: contiguous RU shards drain their local
-    /// events on worker threads up to an epoch horizon; shared events (L2/DRAM
-    /// accesses, flushes, scheduler decisions) are committed serially at the
-    /// barriers in canonical `(time, RU)` order, keeping results bit-identical
-    /// to [`EventLoopMode::Heap`].
+    /// Intra-frame parallel core: RUs drain their local events on worker
+    /// threads up to an epoch horizon; shared events (L2/DRAM accesses,
+    /// flushes, scheduler decisions) are committed serially at the barriers
+    /// in canonical `(time, RU)` order, keeping results bit-identical to
+    /// [`EventLoopMode::Heap`].
     Par,
 }
 

@@ -96,11 +96,6 @@ impl GpuSimulator {
         &self.cfg
     }
 
-    /// The scheduler's name (for reports).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
     /// Renders one frame and returns its statistics. Cache contents stay warm across
     /// frames (as in real hardware); timing restarts at cycle 0 each frame.
     pub fn render_frame(&mut self, scene: &Scene) -> FrameStats {

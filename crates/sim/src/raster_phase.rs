@@ -30,14 +30,13 @@ use tbr_common::hostprof::{self, PhaseProfile, WorkerLane, RUN_LENGTH_BUCKETS};
 
 use libra::scheduler::FramePlan;
 use tbr_common::config::GpuConfig;
-use tbr_common::event_queue::{EventQueue, ShardedEventQueue};
+use tbr_common::event_queue::EventQueue;
 use tbr_common::mechanism::MechanismSpec;
 use tbr_common::ids::{RasterUnitId, TileId};
 use tbr_common::stats::TileHeatmap;
 use tbr_common::trace::{self, Track};
 use tbr_common::Cycle;
 use tbr_geom::stream::TriangleStream;
-use tbr_mem::channels::ChannelQueues;
 use tbr_mem::hierarchy::MemoryHierarchy;
 use tbr_raster::raster_unit::{RasterUnit, WarpWork};
 use tbr_raster::shader::WarpExecState;
@@ -138,38 +137,47 @@ impl RuState {
         self.pending.is_empty() && self.inflight.is_empty() && self.cur_tile.is_none()
     }
 
-    fn finished(&self) -> bool {
-        self.no_more_groups
-            && self.tiles.is_empty()
-            && self.fe_ready.is_none()
-            && self.fragment_stage_idle()
+    /// When the pending warp at the queue head could start, if a core slot
+    /// is free for it.
+    fn admit_start(&self, max_warps: usize) -> Option<Cycle> {
+        let w = self.pending.front()?;
+        self.has_free_slot(max_warps)
+            .then(|| w.arrival.max(self.frag_gate).max(self.slot_gate))
     }
 
-    /// Earliest micro-event this RU can process, if any.
-    fn next_time(&self, max_warps: usize) -> Option<Cycle> {
-        if self.finished() {
-            return None;
-        }
-        let mut t: Option<Cycle> = None;
-        let mut consider = |c: Cycle| t = Some(t.map_or(c, |x: Cycle| x.min(c)));
-        if let Some(w) = self.pending.front() {
-            if self.has_free_slot(max_warps) {
-                consider(w.arrival.max(self.frag_gate).max(self.slot_gate));
-            }
-        }
-        for f in &self.inflight {
-            consider(f.exec.ready_at());
-        }
+    /// The earliest of the RU's non-warp candidates: admitting the pending
+    /// warp at the queue head, promoting the parked tile into the idle
+    /// fragment stage, and running the front-end of the next tile. This is
+    /// the one statement of the candidate rule; [`RuState::next_time`],
+    /// [`select_branch`] and [`next_time_indexed`] call it and handle the
+    /// in-flight warps each in their own way.
+    fn non_warp_min(&self, max_warps: usize) -> Option<Cycle> {
+        let mut t = self.admit_start(max_warps);
         if let Some(r) = &self.fe_ready {
             if self.fragment_stage_idle() {
-                // Promotion of the parked tile into the fragment stage.
-                consider(self.frag_gate.max(r.fe_done));
+                t = earliest(t, Some(self.frag_gate.max(r.fe_done)));
             }
-        }
-        if self.fe_ready.is_none() && !(self.no_more_groups && self.tiles.is_empty()) {
-            consider(self.fe_time); // front-end of the next tile
+        } else if !(self.no_more_groups && self.tiles.is_empty()) {
+            t = earliest(t, Some(self.fe_time));
         }
         t
+    }
+
+    /// Earliest micro-event this RU can process, if any (`None` once the RU
+    /// has finished the frame: every candidate is then empty).
+    fn next_time(&self, max_warps: usize) -> Option<Cycle> {
+        let warp = self.inflight.iter().map(|f| f.exec.ready_at()).min();
+        earliest(self.non_warp_min(max_warps), warp)
+    }
+}
+
+/// The earlier of two optional times.
+#[inline]
+fn earliest(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) => x,
+        (None, y) => y,
     }
 }
 
@@ -215,35 +223,14 @@ enum Branch {
 /// parked tile; else run the front-end. `step` is the earliest in-flight warp
 /// as `(vector position, ready time)` — lowest position among ties.
 fn select_branch(st: &RuState, step: Option<(usize, Cycle)>, max_warps: usize) -> Branch {
-    let other_min = {
-        let mut t: Option<Cycle> = None;
-        let mut consider = |c: Cycle| t = Some(t.map_or(c, |x: Cycle| x.min(c)));
-        if let Some(w) = st.pending.front() {
-            if st.has_free_slot(max_warps) {
-                consider(w.arrival.max(st.frag_gate).max(st.slot_gate));
-            }
-        }
-        if let Some(r) = &st.fe_ready {
-            if st.fragment_stage_idle() {
-                consider(st.frag_gate.max(r.fe_done));
-            }
-        }
-        if st.fe_ready.is_none() && !(st.no_more_groups && st.tiles.is_empty()) {
-            consider(st.fe_time);
-        }
-        t
-    };
     if let Some((_, t)) = step {
-        if other_min.is_none_or(|o| t <= o) {
+        if st.non_warp_min(max_warps).is_none_or(|o| t <= o) {
             return Branch::Step;
         }
     }
-    if let Some(w) = st.pending.front() {
-        if st.has_free_slot(max_warps) {
-            let start = w.arrival.max(st.frag_gate).max(st.slot_gate);
-            if step.is_none_or(|(_, t)| start <= t) {
-                return Branch::Admit;
-            }
+    if let Some(start) = st.admit_start(max_warps) {
+        if step.is_none_or(|(_, t)| start <= t) {
+            return Branch::Admit;
         }
     }
     if st.fragment_stage_idle() && st.fe_ready.is_some() {
@@ -568,34 +555,15 @@ fn drive_scan(ctx: &mut PhaseCtx) {
     }
 }
 
-/// `next_time` with the in-flight minimum answered by the RU's warp queue
-/// instead of a linear pass (must stay semantically identical to
-/// [`RuState::next_time`]).
+/// [`RuState::next_time`] with the in-flight minimum answered by the RU's
+/// warp queue instead of a linear pass.
 fn next_time_indexed(st: &RuState, max_warps: usize, warps: &mut EventQueue<u32>) -> Option<Cycle> {
-    if st.finished() {
-        return None;
-    }
-    let mut t: Option<Cycle> = None;
-    let mut consider = |c: Cycle| t = Some(t.map_or(c, |x: Cycle| x.min(c)));
-    if let Some(w) = st.pending.front() {
-        if st.has_free_slot(max_warps) {
-            consider(w.arrival.max(st.frag_gate).max(st.slot_gate));
-        }
-    }
-    if let Some((wt, _)) = warps.peek_valid(|wt, k| {
-        (k as usize) < st.inflight.len() && st.inflight[k as usize].exec.ready_at() == wt
-    }) {
-        consider(wt);
-    }
-    if let Some(r) = &st.fe_ready {
-        if st.fragment_stage_idle() {
-            consider(st.frag_gate.max(r.fe_done));
-        }
-    }
-    if st.fe_ready.is_none() && !(st.no_more_groups && st.tiles.is_empty()) {
-        consider(st.fe_time);
-    }
-    t
+    let warp = warps
+        .peek_valid(|wt, k| {
+            (k as usize) < st.inflight.len() && st.inflight[k as usize].exec.ready_at() == wt
+        })
+        .map(|(wt, _)| wt);
+    earliest(st.non_warp_min(max_warps), warp)
 }
 
 /// The indexed next-event driver: a global queue of RUs keyed `(next event
@@ -680,56 +648,42 @@ enum Class {
     /// The event touches shared state — the L2/DRAM hierarchy, the frame
     /// plan, other RUs' tile queues (stealing), or the trace stream — and must
     /// be committed serially by the coordinator in canonical `(time, RU)`
-    /// order. `channel` names the DRAM channel serving the blocking miss for a
-    /// non-resident step; `None` for every other shared event.
-    Shared { time: Cycle, channel: Option<usize> },
+    /// order.
+    Shared { time: Cycle },
 }
 
 /// Classifies RU `i`'s next micro-event. Branch selection goes through the
 /// same [`select_branch`] that [`PhaseCtx::process`] executes, so the
 /// classification cannot disagree with what processing the event would do.
-fn classify(st: &RuState, ru: &RasterUnit, hier: &MemoryHierarchy, max_warps: usize) -> Class {
+fn classify(st: &RuState, ru: &RasterUnit, ideal: bool, max_warps: usize) -> Class {
     let Some(time) = st.next_time(max_warps) else {
         return Class::Done;
     };
     let step = earliest_step(st);
-    match select_branch(st, step, max_warps) {
+    let local = match select_branch(st, step, max_warps) {
         Branch::Step => {
             let (idx, _) = step.expect("Step branch implies a step candidate");
             let f = &st.inflight[idx];
-            let resident = ru.warp_step_is_resident(f.core, &f.warp, &f.exec, hier.ideal);
+            let resident = ru.warp_step_is_resident(f.core, &f.warp, &f.exec, ideal);
             let retires = ru.warp_step_retires(&f.warp, &f.exec);
             let would_flush = retires && st.pending.is_empty() && st.inflight.len() == 1;
-            if resident && !would_flush {
-                Class::Local
-            } else {
-                let channel = ru
-                    .warp_step_first_miss(f.core, &f.warp, &f.exec)
-                    .map(|line| hier.dram_channel_of(line));
-                Class::Shared { time, channel }
-            }
+            resident && !would_flush
         }
-        Branch::Admit => Class::Local,
-        Branch::Promote => {
-            let parked = st
-                .fe_ready
-                .as_ref()
-                .expect("Promote branch implies a parked tile");
-            if parked.warps.is_empty() {
-                // An empty tile's promotion immediately flushes the Colour
-                // Buffer through the shared hierarchy.
-                Class::Shared {
-                    time,
-                    channel: None,
-                }
-            } else {
-                Class::Local
-            }
-        }
-        Branch::FrontEnd => Class::Shared {
-            time,
-            channel: None,
-        },
+        Branch::Admit => true,
+        // An empty tile's promotion immediately flushes the Colour Buffer
+        // through the shared hierarchy.
+        Branch::Promote => !st
+            .fe_ready
+            .as_ref()
+            .expect("Promote branch implies a parked tile")
+            .warps
+            .is_empty(),
+        Branch::FrontEnd => false,
+    };
+    if local {
+        Class::Local
+    } else {
+        Class::Shared { time }
     }
 }
 
@@ -909,30 +863,22 @@ fn drain_local_inline(ctx: &mut PhaseCtx, i: usize, scratch: &mut ParScratch, ga
 }
 
 /// Classifies RU `i`'s next event and parks it: Local RUs go on the epoch's
-/// drain list; Shared events are filed under the DRAM channel serving the
-/// blocking miss (channel ledger) or under the RU's own shard (RU ledger),
-/// keyed `(gate ⊔ raw time, RU index)` — the serial drivers' pop order (see
+/// drain list; a Shared event goes into the one parking queue keyed
+/// `(gate ⊔ raw time, RU index)` — the serial drivers' pop order (see
 /// [`drive_par`] for why the gate, the running maximum of the RU's pop keys,
-/// is the correct merge key for back-dated events).
+/// is the correct merge key for back-dated events). An RU has at most one
+/// parked entry, so the queue needs no lazy invalidation.
 fn park(
     ctx: &PhaseCtx,
     i: usize,
     gate: Cycle,
-    chan: &mut ChannelQueues<u32>,
-    ru_parked: &mut ShardedEventQueue<u32>,
+    parked: &mut EventQueue<u32>,
     locals: &mut Vec<usize>,
 ) {
-    match classify(&ctx.states[i], &ctx.rus[i], ctx.hier, ctx.max_warps) {
+    match classify(&ctx.states[i], &ctx.rus[i], ctx.hier.ideal, ctx.max_warps) {
         Class::Done => {}
         Class::Local => locals.push(i),
-        Class::Shared {
-            time,
-            channel: Some(c),
-        } => chan.push(c, gate.max(time), i as u32),
-        Class::Shared {
-            time,
-            channel: None,
-        } => ru_parked.push(i, gate.max(time), i as u32),
+        Class::Shared { time } => parked.push(gate.max(time), i as u32),
     }
 }
 
@@ -951,8 +897,6 @@ struct ParProf {
     barrier_ns: u64,
     epochs: u64,
     parallel_epochs: u64,
-    chan_commits: u64,
-    ru_ledger_commits: u64,
     /// Shared commits per RU (summed with the scratches' Local counts into
     /// the occupancy histogram).
     ru_shared: Vec<u64>,
@@ -973,8 +917,6 @@ impl ParProf {
             barrier_ns: 0,
             epochs: 0,
             parallel_epochs: 0,
-            chan_commits: 0,
-            ru_ledger_commits: 0,
             ru_shared: vec![0; num_rus],
             coord: WorkerLane::new(0),
         }
@@ -1004,16 +946,15 @@ type EpochDrain<'c> = dyn FnMut(&mut PhaseCtx, &mut [Cycle], &[usize], &mut ParP
 /// configurations of [`drive_par`] (only the epoch `drain` strategy differs).
 ///
 /// Invariant: every unfinished RU is in exactly one place — the `locals` drain
-/// list, the channel ledger, or the RU ledger. Each iteration first drains all
-/// Local runs (they commute — see [`drive_par`]), re-parking each drained RU
-/// at its Shared frontier, then commits the single earliest parked Shared
-/// event across both ledgers in `(gate ⊔ time, RU)` order — exactly the
-/// serial drivers' pop order over Shared events (see [`drive_par`]).
+/// list or the `parked` queue. Each iteration first drains all Local runs
+/// (they commute — see [`drive_par`]), re-parking each drained RU at its
+/// Shared frontier, then commits the single earliest parked Shared event in
+/// `(gate ⊔ time, RU)` order — exactly the serial drivers' pop order over
+/// Shared events (see [`drive_par`]).
 fn par_commit_loop(
     ctx: &mut PhaseCtx,
     gates: &mut [Cycle],
-    chan: &mut ChannelQueues<u32>,
-    ru_parked: &mut ShardedEventQueue<u32>,
+    parked: &mut EventQueue<u32>,
     locals: &mut Vec<usize>,
     prof: &mut ParProf,
     drain: &mut EpochDrain<'_>,
@@ -1024,31 +965,12 @@ fn par_commit_loop(
             drain(ctx, gates, locals, prof);
             let drained = std::mem::take(locals);
             for i in drained {
-                park(ctx, i, gates[i], chan, ru_parked, locals);
+                park(ctx, i, gates[i], parked, locals);
             }
             debug_assert!(locals.is_empty(), "drain_local left an RU Local");
         }
         let t0 = if prof.on { prof.now_ns() } else { 0 };
-        // Commit the earliest Shared event across both ledgers. The key's RU
-        // index is globally unique — an RU has one live entry in one ledger —
-        // so the `(gate, raw, RU)` comparison is a total order.
-        let (next, from_chan) = {
-            let a = chan.peek_min();
-            let b = ru_parked.horizon(|_, _| true);
-            match (a, b) {
-                (None, None) => (None, false),
-                (Some(_), None) => (chan.pop_min(), true),
-                (None, Some(_)) => (ru_parked.pop_min_valid(|_, _| true), false),
-                (Some(x), Some(y)) => {
-                    if x < y {
-                        (chan.pop_min(), true)
-                    } else {
-                        (ru_parked.pop_min_valid(|_, _| true), false)
-                    }
-                }
-            }
-        };
-        let Some((_, g, iu)) = next else {
+        let Some((g, iu)) = parked.pop() else {
             break; // no Local work, no parked Shared events: all RUs done
         };
         let i = iu as usize;
@@ -1056,12 +978,7 @@ fn par_commit_loop(
         let step_idx = earliest_step(&ctx.states[i]);
         ctx.out.events += 1;
         ctx.process(i, step_idx);
-        park(ctx, i, gates[i], chan, ru_parked, locals);
-        if from_chan {
-            prof.chan_commits += 1;
-        } else {
-            prof.ru_ledger_commits += 1;
-        }
+        park(ctx, i, gates[i], parked, locals);
         prof.ru_shared[i] += 1;
         if prof.on {
             prof.commit_ns += prof.now_ns() - t0;
@@ -1116,8 +1033,8 @@ impl Exchange {
 }
 
 /// The intra-frame parallel driver (`LIBRA_EVENT_LOOP=par`): the event core
-/// sharded by Raster Unit (plus a DRAM-channel ledger for memory-blocked
-/// events), advanced in epochs and merged bit-identically to [`drive_heap`].
+/// sharded by Raster Unit, advanced in epochs and merged bit-identically to
+/// [`drive_heap`].
 ///
 /// **Why the result is bit-identical to the serial drivers.** Every micro-
 /// event is classified ([`classify`]) as Local or Shared via the same branch
@@ -1169,12 +1086,11 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
     let mut prof = ParProf::new(n);
     let phase_start_ns = if prof.on { prof.now_ns() } else { 0 };
 
-    let mut chan: ChannelQueues<u32> = ChannelQueues::new(ctx.hier.dram_channels());
-    let mut ru_parked: ShardedEventQueue<u32> = ShardedEventQueue::new(n.max(1));
+    let mut parked: EventQueue<u32> = EventQueue::with_capacity(n);
     let mut locals: Vec<usize> = Vec::new();
     let mut gates: Vec<Cycle> = vec![0; n];
     for i in 0..n {
-        park(ctx, i, 0, &mut chan, &mut ru_parked, &mut locals);
+        park(ctx, i, 0, &mut parked, &mut locals);
     }
 
     if slots <= 1 {
@@ -1182,8 +1098,7 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
         par_commit_loop(
             ctx,
             &mut gates,
-            &mut chan,
-            &mut ru_parked,
+            &mut parked,
             &mut locals,
             &mut prof,
             &mut |ctx, gates, ls, prof| {
@@ -1197,7 +1112,7 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
             },
         );
         if prof.on {
-            record_par_phase(prof, phase_start_ns, slots, &chan, &ru_parked, &[&scratch], Vec::new());
+            record_par_phase(prof, phase_start_ns, slots, &[&scratch], Vec::new());
         }
         absorb_scratch(ctx, scratch);
         return;
@@ -1266,8 +1181,7 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
         par_commit_loop(
             ctx,
             &mut gates,
-            &mut chan,
-            &mut ru_parked,
+            &mut parked,
             &mut locals,
             &mut prof,
             &mut |ctx, gates, ls, prof| {
@@ -1349,7 +1263,7 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
             .chain(worker_results.iter().map(|(s, _)| s))
             .collect();
         let lanes: Vec<WorkerLane> = worker_results.iter().map(|(_, l)| l.clone()).collect();
-        record_par_phase(prof, phase_start_ns, slots, &chan, &ru_parked, &scratches, lanes);
+        record_par_phase(prof, phase_start_ns, slots, &scratches, lanes);
     }
 
     absorb_scratch(ctx, coord_scratch);
@@ -1358,17 +1272,15 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
     }
 }
 
-/// Assembles the phase's [`PhaseProfile`] from the commit-loop profiler, the
-/// ledgers' lifetime counters and every thread's scratch (coordinator first),
-/// and publishes it to the thread-local [`hostprof`] collector. Only called
+/// Assembles the phase's [`PhaseProfile`] from the commit-loop profiler and
+/// every thread's scratch (coordinator first), and publishes it to the
+/// thread-local [`hostprof`] collector. Only called
 /// when profiling is enabled; pure observation — nothing here feeds back into
 /// simulated state.
 fn record_par_phase(
     prof: ParProf,
     phase_start_ns: u64,
     slots: usize,
-    chan: &ChannelQueues<u32>,
-    ru_parked: &ShardedEventQueue<u32>,
     scratches: &[&ParScratch],
     workers: Vec<WorkerLane>,
 ) {
@@ -1381,13 +1293,7 @@ fn record_par_phase(
     p.barrier_ns = prof.barrier_ns;
     p.epochs = prof.epochs;
     p.parallel_epochs = prof.parallel_epochs;
-    p.chan_commits = prof.chan_commits;
-    p.ru_ledger_commits = prof.ru_ledger_commits;
-    p.shared_commits = prof.chan_commits + prof.ru_ledger_commits;
-    p.chan_pushed = chan.total_pushed();
-    p.chan_drained = chan.total_drained();
-    p.ru_pushed = ru_parked.total_pushed();
-    p.ru_drained = ru_parked.total_drained();
+    p.shared_commits = prof.ru_shared.iter().sum();
     for (dst, src) in p.ru_events.iter_mut().zip(&prof.ru_shared) {
         *dst += src;
     }
@@ -1504,8 +1410,8 @@ mod tests {
         // The crate-level face of the differential oracle: the full phase
         // result (timing, heatmap, every counter) must be identical under
         // all three drivers, and under `par` at every thread count.
-        // `tests/event_loop_diff.rs` and `tests/parallel_core_diff.rs` widen
-        // this to whole simulated sequences.
+        // `tests/parallel_core_diff.rs` widens this to whole simulated
+        // sequences.
         let cfg = GpuConfig::libra(ScreenConfig::tiny(), 2);
         for kind in [SchedulerKind::Libra, SchedulerKind::Scanline] {
             event_loop::set_mode(Some(EventLoopMode::Scan));

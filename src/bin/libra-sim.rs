@@ -71,7 +71,8 @@
 //!
 //! Malformed `LIBRA_EVENT_LOOP`, `LIBRA_SIM_THREADS` or `LIBRA_FAULT` values are
 //! refused at start-up, as the matching flags are. A closed stdout
-//! (`libra-sim suite | head -1`) ends the process quietly with status 1.
+//! (`libra-sim suite | head -1`) or stderr ends the process quietly with
+//! status 1.
 //!
 //! A campaign with failed or timed-out jobs still writes every output for the
 //! survivors, prints a structured failure report, and exits non-zero. See
@@ -94,8 +95,17 @@ fn emit(args: std::fmt::Arguments) {
     use std::io::Write as _;
     if let Err(e) = std::io::stdout().write_fmt(args) {
         if e.kind() != std::io::ErrorKind::BrokenPipe {
-            eprintln!("error: writing to stdout: {e}");
+            emit_err(format_args!("error: writing to stdout: {e}\n"));
         }
+        std::process::exit(1);
+    }
+}
+
+/// [`emit`] for stderr: a closed stderr ends the process with status 1
+/// instead of panicking as `eprint!` does.
+fn emit_err(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if std::io::stderr().write_fmt(args).is_err() {
         std::process::exit(1);
     }
 }
@@ -108,6 +118,11 @@ macro_rules! out {
 /// `println!` through [`emit`].
 macro_rules! outln {
     ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// `eprintln!` through [`emit_err`].
+macro_rules! errln {
+    ($($arg:tt)*) => { emit_err(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
 /// A flag and its value placeholder; an empty placeholder marks a switch.
@@ -498,7 +513,7 @@ fn cmd_campaign(cli: &Cli) -> Result<(), String> {
         outln!("checkpoint: {path}");
     }
     if let Some(e) = &run.checkpoint_error {
-        eprintln!("warning: checkpoint writes degraded ({e}); results are complete anyway");
+        errln!("warning: checkpoint writes degraded ({e}); results are complete anyway");
     }
     if let Some(path) = &cli.trace_out {
         write_file(
@@ -572,7 +587,7 @@ fn cmd_campaign(cli: &Cli) -> Result<(), String> {
     );
     if !failures.is_empty() {
         for line in &failures {
-            eprintln!("  {line}");
+            errln!("  {line}");
         }
         return Err(format!(
             "{} of {} jobs did not complete (survivor outputs were still written; \
@@ -646,7 +661,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     coord.serve(&mut |msg: &Message| match msg {
         Message::Progress { .. } => progress_line("serve", msg),
         Message::Report { summary, .. } => outln!("serve: report: {summary}"),
-        Message::Error { message } => eprintln!("serve: error: {message}"),
+        Message::Error { message } => errln!("serve: error: {message}"),
         _ => {}
     })
 }
@@ -703,7 +718,7 @@ fn usage() {
         }
         text.push_str(&line);
     }
-    eprintln!(
+    errln!(
         "{text}\nenv: LIBRA_EVENT_LOOP (driver) and LIBRA_SIM_THREADS (par-driver workers), which\n     \
          `serve` passes on to its worker processes; LIBRA_FAULT (campaign fault injection);\n     \
          LIBRA_HOSTPROF=1 (host-time telemetry); LIBRA_TEST_TIMEOUT_SECS (service read timeout)\n\
@@ -718,7 +733,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     if let Err(e) = event_loop::check_env() {
-        eprintln!("error: {e}");
+        errln!("error: {e}");
         return ExitCode::FAILURE;
     }
     // CLI mistakes (bad flags, missing operands) get the usage text; runtime
@@ -739,7 +754,7 @@ fn main() -> ExitCode {
     let (operand, cli) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             usage();
             return ExitCode::FAILURE;
         }
@@ -763,7 +778,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             ExitCode::FAILURE
         }
     }

@@ -6,7 +6,7 @@
 //! resume) still applies, and then re-runs it serially and fails on the first
 //! job whose result differs. Malformed environment values are refused at
 //! start-up, each subcommand refuses the flags it does not honour, and a
-//! closed stdout ends the process without a panic.
+//! closed stdout or stderr ends the process without a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -162,8 +162,10 @@ fn malformed_environment_is_refused_at_start_up() {
 }
 
 #[test]
-fn a_closed_stdout_ends_the_cli_without_a_panic() {
-    let dir = temp_dir("closed_stdout");
+fn a_closed_stdout_or_stderr_ends_the_cli_without_a_panic() {
+    let dir = temp_dir("closed_streams");
+    // Each stream's reader is dropped before the spawn, so every write to it
+    // fails; a panic would exit 101.
     for args in [&["suite"][..], &["run", "CCS", "--frames", "1"]] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
@@ -175,7 +177,20 @@ fn a_closed_stdout_ends_the_cli_without_a_panic() {
             .expect("spawn libra-sim");
         let stderr = text(&out.stderr);
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    }
+    // A flag error prints `error:` and the usage text; an unknown title
+    // prints only `error:`.
+    for args in [&["run", "CCS", "--bogus"][..], &["run", "NOPE"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = libra_sim(&dir)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(writer)
+            .output()
+            .expect("spawn libra-sim");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", text(&out.stdout));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

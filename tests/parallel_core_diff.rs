@@ -1,14 +1,18 @@
-//! Three-way differential conformance suite for the intra-frame parallel
-//! event core (`LIBRA_EVENT_LOOP=par`).
+//! Differential conformance suite for the raster phase's three event-loop
+//! drivers.
 //!
-//! The linear scan loop is the executable specification, the indexed heap
-//! driver is the production serial core, and the epoch-barrier parallel driver
-//! must reproduce both *bit for bit* — same cycles, same DRAM traffic, same
-//! heatmaps, same micro-event counts, same trace streams — at every worker
-//! count, across workloads from both suite halves and every scheduler variant.
-//! Any divergence means the parallel driver's `(gate, RU)` commit order no
-//! longer matches the serial head-merge and MUST be fixed in the parallel
-//! driver, never papered over by regenerating goldens.
+//! The linear scan loop (`LIBRA_EVENT_LOOP=scan`) is the executable
+//! specification, the indexed heap driver is the production serial core, and
+//! the epoch-barrier parallel driver (`par`) must reproduce both *bit for bit*
+//! — same cycles, same DRAM traffic, same heatmaps, same micro-event counts,
+//! same trace streams — at every worker count, across workloads from both
+//! suite halves and every scheduler variant. A divergence between scan and
+//! heap means the heap's `(ready_cycle, stable id)` tie-break no longer
+//! matches the scan's first-minimum selection; one between heap and par means
+//! the parallel driver's `(gate, RU)` commit order no longer matches the
+//! serial head-merge. Either MUST be fixed in the driver, never papered over
+//! by regenerating goldens. The scan-vs-heap trace streams are compared in
+//! `tests/event_loop_diff.rs`; the traced run here holds par to the heap.
 //!
 //! Everything lives in one `#[test]` because the mode and thread-count
 //! overrides are process-global: parallel test threads toggling them would
@@ -30,30 +34,53 @@ fn kinds() -> [(&'static str, SchedulerKind); 5] {
     ]
 }
 
-fn run_serial(
+/// `simulate_sequence` under `mode` (and, for par, `threads` workers).
+fn run(
     mode: EventLoopMode,
+    threads: Option<usize>,
     cfg: &GpuConfig,
     kind: SchedulerKind,
     p: &BenchmarkProfile,
 ) -> SequenceStats {
     event_loop::set_mode(Some(mode));
-    let s = simulate_sequence(cfg, kind, p, FRAMES);
-    event_loop::set_mode(None);
-    s
-}
-
-fn run_par(
-    threads: usize,
-    cfg: &GpuConfig,
-    kind: SchedulerKind,
-    p: &BenchmarkProfile,
-) -> SequenceStats {
-    event_loop::set_mode(Some(EventLoopMode::Par));
-    event_loop::set_sim_threads(Some(threads));
+    event_loop::set_sim_threads(threads);
     let s = simulate_sequence(cfg, kind, p, FRAMES);
     event_loop::set_sim_threads(None);
     event_loop::set_mode(None);
     s
+}
+
+/// Asserts `got` equals `want` — targeted checks first, so a divergence names
+/// the counter that moved instead of dumping two whole `SequenceStats`.
+fn assert_same(want: &SequenceStats, got: &SequenceStats, what: &str) {
+    assert_eq!(
+        want.total_cycles(),
+        got.total_cycles(),
+        "total cycles diverged for {what}"
+    );
+    assert_eq!(
+        want.total_dram_accesses(),
+        got.total_dram_accesses(),
+        "DRAM accesses diverged for {what}"
+    );
+    assert_eq!(want.frames.len(), got.frames.len());
+    for (i, (wf, gf)) in want.frames.iter().zip(&got.frames).enumerate() {
+        assert_eq!(wf.dram, gf.dram, "DramStats diverged for {what} frame {i}");
+        assert_eq!(
+            wf.heatmap, gf.heatmap,
+            "tile heatmap diverged for {what} frame {i}"
+        );
+        assert_eq!(
+            wf.micro_events, gf.micro_events,
+            "micro-event count diverged for {what} frame {i}"
+        );
+    }
+    // Then the exhaustive check: every FrameStats field, bit for bit.
+    assert!(
+        want == got,
+        "SequenceStats diverged for {what} (per-field checks passed; diff the \
+         remaining FrameStats fields)"
+    );
 }
 
 #[test]
@@ -71,63 +98,13 @@ fn parallel_core_is_bit_identical_to_both_serial_drivers() {
 
     for p in &profiles {
         for (label, kind) in kinds() {
-            let scan = run_serial(EventLoopMode::Scan, &cfg, kind, p);
-            let heap = run_serial(EventLoopMode::Heap, &cfg, kind, p);
-            assert!(
-                scan == heap,
-                "scan and heap diverged for {}/{label} — fix the serial core \
-                 before blaming the parallel driver",
-                p.abbrev
-            );
-
+            let what = format!("{}/{label}", p.abbrev);
+            let scan = run(EventLoopMode::Scan, None, &cfg, kind, p);
+            let heap = run(EventLoopMode::Heap, None, &cfg, kind, p);
+            assert_same(&scan, &heap, &format!("{what} heap vs scan"));
             for threads in PAR_THREADS {
-                let par = run_par(threads, &cfg, kind, p);
-
-                // Targeted checks first, so a divergence names the counter
-                // that moved instead of dumping two whole SequenceStats.
-                assert_eq!(
-                    heap.total_cycles(),
-                    par.total_cycles(),
-                    "total cycles diverged for {}/{label} at par@{threads}",
-                    p.abbrev
-                );
-                assert_eq!(
-                    heap.total_dram_accesses(),
-                    par.total_dram_accesses(),
-                    "DRAM accesses diverged for {}/{label} at par@{threads}",
-                    p.abbrev
-                );
-                assert_eq!(heap.frames.len(), par.frames.len());
-                for (i, (hf, pf)) in heap.frames.iter().zip(&par.frames).enumerate() {
-                    assert_eq!(
-                        hf.dram, pf.dram,
-                        "DramStats diverged for {}/{label} frame {i} at par@{threads}",
-                        p.abbrev
-                    );
-                    assert_eq!(
-                        hf.heatmap, pf.heatmap,
-                        "tile heatmap diverged for {}/{label} frame {i} at par@{threads}",
-                        p.abbrev
-                    );
-                    assert_eq!(
-                        hf.micro_events, pf.micro_events,
-                        "micro-event count diverged for {}/{label} frame {i} at par@{threads}",
-                        p.abbrev
-                    );
-                }
-                // Then the exhaustive check: every FrameStats field, bit for
-                // bit, against both serial drivers.
-                assert!(
-                    heap == par,
-                    "heap and par@{threads} SequenceStats diverged for {}/{label} \
-                     (per-field checks passed; diff the remaining FrameStats fields)",
-                    p.abbrev
-                );
-                assert!(
-                    scan == par,
-                    "scan and par@{threads} SequenceStats diverged for {}/{label}",
-                    p.abbrev
-                );
+                let par = run(EventLoopMode::Par, Some(threads), &cfg, kind, p);
+                assert_same(&heap, &par, &format!("{what} at par@{threads}"));
             }
         }
     }
@@ -160,5 +137,25 @@ fn parallel_core_is_bit_identical_to_both_serial_drivers() {
             heap_trace == par_trace,
             "trace event streams diverged between heap and par@{threads}"
         );
+    }
+
+    // Eight Raster Units: up to eight Shared events parked at once, so the
+    // par commit order is checked with many RUs competing, not just two.
+    let cfg8 = GpuConfig::libra(ScreenConfig::tiny(), 8);
+    for p in &profiles {
+        let what = format!("{}/Libra at 8 RUs", p.abbrev);
+        let scan = run(EventLoopMode::Scan, None, &cfg8, SchedulerKind::Libra, p);
+        let heap = run(EventLoopMode::Heap, None, &cfg8, SchedulerKind::Libra, p);
+        assert_same(&scan, &heap, &format!("{what} heap vs scan"));
+        for threads in [1, 2] {
+            let par = run(
+                EventLoopMode::Par,
+                Some(threads),
+                &cfg8,
+                SchedulerKind::Libra,
+                p,
+            );
+            assert_same(&heap, &par, &format!("{what} par@{threads}"));
+        }
     }
 }

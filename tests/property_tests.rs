@@ -389,197 +389,6 @@ fn event_queue_matches_naive_scan_under_churn() {
     );
 }
 
-// ---- epoch-barrier exchange — the parallel raster core's ledgers ------------
-//
-// The parallel driver (`LIBRA_EVENT_LOOP=par`) merges cross-shard events
-// through two ledgers: a `ShardedEventQueue` keyed by Raster Unit and a
-// `ChannelQueues` keyed by DRAM channel. Bit-identity with the serial drivers
-// rests on three promises, checked here against a naive flat-queue oracle
-// under random push / lazy-invalidate / cross-shard-defer churn: merged pops
-// are monotone in `(time, key)`, every pushed event is delivered exactly once,
-// and no event crosses an epoch horizon. Replay a failure with
-// `LIBRA_PROPTEST_SEED=<seed>` (see `tests/support`).
-
-use tbr_common::event_queue::ShardedEventQueue;
-use tbr_mem::channels::ChannelQueues;
-
-#[test]
-fn sharded_queue_merge_matches_flat_oracle_under_churn() {
-    check(
-        "sharded_queue_merge_matches_flat_oracle_under_churn",
-        64,
-        |g: &mut Gen| {
-            let shards = g.usize(1, 6);
-            let keys = g.usize(1, 48);
-            let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(shards);
-            // Oracle: one flat queue plus the live-set map that drives lazy
-            // invalidation on both sides identically.
-            let mut flat: EventQueue<u32> = EventQueue::new();
-            let mut live: Vec<Option<Cycle>> = vec![None; keys];
-            let mut last: Option<(Cycle, u32)> = None;
-            for _ in 0..g.usize(1, 250) {
-                match g.u32(0, 3) {
-                    0 | 1 => {
-                        // Push: a key re-push supersedes the old entry (the
-                        // stale one lazily invalidates in both views). The
-                        // shard is chosen independently of the key — a
-                        // cross-shard defer.
-                        let k = g.usize(0, keys);
-                        let t = g.u64(0, 1 << 12);
-                        let s = g.usize(0, shards);
-                        q.push(s, t, k as u32);
-                        flat.push(t, k as u32);
-                        live[k] = Some(t);
-                        last = None; // re-pushes may back-date: restart monotonicity
-                    }
-                    2 => {
-                        let k = g.usize(0, keys);
-                        live[k] = None;
-                    }
-                    _ => {
-                        let expect = flat.pop_valid(|t, k| live[k as usize] == Some(t));
-                        let got = q.pop_min_valid(|t, k| live[k as usize] == Some(t));
-                        ensure_eq!(got.map(|(_, t, k)| (t, k)), expect);
-                        ensure_eq!(
-                            q.horizon(|t, k| live[k as usize] == Some(t)),
-                            flat.peek_valid(|t, k| live[k as usize] == Some(t))
-                        );
-                        if let Some((t, k)) = expect {
-                            // Exactly-once: a delivered event leaves the live
-                            // set, so a duplicate would fail validity.
-                            live[k as usize] = None;
-                            if let Some(prev) = last {
-                                ensure!(
-                                    (t, k) >= prev,
-                                    "merged pop order ran backwards: {:?} after {:?}",
-                                    (t, k),
-                                    prev
-                                );
-                            }
-                            last = Some((t, k));
-                        }
-                    }
-                }
-            }
-            // Drain to empty: lock-step to the very end.
-            loop {
-                let expect = flat.pop_valid(|t, k| live[k as usize] == Some(t));
-                let got = q.pop_min_valid(|t, k| live[k as usize] == Some(t));
-                ensure_eq!(got.map(|(_, t, k)| (t, k)), expect);
-                match expect {
-                    Some((_, k)) => live[k as usize] = None,
-                    None => break,
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn channel_queues_drain_matches_flat_oracle_and_respects_horizons() {
-    check(
-        "channel_queues_drain_matches_flat_oracle_and_respects_horizons",
-        64,
-        |g: &mut Gen| {
-            let channels = g.usize(1, 5);
-            let mut q: ChannelQueues<u32> = ChannelQueues::new(channels);
-            let mut flat: EventQueue<u32> = EventQueue::new();
-            let mut next_key = 0u32;
-            let mut pushed = 0u64;
-            let mut drained = 0u64;
-            for _ in 0..g.usize(1, 40) {
-                // An epoch: a batch of cross-shard pushes, then a barrier
-                // drain to a random horizon.
-                for _ in 0..g.usize(0, 12) {
-                    let t = g.u64(0, 1 << 10);
-                    let c = g.usize(0, channels);
-                    q.push(c, t, next_key);
-                    flat.push(t, next_key);
-                    next_key += 1;
-                    pushed += 1;
-                }
-                let horizon = g.u64(0, 1 << 10);
-                let mut got: Vec<(Cycle, u32)> = Vec::new();
-                q.drain_until(horizon, |_, t, k| got.push((t, k)));
-                drained += got.len() as u64;
-                // No event crosses the barrier, and the merged order is the
-                // canonical flat-queue order.
-                let mut want: Vec<(Cycle, u32)> = Vec::new();
-                while let Some((t, _)) = flat.peek() {
-                    if t > horizon {
-                        break;
-                    }
-                    want.push(flat.pop().expect("peeked head exists"));
-                }
-                ensure!(got == want, "epoch drain diverged at horizon {horizon}");
-                ensure!(
-                    q.peek_min() == flat.peek(),
-                    "post-barrier frontiers diverged at horizon {horizon}"
-                );
-            }
-            // Exactly-once accounting: everything pushed is either delivered
-            // or still queued, and the ledger counters agree.
-            ensure_eq!(q.total_pushed(), pushed);
-            ensure_eq!(q.total_drained(), drained);
-            ensure_eq!(q.len() as u64, pushed - drained);
-            let mut got: Vec<(Cycle, u32)> = Vec::new();
-            q.drain_until(Cycle::MAX, |_, t, k| got.push((t, k)));
-            let mut want: Vec<(Cycle, u32)> = Vec::new();
-            while let Some(e) = flat.pop() {
-                want.push(e);
-            }
-            ensure!(got == want, "final drain diverged");
-            ensure!(q.is_empty(), "ledger retained events past a MAX horizon");
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn channel_queues_pop_min_is_the_flat_minimum() {
-    check(
-        "channel_queues_pop_min_is_the_flat_minimum",
-        64,
-        |g: &mut Gen| {
-            let channels = g.usize(1, 5);
-            let mut q: ChannelQueues<u32> = ChannelQueues::new(channels);
-            let mut flat: EventQueue<u32> = EventQueue::new();
-            let mut next_key = 0u32;
-            let mut last: Option<(Cycle, u32)> = None;
-            for _ in 0..g.usize(1, 200) {
-                if g.u32(0, 2) == 0 {
-                    let t = g.u64(0, 1 << 12);
-                    q.push(g.usize(0, channels), t, next_key);
-                    flat.push(t, next_key);
-                    next_key += 1;
-                    last = None; // pushes may back-date: restart monotonicity
-                } else {
-                    let got = q.pop_min().map(|(_, t, k)| (t, k));
-                    ensure_eq!(got, flat.pop());
-                    if let Some(e) = got {
-                        if let Some(prev) = last {
-                            ensure!(
-                                e >= prev,
-                                "merged pop order ran backwards: {e:?} after {prev:?}"
-                            );
-                        }
-                        last = Some(e);
-                    }
-                }
-            }
-            loop {
-                let got = q.pop_min().map(|(_, t, k)| (t, k));
-                ensure_eq!(got, flat.pop());
-                if got.is_none() {
-                    break;
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
 /// Rendering Elimination's safety contract, fuzzed: across randomly perturbed
 /// frame pairs, a tile is discarded *only* when its raw signature word stream
 /// (binned primitives, vertex lanes, draw state) is bit-identical to the
