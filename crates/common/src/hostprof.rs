@@ -214,8 +214,7 @@ pub struct HostProfile {
     pub phases: Vec<PhaseProfile>,
 }
 
-/// Phase totals summed over a [`HostProfile`] (and mergeable across jobs —
-/// the campaign driver aggregates one of these over its whole sweep).
+/// Phase totals summed over a [`HostProfile`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HostTotals {
     /// Phases aggregated.
@@ -228,10 +227,6 @@ pub struct HostTotals {
     pub coord_drain_ns: u64,
     /// Summed coordinator barrier-wait ns.
     pub barrier_ns: u64,
-    /// Summed worker busy ns (all worker lanes).
-    pub worker_busy_ns: u64,
-    /// Summed worker start-barrier wait ns.
-    pub worker_wait_ns: u64,
     /// Summed epochs.
     pub epochs: u64,
     /// Summed parallel (fanned-out) epochs.
@@ -242,38 +237,9 @@ pub struct HostTotals {
     pub shared_commits: u64,
     /// Merged Local-run-length histogram (width-1 buckets).
     pub run_lengths: Vec<u64>,
-    /// Host metadata of every machine that contributed work, one entry per
-    /// contributing worker in worker order. A single-process campaign stamps
-    /// exactly one entry (the local host); the campaign service stamps one per
-    /// worker process, so a multi-host report never silently attributes all
-    /// work to the coordinator's core count.
-    pub hosts: Vec<HostMeta>,
 }
 
 impl HostTotals {
-    /// Folds another totals record into this one (all sums; host stamps
-    /// concatenate, preserving one entry per contributing worker).
-    pub fn merge(&mut self, other: &HostTotals) {
-        self.hosts.extend(other.hosts.iter().cloned());
-        self.phases += other.phases;
-        self.wall_ns += other.wall_ns;
-        self.commit_ns += other.commit_ns;
-        self.coord_drain_ns += other.coord_drain_ns;
-        self.barrier_ns += other.barrier_ns;
-        self.worker_busy_ns += other.worker_busy_ns;
-        self.worker_wait_ns += other.worker_wait_ns;
-        self.epochs += other.epochs;
-        self.parallel_epochs += other.parallel_epochs;
-        self.local_events += other.local_events;
-        self.shared_commits += other.shared_commits;
-        if self.run_lengths.len() < other.run_lengths.len() {
-            self.run_lengths.resize(other.run_lengths.len(), 0);
-        }
-        for (dst, src) in self.run_lengths.iter_mut().zip(&other.run_lengths) {
-            *dst += src;
-        }
-    }
-
     fn frac(&self, ns: u64) -> f64 {
         if self.wall_ns == 0 {
             return 0.0;
@@ -320,50 +286,6 @@ impl HostTotals {
         }
     }
 
-    /// Hand-written JSON object (no trailing newline), schema-free — embedded
-    /// by the campaign hostprof report.
-    pub fn to_json(&self) -> String {
-        let hist = self
-            .run_lengths
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        let hosts = self
-            .hosts
-            .iter()
-            .map(HostMeta::json_object)
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"phases\": {}, \"wall_ns\": {}, \"commit_ns\": {}, \"coord_drain_ns\": {}, \
-             \"barrier_ns\": {}, \"worker_busy_ns\": {}, \"worker_wait_ns\": {}, \
-             \"epochs\": {}, \"parallel_epochs\": {}, \"local_events\": {}, \
-             \"shared_commits\": {}, \
-             \"serial_fraction\": {:.6}, \"parallel_fraction\": {:.6}, \
-             \"barrier_fraction\": {:.6}, \"other_fraction\": {:.6}, \
-             \"local_share\": {:.6}, \"run_lengths\": [{}], \"hosts\": [{}]}}",
-            self.phases,
-            self.wall_ns,
-            self.commit_ns,
-            self.coord_drain_ns,
-            self.barrier_ns,
-            self.worker_busy_ns,
-            self.worker_wait_ns,
-            self.epochs,
-            self.parallel_epochs,
-            self.local_events,
-            self.shared_commits,
-            self.serial_fraction(),
-            self.parallel_fraction(),
-            self.barrier_fraction(),
-            self.other_fraction(),
-            self.local_share(),
-            hist,
-            hosts,
-        )
-    }
-
     /// One-paragraph human summary.
     pub fn render(&self) -> String {
         if self.phases == 0 {
@@ -401,7 +323,7 @@ impl HostProfile {
         self.phases.is_empty()
     }
 
-    /// Sums every phase (and its lanes) into one [`HostTotals`].
+    /// Sums every phase into one [`HostTotals`].
     pub fn totals(&self) -> HostTotals {
         let mut t = HostTotals {
             run_lengths: vec![0; RUN_LENGTH_BUCKETS],
@@ -417,10 +339,6 @@ impl HostProfile {
             t.parallel_epochs += p.parallel_epochs;
             t.local_events += p.local_events;
             t.shared_commits += p.shared_commits;
-            for w in &p.workers {
-                t.worker_busy_ns += w.busy_ns;
-                t.worker_wait_ns += w.wait_ns;
-            }
             if t.run_lengths.len() < p.run_lengths.len() {
                 t.run_lengths.resize(p.run_lengths.len(), 0);
             }
@@ -471,49 +389,6 @@ impl HostProfile {
             }
         }
         events
-    }
-
-    /// Hand-written JSON: `{"schema":"libra-hostprof-v1","phases":[...],
-    /// "totals":{...}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\": \"libra-hostprof-v1\", \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let ru = p
-                .ru_events
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"label\": \"{}\", \"threads\": {}, \"wall_ns\": {}, \"commit_ns\": {}, \
-                 \"coord_drain_ns\": {}, \"barrier_ns\": {}, \"epochs\": {}, \
-                 \"parallel_epochs\": {}, \"local_events\": {}, \"shared_commits\": {}, \
-                 \"imbalance\": {:.4}, \"ru_events\": [{}]}}",
-                {
-                    let mut l = String::new();
-                    json_escape_into(&mut l, &p.label);
-                    l
-                },
-                p.threads,
-                p.wall_ns,
-                p.commit_ns,
-                p.coord_drain_ns,
-                p.barrier_ns,
-                p.epochs,
-                p.parallel_epochs,
-                p.local_events,
-                p.shared_commits,
-                p.imbalance(),
-                ru,
-            ));
-        }
-        out.push_str("], \"totals\": ");
-        out.push_str(&self.totals().to_json());
-        out.push_str("}\n");
-        out
     }
 
     /// Multi-line human table (one row per phase plus the totals paragraph).
@@ -766,6 +641,7 @@ mod tests {
         assert!((t.parallel_fraction() - 0.3).abs() < 1e-12);
         assert!((t.barrier_fraction() - 0.1).abs() < 1e-12);
         assert!((t.other_fraction() - 0.2).abs() < 1e-12);
+        assert!(prof.render().contains("hostprof"));
     }
 
     #[test]
@@ -780,6 +656,10 @@ mod tests {
         let empty = PhaseProfile::new("raster", 1, 1);
         assert_eq!(empty.serial_fraction(), 0.0);
         assert_eq!(empty.imbalance(), 0.0);
+        // Max over mean: the busiest of two shards ran 9 of 12 events.
+        let mut skewed = PhaseProfile::new("raster", 2, 2);
+        skewed.ru_events = vec![3, 9];
+        assert_eq!(skewed.imbalance(), 1.5);
     }
 
     #[test]
@@ -790,59 +670,6 @@ mod tests {
         }
         assert_eq!(lane.spans.len(), MAX_LANE_SPANS);
         assert_eq!(lane.dropped_spans, 10);
-    }
-
-    #[test]
-    fn totals_merge_is_additive() {
-        let mut a = HostTotals {
-            phases: 1,
-            wall_ns: 100,
-            commit_ns: 10,
-            run_lengths: vec![1, 2],
-            ..HostTotals::default()
-        };
-        let b = HostTotals {
-            phases: 2,
-            wall_ns: 300,
-            commit_ns: 30,
-            run_lengths: vec![0, 1, 5],
-            ..HostTotals::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.phases, 3);
-        assert_eq!(a.wall_ns, 400);
-        assert_eq!(a.commit_ns, 40);
-        assert_eq!(a.run_lengths, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn totals_merge_keeps_one_host_stamp_per_worker() {
-        // Regression for the multi-host attribution bug: an aggregated profile
-        // must carry every contributing worker's host stamp, not silently
-        // describe all work with the coordinator's core count.
-        let meta = |cores: usize, rev: &str| HostMeta {
-            cores,
-            git_rev: rev.into(),
-            utc: "2026-08-08T00:00:00Z".into(),
-        };
-        let mut a = HostTotals { hosts: vec![meta(1, "coord")], ..HostTotals::default() };
-        let b = HostTotals { hosts: vec![meta(8, "w0")], ..HostTotals::default() };
-        let c = HostTotals { hosts: vec![meta(16, "w1")], ..HostTotals::default() };
-        a.merge(&b);
-        a.merge(&c);
-        assert_eq!(a.hosts.len(), 3, "one stamp per contributing worker");
-        assert_eq!(
-            a.hosts.iter().map(|h| h.cores).collect::<Vec<_>>(),
-            vec![1, 8, 16],
-            "worker order is preserved"
-        );
-        let doc = crate::json::parse(&a.to_json()).expect("totals JSON parses");
-        let hosts = doc.get("hosts").and_then(|v| v.as_array()).expect("hosts array");
-        assert_eq!(hosts.len(), 3);
-        assert_eq!(hosts[1].get("git_rev").and_then(|v| v.as_str()), Some("w0"));
-        // And the stamp round-trips through the wire decoder.
-        let back = HostMeta::from_value(&hosts[2], "hosts[2]").unwrap();
-        assert_eq!(back, meta(16, "w1"));
     }
 
     #[test]
@@ -862,27 +689,6 @@ mod tests {
         assert_eq!(events[0].kind, EventKind::Span { dur: 20 });
         assert_eq!(events[2].track, Track::HostWorker(1));
         assert_eq!(events[2].ts, 7);
-    }
-
-    #[test]
-    fn json_parses_and_carries_the_schema() {
-        let mut p = PhaseProfile::new("raster", 2, 2);
-        p.wall_ns = 1_000;
-        p.ru_events = vec![3, 9];
-        let prof = HostProfile { phases: vec![p] };
-        let doc = crate::json::parse(&prof.to_json()).expect("hostprof JSON parses");
-        assert_eq!(
-            doc.get("schema").and_then(|v| v.as_str()),
-            Some("libra-hostprof-v1")
-        );
-        let phases = doc.get("phases").and_then(|v| v.as_array()).expect("phases");
-        assert_eq!(phases.len(), 1);
-        assert_eq!(
-            phases[0].get("imbalance").and_then(|v| v.as_f64()),
-            Some(1.5)
-        );
-        assert!(doc.get("totals").is_some());
-        assert!(prof.render().contains("hostprof"));
     }
 
     #[test]

@@ -128,6 +128,13 @@ pub fn field_u64(v: &Value, key: &str, what: &str) -> Result<u64, String> {
     field(v, key, what)?.as_u64().ok_or_else(|| format!("{what}.{key}: expected an exact integer"))
 }
 
+/// [`field_u64`] for a `u32` member: a value past `u32::MAX` is an error,
+/// never wrapped to a small one.
+pub fn field_u32(v: &Value, key: &str, what: &str) -> Result<u32, String> {
+    let n = field_u64(v, key, what)?;
+    u32::try_from(n).map_err(|_| format!("{what}.{key}: {n} is out of range"))
+}
+
 /// Reads a `"0x…"` hex-string member back to the exact `u64` it encodes — the
 /// form 64-bit seeds and fingerprints take, since JSON numbers above 2⁵³ would
 /// not survive the `f64` representation.

@@ -39,13 +39,13 @@
 //!
 //! * **Panic isolation.** Each job attempt runs under `catch_unwind` behind a
 //!   quiet panic hook, so a panicking job becomes a structured
-//!   [`CampaignResult::Failed`] — carrying the panic message — instead of
+//!   [`JobOutcome::Failed`] — carrying the panic message — instead of
 //!   aborting the sweep. Survivors are unaffected: the failed attempt's
 //!   simulator state and partial trace are discarded wholesale.
 //! * **Watchdog budget.** With [`RunOptions::budget_cycles`] set, a job is run
 //!   frame-by-frame and aborted deterministically once its accumulated
 //!   simulated cycles exceed the budget, yielding
-//!   [`CampaignResult::TimedOut`]. Simulated cycles — not wall-clock — keep the
+//!   [`JobOutcome::TimedOut`]. Simulated cycles — not wall-clock — keep the
 //!   verdict bit-identical across hosts and thread counts.
 //! * **Checkpointing.** With a checkpoint file attached, every completed job is
 //!   appended atomically (see [`crate::checkpoint`]); `--resume` adopts the
@@ -85,13 +85,10 @@ use tbr_common::config::GpuConfig;
 use tbr_common::mechanism::MechanismSpec;
 use tbr_common::rng::splitmix64_mix;
 use tbr_common::stats::SequenceStats;
-use tbr_common::hostprof::{self, HostMeta, HostTotals};
 use tbr_common::trace::{self, Trace};
 use tbr_workloads::{BenchmarkProfile, SceneGenerator};
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointFormat, CheckpointHeader, CheckpointWriter, Record, RecordOutcome,
-};
+use crate::checkpoint::{Checkpoint, CheckpointFormat, CheckpointHeader, CheckpointWriter};
 use crate::fault::{FaultKind, FaultSpec};
 use crate::gpu::GpuSimulator;
 
@@ -136,38 +133,19 @@ impl fmt::Debug for CampaignJob {
     }
 }
 
-/// One successfully completed point: the job's position, its effective seed, and
-/// its full statistics.
+/// What happened to one campaign job: it completed, it panicked, or it ran
+/// past its watchdog budget, on every attempt.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JobSuccess {
-    /// Index of the job in the campaign (results come back in this order).
-    pub job: usize,
-    /// Workload abbreviation (for reports).
-    pub abbrev: &'static str,
-    /// Scheduler name (for reports).
-    pub scheduler: &'static str,
-    /// The effective workload seed the job ran with.
-    pub effective_seed: u64,
-    /// Full per-frame statistics of the sequence.
-    pub stats: SequenceStats,
-}
-
-/// The outcome of one campaign job: success, panic, or watchdog timeout.
-///
-/// Failures are *structured results*, not aborts — a sweep with one poisoned job
-/// still completes the other 31 and reports exactly what went wrong where.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CampaignResult {
-    /// The job completed; carries its statistics.
-    Done(JobSuccess),
+pub enum JobOutcome {
+    /// The job completed.
+    Done {
+        /// The effective workload seed the job ran with.
+        effective_seed: u64,
+        /// Full per-frame statistics of the sequence.
+        stats: SequenceStats,
+    },
     /// Every attempt of the job panicked; the sweep carried on without it.
     Failed {
-        /// Index of the job in the campaign.
-        job: usize,
-        /// Workload abbreviation.
-        abbrev: &'static str,
-        /// Scheduler name.
-        scheduler: &'static str,
         /// Attempts made (1 + retries).
         attempts: u32,
         /// Panic payload of the last attempt.
@@ -175,12 +153,6 @@ pub enum CampaignResult {
     },
     /// Every attempt of the job exceeded the watchdog cycle budget.
     TimedOut {
-        /// Index of the job in the campaign.
-        job: usize,
-        /// Workload abbreviation.
-        abbrev: &'static str,
-        /// Scheduler name.
-        scheduler: &'static str,
         /// Attempts made (1 + retries).
         attempts: u32,
         /// The budget in effect, in simulated cycles.
@@ -190,62 +162,50 @@ pub enum CampaignResult {
     },
 }
 
-impl CampaignResult {
-    /// Index of the job in the campaign.
-    pub fn job(&self) -> usize {
-        match self {
-            Self::Done(s) => s.job,
-            Self::Failed { job, .. } | Self::TimedOut { job, .. } => *job,
-        }
-    }
-
+/// The result of one campaign job, in the one form the pool returns, a
+/// checkpoint records ([`crate::checkpoint`]) and a worker process sends
+/// back ([`crate::wire`]).
+///
+/// Failures are *structured results*, not aborts — a sweep with one poisoned job
+/// still completes the other 31 and reports exactly what went wrong where.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignResult {
+    /// Index of the job in the campaign (results come back in this order).
+    pub job: usize,
     /// Workload abbreviation.
-    pub fn abbrev(&self) -> &'static str {
-        match self {
-            Self::Done(s) => s.abbrev,
-            Self::Failed { abbrev, .. } | Self::TimedOut { abbrev, .. } => abbrev,
-        }
-    }
-
+    pub abbrev: String,
     /// Scheduler name.
-    pub fn scheduler(&self) -> &'static str {
-        match self {
-            Self::Done(s) => s.scheduler,
-            Self::Failed { scheduler, .. } | Self::TimedOut { scheduler, .. } => scheduler,
-        }
-    }
+    pub scheduler: String,
+    /// What happened to the job.
+    pub outcome: JobOutcome,
+}
 
-    /// The success payload, if the job completed.
-    pub fn success(&self) -> Option<&JobSuccess> {
-        match self {
-            Self::Done(s) => Some(s),
+impl CampaignResult {
+    /// The job's statistics, if it completed.
+    pub fn stats(&self) -> Option<&SequenceStats> {
+        match &self.outcome {
+            JobOutcome::Done { stats, .. } => Some(stats),
             _ => None,
         }
     }
 
-    /// The job's statistics, if it completed.
-    pub fn stats(&self) -> Option<&SequenceStats> {
-        self.success().map(|s| &s.stats)
-    }
-
     /// Whether the job completed.
     pub fn is_success(&self) -> bool {
-        matches!(self, Self::Done(_))
+        matches!(self.outcome, JobOutcome::Done { .. })
     }
 
     /// A one-line human-readable failure description, or `None` for successes.
     pub fn failure_line(&self) -> Option<String> {
-        match self {
-            Self::Done(_) => None,
-            Self::Failed { job, abbrev, scheduler, attempts, panic_msg } => Some(format!(
+        let Self { job, abbrev, scheduler, .. } = self;
+        match &self.outcome {
+            JobOutcome::Done { .. } => None,
+            JobOutcome::Failed { attempts, panic_msg } => Some(format!(
                 "job {job} ({abbrev}/{scheduler}) FAILED after {attempts} attempt(s): {panic_msg}"
             )),
-            Self::TimedOut { job, abbrev, scheduler, attempts, budget_cycles, spent_cycles } => {
-                Some(format!(
-                    "job {job} ({abbrev}/{scheduler}) TIMED OUT after {attempts} attempt(s): \
-                     {spent_cycles} cycles > budget {budget_cycles}"
-                ))
-            }
+            JobOutcome::TimedOut { attempts, budget_cycles, spent_cycles } => Some(format!(
+                "job {job} ({abbrev}/{scheduler}) TIMED OUT after {attempts} attempt(s): \
+                 {spent_cycles} cycles > budget {budget_cycles}"
+            )),
         }
     }
 }
@@ -291,11 +251,6 @@ pub struct CampaignProfile {
     pub workers: Vec<WorkerProfile>,
     /// One entry per job, in campaign order.
     pub jobs: Vec<JobProfile>,
-    /// Aggregated parallel-event-core host telemetry, merged over every job
-    /// that ran with [`RunOptions::hostprof`] set (`None` otherwise). Only the
-    /// `par` event-loop driver records phases, so under the serial drivers
-    /// this is `Some` with zero phases.
-    pub host: Option<HostTotals>,
 }
 
 impl CampaignProfile {
@@ -361,9 +316,6 @@ pub struct RunOptions {
     /// Adopt completed jobs from this checkpoint before running the rest.
     /// If `checkpoint_to` is unset, new records are appended to this same file.
     pub resume_from: Option<String>,
-    /// Collect host-time parallel-core telemetry ([`tbr_common::hostprof`])
-    /// per job and aggregate it into [`CampaignProfile::host`].
-    pub hostprof: bool,
 }
 
 impl Default for RunOptions {
@@ -377,7 +329,6 @@ impl Default for RunOptions {
             checkpoint_to: None,
             ckpt_format: CheckpointFormat::default(),
             resume_from: None,
-            hostprof: false,
         }
     }
 }
@@ -447,10 +398,10 @@ impl CampaignRun {
             resumed: self.resumed_jobs,
         };
         for r in &self.results {
-            match r {
-                CampaignResult::Done(_) => s.done += 1,
-                CampaignResult::Failed { .. } => s.failed += 1,
-                CampaignResult::TimedOut { .. } => s.timed_out += 1,
+            match r.outcome {
+                JobOutcome::Done { .. } => s.done += 1,
+                JobOutcome::Failed { .. } => s.failed += 1,
+                JobOutcome::TimedOut { .. } => s.timed_out += 1,
             }
         }
         s
@@ -491,9 +442,8 @@ fn quiet_catch_unwind<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 }
 
 /// What a pool worker's [`JobRunner`] hands back for one campaign position:
-/// the result, plus the trace and host telemetry the in-process runner
-/// collects on request.
-pub(crate) type Ran = (CampaignResult, Option<Trace>, Option<HostTotals>);
+/// the result, plus the trace the in-process runner collects on request.
+pub(crate) type Ran = (CampaignResult, Option<Trace>);
 
 /// One worker of [`Campaign::run_pool`]: runs campaign positions one at a
 /// time. [`Campaign::run_resilient`]'s runner simulates in this process; the
@@ -628,6 +578,13 @@ impl Campaign {
         self.jobs[index].profile.seed ^ self.job_seed(index)
     }
 
+    /// The workload abbreviation and scheduler name of job `index`, as its
+    /// results and reports name it.
+    fn names(&self, index: usize) -> (&'static str, &'static str) {
+        let job = &self.jobs[index];
+        (job.profile.abbrev, job.scheduler.build().name())
+    }
+
     /// A position-insensitive digest of `(campaign seed, full job list)`:
     /// configurations, schedulers, non-default mechanisms, workload profiles
     /// and frame counts all feed in. A checkpoint records it so `--resume`
@@ -659,11 +616,8 @@ impl Campaign {
     ) -> Attempt {
         let job = &self.jobs[index];
         if inject_panic {
-            panic!(
-                "injected fault: panic in campaign job {index} ({}/{})",
-                job.profile.abbrev,
-                job.scheduler.build().name()
-            );
+            let (abbrev, scheduler) = self.names(index);
+            panic!("injected fault: panic in campaign job {index} ({abbrev}/{scheduler})");
         }
         let mut sim = GpuSimulator::with_mechanism(job.cfg.clone(), job.scheduler, job.mechanism);
         let gen = SceneGenerator::new(profile, &job.cfg.screen);
@@ -680,15 +634,11 @@ impl Campaign {
 
     /// Runs job `index` with isolation, watchdog, fault injection and retries.
     /// Always returns a result — a panic or timeout becomes a structured
-    /// failure, never an abort. The trace and host-telemetry totals (each if
-    /// requested) cover only the successful attempt; failed attempts discard
-    /// their partial collections.
+    /// failure, never an abort. The trace (if requested) covers only the
+    /// successful attempt; failed attempts discard their partial traces.
     fn run_job_resilient(&self, index: usize, opts: &RunOptions) -> Ran {
-        let job = &self.jobs[index];
-        let abbrev = job.profile.abbrev;
-        let scheduler = job.scheduler.build().name();
         let effective_seed = self.effective_seed(index);
-        let mut profile = job.profile.clone();
+        let mut profile = self.jobs[index].profile.clone();
         profile.seed = effective_seed;
 
         let attempts = opts.retries.saturating_add(1);
@@ -704,104 +654,78 @@ impl Campaign {
             if opts.traced {
                 trace::start();
             }
-            if opts.hostprof {
-                hostprof::start();
-            }
             let outcome =
                 quiet_catch_unwind(|| self.run_attempt(index, &profile, budget, inject_panic));
-            // Collected either way; a failed attempt's partial ones are dropped.
+            // Collected either way; a failed attempt's partial trace is dropped.
             let t = opts.traced.then(trace::finish).flatten();
-            let hp = opts.hostprof.then(hostprof::finish).flatten();
-            let (job, attempts) = (index, attempt + 1);
+            let attempts = attempt + 1;
             last = Some(match outcome {
                 Ok(Attempt::Done(stats)) => {
-                    let s = JobSuccess { job, abbrev, scheduler, effective_seed, stats };
-                    return (CampaignResult::Done(s), t, hp.map(|p| p.totals()));
+                    let done = JobOutcome::Done { effective_seed, stats };
+                    return (self.result(index, done), t);
                 }
-                Ok(Attempt::TimedOut { spent }) => CampaignResult::TimedOut {
-                    job,
-                    abbrev,
-                    scheduler,
+                Ok(Attempt::TimedOut { spent }) => JobOutcome::TimedOut {
                     attempts,
                     budget_cycles: budget.unwrap_or(0),
                     spent_cycles: spent,
                 },
-                Err(panic_msg) => {
-                    CampaignResult::Failed { job, abbrev, scheduler, attempts, panic_msg }
-                }
+                Err(panic_msg) => JobOutcome::Failed { attempts, panic_msg },
             });
         }
-        (last.expect("at least one attempt was made"), None, None)
+        let last = last.expect("at least one attempt was made");
+        (self.result(index, last), None)
+    }
+
+    /// Job `index`'s result with the given outcome.
+    fn result(&self, index: usize, outcome: JobOutcome) -> CampaignResult {
+        let (abbrev, scheduler) = self.names(index);
+        CampaignResult { job: index, abbrev: abbrev.into(), scheduler: scheduler.into(), outcome }
     }
 
     /// Runs the single job `index` with the full resilience envelope (panic
     /// isolation, watchdog, fault injection, retries) on the calling thread,
-    /// discarding any trace/host-telemetry collection. This is the unit of
-    /// work a campaign-service worker process executes per `assign` frame:
-    /// because job seeds are position-derived, the result is bit-identical to
-    /// the same job's slot in [`run_resilient`](Campaign::run_resilient) no
+    /// discarding any trace collection. This is the unit of work a
+    /// campaign-service worker process executes per `assign` frame: because
+    /// job seeds are position-derived, the result is bit-identical to the
+    /// same job's slot in [`run_resilient`](Campaign::run_resilient) no
     /// matter which process runs it.
     pub fn run_one(&self, index: usize, opts: &RunOptions) -> CampaignResult {
         assert!(index < self.jobs.len(), "job index {index} out of range");
         self.run_job_resilient(index, opts).0
     }
 
-    /// Validates one deserialised [`Record`] (from a checkpoint or a
-    /// `libra-wire-v1` `result` frame) against this campaign and re-binds it
-    /// into a [`CampaignResult`]. Rejects job indices out of range, mismatched
-    /// workload/scheduler names, and — for successes — an effective seed other
-    /// than the position-derived one this campaign would have used, so a
-    /// worker cannot silently contribute results for a different sweep.
-    pub fn adopt_record(&self, rec: &Record) -> Result<CampaignResult, String> {
-        let Some(job) = self.jobs.get(rec.job) else {
+    /// Checks that a decoded result (a checkpoint record or a `libra-wire-v1`
+    /// `result` frame) belongs to this campaign. Rejects job indices out of
+    /// range, mismatched workload/scheduler names, and — for successes — an
+    /// effective seed other than the position-derived one this campaign
+    /// would have used, so a worker cannot silently contribute results for
+    /// a different sweep.
+    pub fn adopt_record(&self, r: &CampaignResult) -> Result<(), String> {
+        let n = self.jobs.len();
+        if r.job >= n {
             return Err(format!(
-                "record for job {} is out of range (campaign has {} jobs)",
-                rec.job,
-                self.jobs.len()
-            ));
-        };
-        let (abbrev, scheduler) = (job.profile.abbrev, job.scheduler.build().name());
-        if rec.abbrev != abbrev || rec.scheduler != scheduler {
-            return Err(format!(
-                "record for job {} names {}/{} but the campaign job is {}/{}",
-                rec.job, rec.abbrev, rec.scheduler, abbrev, scheduler
+                "record for job {} is out of range (campaign has {n} jobs)",
+                r.job
             ));
         }
-        Ok(match &rec.outcome {
-            RecordOutcome::Done { effective_seed, stats } => {
-                let want = self.effective_seed(rec.job);
-                if *effective_seed != want {
-                    return Err(format!(
-                        "record for job {} carries effective seed {:#x}, expected {want:#x}",
-                        rec.job, effective_seed
-                    ));
-                }
-                CampaignResult::Done(JobSuccess {
-                    job: rec.job,
-                    abbrev,
-                    scheduler,
-                    effective_seed: *effective_seed,
-                    stats: stats.clone(),
-                })
+        let (abbrev, scheduler) = self.names(r.job);
+        if r.abbrev != abbrev || r.scheduler != scheduler {
+            return Err(format!(
+                "record for job {} names {}/{} but the campaign job is {abbrev}/{scheduler}",
+                r.job, r.abbrev, r.scheduler
+            ));
+        }
+        if let JobOutcome::Done { effective_seed, .. } = r.outcome {
+            let want = self.effective_seed(r.job);
+            if effective_seed != want {
+                return Err(format!(
+                    "record for job {} carries effective seed {effective_seed:#x}, \
+                     expected {want:#x}",
+                    r.job
+                ));
             }
-            RecordOutcome::Failed { attempts, panic_msg } => CampaignResult::Failed {
-                job: rec.job,
-                abbrev,
-                scheduler,
-                attempts: *attempts,
-                panic_msg: panic_msg.clone(),
-            },
-            RecordOutcome::TimedOut { attempts, budget_cycles, spent_cycles } => {
-                CampaignResult::TimedOut {
-                    job: rec.job,
-                    abbrev,
-                    scheduler,
-                    attempts: *attempts,
-                    budget_cycles: *budget_cycles,
-                    spent_cycles: *spent_cycles,
-                }
-            }
-        })
+        }
+        Ok(())
     }
 
     /// Validates a loaded checkpoint against this campaign and adopts its
@@ -809,7 +733,7 @@ impl Campaign {
     /// adopted — resuming re-runs them (that is the salvage path).
     fn adopt_checkpoint(
         &self,
-        ckpt: &Checkpoint,
+        ckpt: Checkpoint,
         path: &str,
         prefilled: &mut [Option<CampaignResult>],
     ) -> Result<usize, String> {
@@ -837,19 +761,17 @@ impl Campaign {
         }
         // Later records for the same job supersede earlier ones (a resumed run
         // appends corrections), so fold by job index in file order.
-        let mut latest: Vec<Option<CampaignResult>> = vec![None; n];
-        for rec in &ckpt.records {
-            let r = self.adopt_record(rec).map_err(|e| format!("checkpoint {path}: {e}"))?;
-            latest[rec.job] = Some(r);
+        for r in ckpt.records {
+            self.adopt_record(&r).map_err(|e| format!("checkpoint {path}: {e}"))?;
+            let job = r.job;
+            prefilled[job] = Some(r);
         }
-        let mut adopted = 0;
-        for (slot, r) in prefilled.iter_mut().zip(latest) {
-            if let Some(r @ CampaignResult::Done(_)) = r {
-                *slot = Some(r);
-                adopted += 1;
+        for slot in prefilled.iter_mut() {
+            if slot.as_ref().is_some_and(|r| !r.is_success()) {
+                *slot = None;
             }
         }
-        Ok(adopted)
+        Ok(prefilled.iter().flatten().count())
     }
 
     /// Opens the checkpoint writer implied by `opts`: a fresh (compacted) file
@@ -881,11 +803,11 @@ impl Campaign {
     /// The resilient campaign driver: panic isolation, watchdog, retries,
     /// checkpointing and resume, on `opts.threads` work-stealing workers.
     ///
-    /// Returns `Err` only for *setup* problems the caller must resolve (an
-    /// invalid or mismatched resume checkpoint, an uncreatable checkpoint
-    /// file). Once jobs are running, nothing aborts the sweep: per-job
-    /// failures come back as structured [`CampaignResult`] variants and
-    /// checkpoint-append errors degrade into
+    /// Returns `Err` only for *setup* problems the caller must resolve (a
+    /// fault aimed at a job the campaign does not have, an invalid or
+    /// mismatched resume checkpoint, an uncreatable checkpoint file). Once
+    /// jobs are running, nothing aborts the sweep: per-job failures come back
+    /// as structured [`JobOutcome`]s and checkpoint-append errors degrade into
     /// [`CampaignRun::checkpoint_error`].
     ///
     /// Determinism: results are bit-identical for every thread count *and*
@@ -914,11 +836,19 @@ impl Campaign {
         let t0 = Instant::now();
         let n = self.jobs.len();
 
+        // A fault aimed past the last job would never fire, and a test
+        // relying on it would pass vacuously.
+        if let Some(f) = opts.fault.filter(|f| f.job >= n) {
+            return Err(format!(
+                "fault injection targets job {}, but the campaign has {n} jobs",
+                f.job
+            ));
+        }
         let mut prefilled: Vec<Option<CampaignResult>> = (0..n).map(|_| None).collect();
         let mut resumed_jobs = 0;
         if let Some(path) = &opts.resume_from {
             let ckpt = Checkpoint::load(path)?;
-            resumed_jobs = self.adopt_checkpoint(&ckpt, path, &mut prefilled)?;
+            resumed_jobs = self.adopt_checkpoint(ckpt, path, &mut prefilled)?;
         }
         let writer = self.open_writer(opts, &prefilled)?;
 
@@ -938,7 +868,6 @@ impl Campaign {
         type Slot = (CampaignResult, Option<Trace>, usize, f64);
         let slots: Vec<Mutex<Option<Slot>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let ckpt_err: Mutex<Option<String>> = Mutex::new(None);
-        let host_totals: Mutex<HostTotals> = Mutex::new(HostTotals::default());
 
         let work = |me: usize| -> Result<(WorkerProfile, W::Done), String> {
             let mut run = runner(me)?;
@@ -960,11 +889,8 @@ impl Campaign {
                     prof.steals += 1;
                 }
                 let jt = Instant::now();
-                let (r, t, hp) = run.run(i)?;
+                let (r, t) = run.run(i)?;
                 let secs = jt.elapsed().as_secs_f64();
-                if let Some(hp) = hp {
-                    host_totals.lock().expect(POISONED).merge(&hp);
-                }
                 prof.jobs_run += 1;
                 prof.busy_secs += secs;
                 if let Some(Err(e)) = writer.as_ref().map(|w| w.append(&r)) {
@@ -989,17 +915,17 @@ impl Campaign {
         let mut results = Vec::with_capacity(n);
         let mut jobs = Vec::with_capacity(n);
         for (i, (adopted, slot)) in prefilled.into_iter().zip(slots).enumerate() {
+            let (abbrev, scheduler) = self.names(i);
             let (r, worker, secs) = match (adopted, slot.into_inner().expect(POISONED)) {
                 (Some(r), _) => (r, 0, 0.0),
                 (None, Some((r, t, worker, secs))) => {
                     if let Some(t) = t {
-                        traces.push((format!("job{i} {} {}", r.abbrev(), r.scheduler()), t));
+                        traces.push((format!("job{i} {abbrev} {scheduler}"), t));
                     }
                     (r, worker, secs)
                 }
                 (None, None) => unreachable!("job {i} was neither adopted nor run"),
             };
-            let (abbrev, scheduler) = (r.abbrev(), r.scheduler());
             jobs.push(JobProfile { job: i, abbrev, scheduler, worker, secs });
             results.push(r);
         }
@@ -1008,13 +934,6 @@ impl Campaign {
             wall_secs: t0.elapsed().as_secs_f64(),
             workers,
             jobs,
-            host: opts.hostprof.then(|| {
-                let mut totals = host_totals.into_inner().expect(POISONED);
-                // Single-process runs contribute exactly one host stamp; the
-                // campaign service stamps one per worker process instead.
-                totals.hosts = vec![HostMeta::capture()];
-                totals
-            }),
         };
         let run = CampaignRun {
             results,
@@ -1062,7 +981,7 @@ mod tests {
         let c = small_campaign(7, 6);
         let res = run(&c, 4, false).results;
         for (i, r) in res.iter().enumerate() {
-            assert_eq!(r.job(), i);
+            assert_eq!(r.job, i);
         }
     }
 
@@ -1075,7 +994,10 @@ mod tests {
         let res = run(&c, 2, false).results;
         let direct = crate::simulate_sequence(&cfg, SchedulerKind::Libra, &p, 2);
         assert_eq!(res[0].stats(), Some(&direct), "seed 0 must not perturb the canonical suite");
-        assert_eq!(res[0].success().unwrap().effective_seed, p.seed);
+        let JobOutcome::Done { effective_seed, .. } = res[0].outcome else {
+            panic!("job 0 failed")
+        };
+        assert_eq!(effective_seed, p.seed);
     }
 
     #[test]
@@ -1184,8 +1106,8 @@ mod tests {
         };
         let run = c.run_resilient(&opts).unwrap();
         assert!(run.results[0].is_success() && run.results[2].is_success());
-        match &run.results[1] {
-            CampaignResult::Failed { attempts: 1, panic_msg, .. } => {
+        match &run.results[1].outcome {
+            JobOutcome::Failed { attempts: 1, panic_msg } => {
                 assert!(panic_msg.contains("injected fault"), "bad message {panic_msg:?}");
             }
             other => panic!("expected Failed, got {other:?}"),
@@ -1217,8 +1139,8 @@ mod tests {
             ..RunOptions::default()
         };
         let run = c.run_resilient(&opts).unwrap();
-        match &run.results[0] {
-            CampaignResult::TimedOut { budget_cycles: 0, spent_cycles, .. } => {
+        match &run.results[0].outcome {
+            JobOutcome::TimedOut { budget_cycles: 0, spent_cycles, .. } => {
                 assert!(*spent_cycles > 0, "watchdog must report the cycles it measured");
             }
             other => panic!("expected TimedOut, got {other:?}"),

@@ -71,10 +71,10 @@ use std::io::Write;
 use std::sync::Mutex;
 
 use tbr_common::binio::{ByteReader, ByteWriter};
-use tbr_common::json::{self, field, field_hex, field_str, field_u64, Value};
+use tbr_common::json::{self, field, field_hex, field_str, field_u32, field_u64, Value};
 use tbr_common::stats::SequenceStats;
 
-use crate::campaign::CampaignResult;
+use crate::campaign::{CampaignResult, JobOutcome};
 
 /// Schema identifier written to (and required of) every JSON checkpoint header.
 pub const SCHEMA: &str = "libra-campaign-ckpt-v1";
@@ -107,55 +107,14 @@ pub struct CheckpointHeader {
     pub fingerprint: u64,
 }
 
-/// Outcome payload of one checkpoint record, mirroring [`CampaignResult`] minus
-/// the `&'static str` names (which are re-bound from the campaign on adoption).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecordOutcome {
-    /// The job completed; carries its effective seed and full statistics.
-    Done {
-        /// The perturbed workload seed the job ran with.
-        effective_seed: u64,
-        /// Full per-frame statistics (exact JSON round-trip).
-        stats: SequenceStats,
-    },
-    /// The job panicked on every attempt.
-    Failed {
-        /// Attempts made (1 + retries).
-        attempts: u32,
-        /// Panic payload of the last attempt.
-        panic_msg: String,
-    },
-    /// The job exceeded its watchdog cycle budget on every attempt.
-    TimedOut {
-        /// Attempts made (1 + retries).
-        attempts: u32,
-        /// The budget in effect, in simulated cycles.
-        budget_cycles: u64,
-        /// Simulated cycles accumulated when the watchdog fired.
-        spent_cycles: u64,
-    },
-}
-
-/// One parsed checkpoint record (not yet validated against a campaign).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Record {
-    /// Campaign-order index of the job.
-    pub job: usize,
-    /// Workload abbreviation recorded at write time (cross-checked on adoption).
-    pub abbrev: String,
-    /// Scheduler name recorded at write time (cross-checked on adoption).
-    pub scheduler: String,
-    /// What happened to the job.
-    pub outcome: RecordOutcome,
-}
-
 /// A fully parsed checkpoint file: header plus records in file order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// The identity line.
     pub header: CheckpointHeader,
-    /// Records in file order (later records for a job supersede earlier ones).
-    pub records: Vec<Record>,
+    /// Records in file order (later records for a job supersede earlier ones),
+    /// not yet checked against a campaign (see `Campaign::adopt_record`).
+    pub records: Vec<CampaignResult>,
     /// The encoding the file was written in (resume appends in the same one).
     pub format: CheckpointFormat,
 }
@@ -212,56 +171,27 @@ impl CheckpointHeader {
     }
 }
 
-impl Record {
-    /// Captures a [`CampaignResult`] as a serialisable record (the inverse of
-    /// [`Campaign::adopt_record`](crate::campaign::Campaign::adopt_record),
-    /// which re-binds the `&'static str` names from the campaign).
-    pub fn from_result(r: &CampaignResult) -> Self {
-        let outcome = match r {
-            CampaignResult::Done(s) => RecordOutcome::Done {
-                effective_seed: s.effective_seed,
-                stats: s.stats.clone(),
-            },
-            CampaignResult::Failed { attempts, panic_msg, .. } => RecordOutcome::Failed {
-                attempts: *attempts,
-                panic_msg: panic_msg.clone(),
-            },
-            CampaignResult::TimedOut { attempts, budget_cycles, spent_cycles, .. } => {
-                RecordOutcome::TimedOut {
-                    attempts: *attempts,
-                    budget_cycles: *budget_cycles,
-                    spent_cycles: *spent_cycles,
-                }
-            }
-        };
-        Self {
-            job: r.job(),
-            abbrev: r.abbrev().to_string(),
-            scheduler: r.scheduler().to_string(),
-            outcome,
-        }
-    }
-
-    /// The single-line JSON object of this record — the checkpoint's record
-    /// encoding, also embedded verbatim in `libra-wire-v1` `result` frames.
+impl CampaignResult {
+    /// The single-line JSON object of this result — the JSON checkpoint's
+    /// record line, also embedded verbatim in `libra-wire-v1` `result` frames.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str(&format!("{{\"job\":{},\"outcome\":\"", self.job));
         match &self.outcome {
-            RecordOutcome::Done { effective_seed, stats } => {
+            JobOutcome::Done { effective_seed, stats } => {
                 out.push_str("done\"");
                 self.push_names(&mut out);
                 out.push_str(&format!(",\"effective_seed\":\"{}\",\"stats\":", hex(*effective_seed)));
                 out.push_str(&stats.to_json());
             }
-            RecordOutcome::Failed { attempts, panic_msg } => {
+            JobOutcome::Failed { attempts, panic_msg } => {
                 out.push_str("failed\"");
                 self.push_names(&mut out);
                 out.push_str(&format!(",\"attempts\":{attempts},\"panic_msg\":\""));
                 json::escape_into(&mut out, panic_msg);
                 out.push('"');
             }
-            RecordOutcome::TimedOut { attempts, budget_cycles, spent_cycles } => {
+            JobOutcome::TimedOut { attempts, budget_cycles, spent_cycles } => {
                 out.push_str("timeout\"");
                 self.push_names(&mut out);
                 out.push_str(&format!(
@@ -282,26 +212,26 @@ impl Record {
         out.push('"');
     }
 
-    /// Parses a record object (the inverse of [`Record::to_json`]); `what`
-    /// names the location for error messages.
+    /// Parses a result object (the inverse of [`CampaignResult::to_json`]);
+    /// `what` names the location for error messages.
     pub fn from_value(v: &Value, what: &str) -> Result<Self, String> {
         let job = field_u64(v, "job", what)? as usize;
         let abbrev = field_str(v, "abbrev", what)?.to_string();
         let scheduler = field_str(v, "scheduler", what)?.to_string();
         let outcome = match field_str(v, "outcome", what)? {
-            "done" => RecordOutcome::Done {
+            "done" => JobOutcome::Done {
                 effective_seed: field_hex(v, "effective_seed", what)?,
                 stats: SequenceStats::from_value(
                     field(v, "stats", what)?,
                     &format!("{what}.stats"),
                 )?,
             },
-            "failed" => RecordOutcome::Failed {
-                attempts: field_u64(v, "attempts", what)? as u32,
+            "failed" => JobOutcome::Failed {
+                attempts: field_u32(v, "attempts", what)?,
                 panic_msg: field_str(v, "panic_msg", what)?.to_string(),
             },
-            "timeout" => RecordOutcome::TimedOut {
-                attempts: field_u64(v, "attempts", what)? as u32,
+            "timeout" => JobOutcome::TimedOut {
+                attempts: field_u32(v, "attempts", what)?,
                 budget_cycles: field_u64(v, "budget_cycles", what)?,
                 spent_cycles: field_u64(v, "spent_cycles", what)?,
             },
@@ -309,72 +239,67 @@ impl Record {
         };
         Ok(Self { job, abbrev, scheduler, outcome })
     }
-}
 
-/// Serialises one completed job as a single-line JSON record.
-pub fn record_json(r: &CampaignResult) -> String {
-    Record::from_result(r).to_json()
-}
-
-/// Serialises one completed job as a length-prefixed binary frame (the whole
-/// frame — length included — is handed to one `write_all`).
-pub fn record_frame(r: &CampaignResult) -> Vec<u8> {
-    let mut p = ByteWriter::new();
-    p.u32(r.job() as u32);
-    p.str16(r.abbrev());
-    p.str16(r.scheduler());
-    match r {
-        CampaignResult::Done(s) => {
-            p.u8(0);
-            p.u64(s.effective_seed);
-            s.stats.to_binary_into(&mut p);
+    /// This result as a length-prefixed binary frame (the whole frame —
+    /// length included — is handed to one `write_all`).
+    fn to_frame(&self) -> Vec<u8> {
+        let mut p = ByteWriter::new();
+        p.u32(self.job as u32);
+        p.str16(&self.abbrev);
+        p.str16(&self.scheduler);
+        match &self.outcome {
+            JobOutcome::Done { effective_seed, stats } => {
+                p.u8(0);
+                p.u64(*effective_seed);
+                stats.to_binary_into(&mut p);
+            }
+            JobOutcome::Failed { attempts, panic_msg } => {
+                p.u8(1);
+                p.u32(*attempts);
+                p.str32(panic_msg);
+            }
+            JobOutcome::TimedOut { attempts, budget_cycles, spent_cycles } => {
+                p.u8(2);
+                p.u32(*attempts);
+                p.u64(*budget_cycles);
+                p.u64(*spent_cycles);
+            }
         }
-        CampaignResult::Failed { attempts, panic_msg, .. } => {
-            p.u8(1);
-            p.u32(*attempts);
-            p.str32(panic_msg);
-        }
-        CampaignResult::TimedOut { attempts, budget_cycles, spent_cycles, .. } => {
-            p.u8(2);
-            p.u32(*attempts);
-            p.u64(*budget_cycles);
-            p.u64(*spent_cycles);
-        }
+        let payload = p.into_bytes();
+        let mut w = ByteWriter::new();
+        w.u32(payload.len() as u32);
+        w.bytes(&payload);
+        w.into_bytes()
     }
-    let payload = p.into_bytes();
-    let mut w = ByteWriter::new();
-    w.u32(payload.len() as u32);
-    w.bytes(&payload);
-    w.into_bytes()
-}
 
-/// Decodes one binary record payload (frame length already stripped). The
-/// payload must be consumed exactly — trailing bytes mean a corrupt frame.
-fn parse_record_binary(payload: &[u8], what: &str) -> Result<Record, String> {
-    let mut r = ByteReader::new(payload);
-    let job = r.u32(&format!("{what}.job"))? as usize;
-    let abbrev = r.str16(&format!("{what}.abbrev"))?;
-    let scheduler = r.str16(&format!("{what}.scheduler"))?;
-    let outcome = match r.u8(&format!("{what}.outcome"))? {
-        0 => RecordOutcome::Done {
-            effective_seed: r.u64(&format!("{what}.effective_seed"))?,
-            stats: SequenceStats::from_reader(&mut r, &format!("{what}.stats"))?,
-        },
-        1 => RecordOutcome::Failed {
-            attempts: r.u32(&format!("{what}.attempts"))?,
-            panic_msg: r.str32(&format!("{what}.panic_msg"))?,
-        },
-        2 => RecordOutcome::TimedOut {
-            attempts: r.u32(&format!("{what}.attempts"))?,
-            budget_cycles: r.u64(&format!("{what}.budget_cycles"))?,
-            spent_cycles: r.u64(&format!("{what}.spent_cycles"))?,
-        },
-        other => return Err(format!("{what}: unknown outcome tag {other}")),
-    };
-    if !r.is_empty() {
-        return Err(format!("{what}: {} unexpected trailing byte(s) in frame", r.remaining()));
+    /// Decodes one binary frame payload (frame length already stripped). The
+    /// payload must be consumed exactly — trailing bytes mean a corrupt frame.
+    fn from_frame(payload: &[u8], what: &str) -> Result<Self, String> {
+        let mut r = ByteReader::new(payload);
+        let job = r.u32(&format!("{what}.job"))? as usize;
+        let abbrev = r.str16(&format!("{what}.abbrev"))?;
+        let scheduler = r.str16(&format!("{what}.scheduler"))?;
+        let outcome = match r.u8(&format!("{what}.outcome"))? {
+            0 => JobOutcome::Done {
+                effective_seed: r.u64(&format!("{what}.effective_seed"))?,
+                stats: SequenceStats::from_reader(&mut r, &format!("{what}.stats"))?,
+            },
+            1 => JobOutcome::Failed {
+                attempts: r.u32(&format!("{what}.attempts"))?,
+                panic_msg: r.str32(&format!("{what}.panic_msg"))?,
+            },
+            2 => JobOutcome::TimedOut {
+                attempts: r.u32(&format!("{what}.attempts"))?,
+                budget_cycles: r.u64(&format!("{what}.budget_cycles"))?,
+                spent_cycles: r.u64(&format!("{what}.spent_cycles"))?,
+            },
+            other => return Err(format!("{what}: unknown outcome tag {other}")),
+        };
+        if !r.is_empty() {
+            return Err(format!("{what}: {} unexpected trailing byte(s) in frame", r.remaining()));
+        }
+        Ok(Self { job, abbrev, scheduler, outcome })
     }
-    Ok(Record { job, abbrev, scheduler, outcome })
 }
 
 impl Checkpoint {
@@ -415,7 +340,7 @@ impl Checkpoint {
                 return Err(format!("checkpoint {path} line {lineno}: blank line"));
             }
             let v = json::parse(line).map_err(|e| format!("checkpoint {path} line {lineno}: {e}"))?;
-            let rec = Record::from_value(&v, &format!("record at line {lineno}"))
+            let rec = CampaignResult::from_value(&v, &format!("record at line {lineno}"))
                 .map_err(|e| format!("checkpoint {path}: {e}"))?;
             if rec.job >= header.jobs {
                 return Err(format!(
@@ -444,7 +369,7 @@ impl Checkpoint {
             };
             let len = r.u32("frame length").map_err(frame_err)? as usize;
             let payload = r.bytes(len, "frame payload").map_err(frame_err)?;
-            let rec = parse_record_binary(payload, &format!("record at offset {at}"))
+            let rec = CampaignResult::from_frame(payload, &format!("record at offset {at}"))
                 .map_err(|e| format!("checkpoint {path}: {e}"))?;
             if rec.job >= header.jobs {
                 return Err(format!(
@@ -522,9 +447,9 @@ impl CheckpointWriter {
     /// Appends one job record atomically (single write of a full line/frame).
     pub fn append(&self, r: &CampaignResult) -> Result<(), String> {
         let bytes = match self.format {
-            CheckpointFormat::Binary => record_frame(r),
+            CheckpointFormat::Binary => r.to_frame(),
             CheckpointFormat::Json => {
-                let mut line = record_json(r);
+                let mut line = r.to_json();
                 line.push('\n');
                 line.into_bytes()
             }

@@ -55,9 +55,9 @@ pub mod wire;
 
 pub use campaign::{
     Campaign, CampaignJob, CampaignProfile, CampaignResult, CampaignRun, CampaignSummary,
-    JobProfile, JobSuccess, RunOptions, WorkerProfile,
+    JobOutcome, JobProfile, RunOptions, WorkerProfile,
 };
-pub use checkpoint::{Checkpoint, CheckpointFormat, CheckpointWriter, Record, RecordOutcome};
+pub use checkpoint::{Checkpoint, CheckpointFormat, CheckpointWriter};
 pub use service::{
     run_sharded, run_worker, submit, Coordinator, ServeOptions, SubmitOutcome,
 };

@@ -21,16 +21,16 @@ use crate::campaign::CampaignResult;
 pub fn campaign_metrics_json(results: &[CampaignResult]) -> String {
     let mut reg = MetricsRegistry::new();
     for r in results {
-        if let Some(s) = r.success() {
-            let job = s.job.to_string();
-            for (f, fs) in s.stats.frames.iter().enumerate() {
+        if let Some(stats) = r.stats() {
+            let job = r.job.to_string();
+            for (f, fs) in stats.frames.iter().enumerate() {
                 let frame = f.to_string();
                 fs.publish(
                     &mut reg,
                     &[
                         ("job", job.as_str()),
-                        ("bench", s.abbrev),
-                        ("scheduler", s.scheduler),
+                        ("bench", r.abbrev.as_str()),
+                        ("scheduler", r.scheduler.as_str()),
                         ("frame", frame.as_str()),
                     ],
                 );

@@ -8,7 +8,7 @@
 //! the sweep through [`run_sharded`]: the same work-stealing pool as
 //! [`Campaign::run_resilient`], with each pool worker driving a spawned worker
 //! *process* that is fed one campaign position at a time over stdio, and
-//! results flowing back as checkpoint [`Record`]s.
+//! results flowing back as [`CampaignResult`]s in checkpoint-record form.
 //!
 //! # Determinism
 //!
@@ -27,8 +27,8 @@
 //! worker counts the crash against a budget of `jobs + 2 × workers`,
 //! respawns the process and re-runs the same position on it, so recovery
 //! work never waits behind the backlog. Results are validated on adoption
-//! through [`Campaign::adopt_record`] — the same re-binding the `--resume`
-//! path uses for checkpoint records — so a confused worker cannot slot a
+//! through [`Campaign::adopt_record`] — the same check the `--resume` path
+//! applies to checkpoint records — so a confused worker cannot slot a
 //! result from a different sweep. When [`ServeOptions::checkpoint_to`] is
 //! set, every adopted result is also appended to an ordinary campaign
 //! checkpoint, making a killed *coordinator* resumable by
@@ -41,11 +41,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use tbr_common::hostprof::{HostMeta, HostTotals};
+use tbr_common::hostprof::HostMeta;
 use tbr_common::wire::{write_frame, FrameReader};
 
 use crate::campaign::{Campaign, CampaignResult, CampaignRun, JobRunner, Ran, RunOptions};
-use crate::checkpoint::Record;
 use crate::report;
 use crate::wire::{JobSpec, Message};
 
@@ -192,15 +191,15 @@ impl JobRunner for WorkerProc<'_> {
                 Message::decode(&frame.ok_or("service: worker closed its stdout mid-sweep")?)
             });
             match reply {
-                Ok(Message::JobResult { record, host: _ }) => {
-                    let result = s.campaign.adopt_record(&record)?;
-                    if result.job() != job {
+                Ok(Message::JobResult { record }) => {
+                    s.campaign.adopt_record(&record)?;
+                    if record.job != job {
                         return Err(format!(
                             "service: worker answered job {} for assignment {job}",
-                            result.job()
+                            record.job
                         ));
                     }
-                    return Ok((result, None, None));
+                    return Ok((record, None));
                 }
                 Ok(Message::Error { message }) => {
                     return Err(format!("service: worker error: {message}"))
@@ -238,8 +237,8 @@ impl Drop for WorkerProc<'_> {
 
 /// Runs `campaign` on the campaign's worker pool with one spawned worker
 /// process per pool worker ([`ServeOptions::workers`]), and returns the run
-/// with the worker crashes it absorbed. The run's results are in campaign
-/// order; its profile stamps one host per worker process, in worker order.
+/// (results in campaign order), the worker crashes it absorbed, and one
+/// host stamp per worker process, in worker order.
 ///
 /// `progress` is invoked (serialised under a lock) with one
 /// [`Message::Progress`] per finished job, in completion order — completion
@@ -250,7 +249,7 @@ pub fn run_sharded(
     spec: &JobSpec,
     opts: &ServeOptions,
     progress: &mut (dyn FnMut(&Message) + Send),
-) -> Result<(CampaignRun, usize), String> {
+) -> Result<(CampaignRun, usize, Vec<HostMeta>), String> {
     let total = campaign.len();
     let workers = opts.workers.clamp(1, total.max(1));
     let shard = Shard {
@@ -269,11 +268,11 @@ pub fn run_sharded(
         let (done, notify) = &mut *guard;
         *done += 1;
         notify(&Message::Progress {
-            job: r.job(),
+            job: r.job,
             done: *done,
             total,
-            abbrev: r.abbrev().to_string(),
-            scheduler: r.scheduler().to_string(),
+            abbrev: r.abbrev.clone(),
+            scheduler: r.scheduler.clone(),
             ok: r.is_success(),
         });
     };
@@ -283,12 +282,11 @@ pub fn run_sharded(
         checkpoint_to: opts.checkpoint_to.clone(),
         ..RunOptions::default()
     };
-    let (mut run, hosts) = campaign.run_pool(&run_opts, &spawn, &on_result)?;
+    let (run, hosts) = campaign.run_pool(&run_opts, &spawn, &on_result)?;
     if let Some(e) = run.checkpoint_error {
         return Err(e);
     }
-    run.profile.host = Some(HostTotals { hosts, ..HostTotals::default() });
-    Ok((run, shard.crashes.load(Ordering::SeqCst)))
+    Ok((run, shard.crashes.load(Ordering::SeqCst), hosts))
 }
 
 // ---------------------------------------------------------------------------
@@ -394,7 +392,8 @@ impl Coordinator {
                 let _ = write_frame(&mut writer, &msg.encode(), peer);
                 notify(msg);
             };
-            let (run, crashes) = run_sharded(&campaign, &spec, &self.opts, &mut forward)?;
+            let (run, crashes, hosts) =
+                run_sharded(&campaign, &spec, &self.opts, &mut forward)?;
             let ok = run.results.iter().filter(|r| r.is_success()).count();
             let report = Message::Report {
                 fingerprint: campaign.fingerprint(),
@@ -405,7 +404,7 @@ impl Coordinator {
                     run.profile.threads
                 ),
                 crashes,
-                hosts: run.profile.host.map(|h| h.hosts).unwrap_or_default(),
+                hosts,
                 report_json: report::campaign_metrics_json(&run.results),
             };
             write_frame(&mut writer, &report.encode(), peer)?;
@@ -461,16 +460,8 @@ pub fn run_worker() -> Result<(), String> {
                     );
                     return Err(msg);
                 }
-                let result = campaign.run_one(job, &RunOptions::default());
-                write_frame(
-                    &mut out,
-                    &Message::JobResult {
-                        record: Record::from_result(&result),
-                        host: HostMeta::capture(),
-                    }
-                    .encode(),
-                    "coordinator",
-                )?;
+                let record = campaign.run_one(job, &RunOptions::default());
+                write_frame(&mut out, &Message::JobResult { record }.encode(), "coordinator")?;
             }
             Message::Shutdown => break,
             other => {

@@ -15,10 +15,11 @@
 //! * 64-bit values (seeds, campaign fingerprints) travel as `"0x…"` hex
 //!   **strings**, never JSON numbers, because the in-repo parser holds numbers
 //!   as `f64` and would silently round above 2⁵³.
-//! * Job results embed the exact checkpoint [`Record`] object, so a wire
-//!   result and a checkpoint line are interchangeable: the coordinator adopts
-//!   both through [`Campaign::adopt_record`], and crash recovery replays a
-//!   dead worker's checkpointed records with no translation step.
+//! * Job results embed a [`CampaignResult`] as the JSON checkpoint's record
+//!   object, so a wire result and a checkpoint line are interchangeable: the
+//!   coordinator checks both through [`Campaign::adopt_record`], and crash
+//!   recovery replays a dead worker's checkpointed records with no
+//!   translation step.
 //!
 //! A [`JobSpec`] names a campaign *constructively* (seed, scheduler, screen,
 //! frame count, suite truncation) rather than shipping the job list itself:
@@ -29,12 +30,13 @@
 use libra::scheduler::SchedulerKind;
 use tbr_common::config::{GpuConfig, ScreenConfig};
 use tbr_common::hostprof::HostMeta;
-use tbr_common::json::{self, escape_into, field, field_hex, field_str, field_u64, Value};
+use tbr_common::json::{
+    self, escape_into, field, field_hex, field_str, field_u32, field_u64, Value,
+};
 use tbr_common::mechanism::MechanismSpec;
 use tbr_workloads::suite;
 
-use crate::campaign::Campaign;
-use crate::checkpoint::Record;
+use crate::campaign::{Campaign, CampaignResult};
 
 /// Protocol version stamped into (and demanded of) every frame.
 pub const WIRE_VERSION: &str = "libra-wire-v1";
@@ -175,10 +177,7 @@ impl JobSpec {
             seed: field_hex(v, "seed", what)?,
             scheduler: field_str(v, "scheduler", what)?.to_string(),
             mechanism,
-            frames: {
-                let n = field_u64(v, "frames", what)?;
-                u32::try_from(n).map_err(|_| format!("{what}.frames: {n} is out of range"))?
-            },
+            frames: field_u32(v, "frames", what)?,
             rus: field_u64(v, "rus", what)? as usize,
             cores: field_u64(v, "cores", what)? as usize,
             screen: field_str(v, "screen", what)?.to_string(),
@@ -256,11 +255,9 @@ pub enum Message {
     },
     /// Worker → coordinator: a finished job, as a checkpoint record.
     JobResult {
-        /// The result in checkpoint-record form (adopted + validated by the
-        /// coordinator through `Campaign::adopt_record`).
-        record: Record,
-        /// Stamp of the worker that ran it.
-        host: HostMeta,
+        /// The result (checked by the coordinator through
+        /// `Campaign::adopt_record`).
+        record: CampaignResult,
     },
     /// Coordinator → worker: drain and exit cleanly.
     Shutdown,
@@ -338,12 +335,8 @@ impl Message {
             Message::Assign { job, spec } => {
                 out.push_str(&format!(", \"job\": {job}, \"spec\": {}", spec.json_object()));
             }
-            Message::JobResult { record, host } => {
-                out.push_str(&format!(
-                    ", \"record\": {}, \"host\": {}",
-                    record.to_json(),
-                    host.json_object()
-                ));
+            Message::JobResult { record } => {
+                out.push_str(&format!(", \"record\": {}", record.to_json()));
             }
             Message::Shutdown => {}
         }
@@ -409,9 +402,9 @@ impl Message {
                 job: field_u64(&v, "job", what)? as usize,
                 spec: JobSpec::from_value(field(&v, "spec", what)?, what)?,
             },
+            // Older workers also sent a `host` stamp here; it is ignored.
             "result" => Message::JobResult {
-                record: Record::from_value(field(&v, "record", what)?, what)?,
-                host: HostMeta::from_value(field(&v, "host", what)?, what)?,
+                record: CampaignResult::from_value(field(&v, "record", what)?, what)?,
             },
             "shutdown" => Message::Shutdown,
             other => {

@@ -10,42 +10,42 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=1
 
-echo "== [1/14] offline release build =="
+echo "== [1/15] offline release build =="
 cargo build --release --workspace
 
-echo "== [2/14] clippy (deny warnings) =="
+echo "== [2/15] clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== [3/14] rustdoc (deny warnings) =="
+echo "== [3/15] rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "== [4/14] test suite (every crate's unit, doc and integration tests) =="
+echo "== [4/15] test suite (every crate's unit, doc and integration tests) =="
 cargo test -q --workspace
 
-echo "== [5/14] benchmark package tests (its mirror must match the simulator) =="
+echo "== [5/15] benchmark package tests (its mirror must match the simulator) =="
 cargo test --offline --manifest-path libra-benchmark/Cargo.toml
 
-echo "== [6/14] trace-export smoke (emit, then validate with the in-repo parser) =="
+echo "== [6/15] trace-export smoke (emit, then validate with the in-repo parser) =="
 cargo run --release --bin libra-sim -- run AAt --frames 1 \
     --trace-out target/ci_trace.json --report-json target/ci_report.json
 cargo run --release --bin libra-sim -- trace-check target/ci_trace.json
 
-echo "== [7/14] 2-thread campaign smoke (parallel == serial, bit-identical) =="
+echo "== [7/15] 2-thread campaign smoke (parallel == serial, bit-identical) =="
 cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 --verify
 
-echo "== [8/14] heap-vs-scan event-loop differential smoke (metrics bit-identical) =="
+echo "== [8/15] heap-vs-scan event-loop differential smoke (metrics bit-identical) =="
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop scan \
     --report-json target/ci_eventloop_scan.json
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop heap \
     --report-json target/ci_eventloop_heap.json
 cmp target/ci_eventloop_scan.json target/ci_eventloop_heap.json
 
-echo "== [9/14] par-vs-heap event-loop differential smoke (2 worker threads, metrics bit-identical) =="
+echo "== [9/15] par-vs-heap event-loop differential smoke (2 worker threads, metrics bit-identical) =="
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop par --sim-threads 2 \
     --report-json target/ci_eventloop_par.json
 cmp target/ci_eventloop_heap.json target/ci_eventloop_par.json
 
-echo "== [10/14] kill-and-resume smoke (poison one job, resume, metrics bit-identical) =="
+echo "== [10/15] kill-and-resume smoke (poison one job, resume, metrics bit-identical) =="
 # Reference: an uninterrupted sweep (no checkpoint so it cannot collide).
 cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 \
     --no-checkpoint --report-json target/ci_campaign_ref.json
@@ -66,7 +66,7 @@ cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 \
     --resume target/ci_campaign.ckpt --report-json target/ci_campaign_resumed.json
 cmp target/ci_campaign_ref.json target/ci_campaign_resumed.json
 
-echo "== [11/14] binary-checkpoint kill-and-resume (torn sidecar healed byte-identically) =="
+echo "== [11/15] binary-checkpoint kill-and-resume (torn sidecar healed byte-identically) =="
 # Reference: a serial sweep writing the default binary sidecar (job order is
 # deterministic at --threads 1, so the file is byte-reproducible).
 rm -f target/ci_campaign_ref.ckptb target/ci_campaign_cut.ckptb
@@ -87,7 +87,7 @@ cargo run --release --bin libra-sim -- campaign --frames 1 --threads 1 \
     --resume target/ci_campaign_cut.ckptb >/dev/null
 cmp target/ci_campaign_ref.ckptb target/ci_campaign_cut.ckptb
 
-echo "== [12/14] three-driver equality at 64 RU x 8 cores (scan == heap == par@2, every counter) =="
+echo "== [12/15] three-driver equality at 64 RU x 8 cores (scan == heap == par@2, every counter) =="
 # The same sweep under each event-loop driver (the env form, as the benchmark
 # passes it): the three reports must be byte-identical, which compares every
 # simulated counter of every job.
@@ -99,7 +99,7 @@ done
 cmp target/ci_drivers_scan.json target/ci_drivers_heap.json
 cmp target/ci_drivers_heap.json target/ci_drivers_par.json
 
-echo "== [13/14] campaign service smoke (serve/submit on loopback, 2 workers, one killed; report byte-identical to serial campaign, checkpoint resumable) =="
+echo "== [13/15] campaign service smoke (serve/submit on loopback, 2 workers, one killed; report byte-identical to serial campaign, checkpoint resumable) =="
 # Reference: a plain single-process 4-job sweep.
 cargo run --release --bin libra-sim -- campaign --frames 1 --take 4 --threads 1 \
     --no-checkpoint --report-json target/ci_serve_ref.json >/dev/null
@@ -136,7 +136,7 @@ cargo run --release --bin libra-sim -- campaign --frames 1 --take 4 --threads 1 
 grep -q "adopted 4 completed job(s)" target/ci_serve_resume.log
 cmp target/ci_serve_ref.json target/ci_serve_resumed.json
 
-echo "== [14/14] mechanism sweep smoke (re+wasp campaign, serial == 2-thread bit-identical) =="
+echo "== [14/15] mechanism sweep smoke (re+wasp campaign, serial == 2-thread bit-identical) =="
 # The mechanism axes must compose with the campaign driver deterministically:
 # the same re+wasp sweep on 1 and 2 threads writes byte-identical reports
 # (per-job cycles, DRAM and cache counters under RE discards + WaSP reorders).
@@ -147,5 +147,14 @@ cargo run --release --bin libra-sim -- campaign --frames 2 --take 4 --threads 2 
     --mechanism re+wasp --no-checkpoint \
     --report-json target/ci_mech_thr2.json >/dev/null
 cmp target/ci_mech_serial.json target/ci_mech_thr2.json
+
+echo "== [15/15] benchmark end to end (--smoke, then --smoke --trace 1; every pass succeeds, every mirror matches) =="
+# Gate 5 runs only the benchmark's unit tests; this drives it against the CLI
+# it times: --profile's CSV columns, --ckpt-format json and --resume, submit's
+# progress lines, report byte-identity across passes, and the traced run's
+# mirror against Campaign::run_one. Each exits non-zero unless every pass
+# succeeds and every trace.mirror_ok is 1. No timing is judged here.
+cargo run --release --offline --manifest-path libra-benchmark/Cargo.toml -- --smoke
+cargo run --release --offline --manifest-path libra-benchmark/Cargo.toml -- --smoke --trace 1
 
 echo "ci.sh: all gates passed"

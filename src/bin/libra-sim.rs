@@ -34,8 +34,8 @@
 //!           first N workloads)  --threads N (default: all cores)
 //!           --verify (re-run serially with the same fault/budget/retries, fail
 //!           on the first job that differs; every other flag still applies)
-//!           --profile (worker/job wall-clock CSVs and host telemetry under
-//!           bench_results/)  --trace-out FILE (merged per-job traces)
+//!           --profile (worker and job wall-clock CSVs under bench_results/)
+//!           --trace-out FILE (merged per-job traces)
 //!           --report-json FILE (survivor metrics, `libra-metrics-v1`)
 //!           --checkpoint FILE | --no-checkpoint (default: auto path under
 //!           bench_results/)  --ckpt-format binary|json (default binary, `.ckptb`
@@ -60,9 +60,10 @@
 //!
 //! Traces carry *simulated* timestamps (1 GPU cycle = 1 µs on the Perfetto
 //! timeline), so trace output is bit-identical for every `--threads` value.
-//! Host-time observability is opt-in: `LIBRA_HOSTPROF=1` (or `campaign
-//! --profile`) enables wall-clock telemetry of the parallel event core —
-//! observation-only, simulated results are bit-identical with it on or off.
+//! Host-time observability is opt-in: `LIBRA_HOSTPROF=1 libra-sim run` prints
+//! wall-clock telemetry of the parallel event core (and adds its host lanes to
+//! `--trace-out`) — observation-only, simulated results are bit-identical
+//! with it on or off. `campaign --profile` times workers and jobs instead.
 //! Timing the simulator is the job of the repository benchmark
 //! (`cargo run --release --offline --manifest-path libra-benchmark/Cargo.toml --
 //! --smoke | --workload W | --compare PARENT CHANGE`); it spawns this binary,
@@ -494,7 +495,6 @@ fn cmd_campaign(cli: &Cli) -> Result<(), String> {
         ));
     }
     opts.traced = cli.trace_out.is_some();
-    opts.hostprof = cli.profile || tbr_common::hostprof::env_enabled();
     let start = std::time::Instant::now();
     let run = campaign.run_resilient(&opts)?;
     if cli.verify {
@@ -541,14 +541,6 @@ fn cmd_campaign(cli: &Cli) -> Result<(), String> {
             profile.utilization() * 100.0,
             profile.workers.iter().map(|w| w.steals).sum::<u64>()
         );
-        if let Some(host) = &profile.host {
-            write_file(
-                "bench_results/campaign_hostprof.json",
-                &host.to_json(),
-                "host telemetry",
-            )?;
-            out!("{}", host.render());
-        }
     }
     let results = run.results;
     let elapsed = start.elapsed().as_secs_f64();
@@ -561,13 +553,13 @@ fn cmd_campaign(cli: &Cli) -> Result<(), String> {
         match r.stats() {
             Some(stats) => outln!(
                 "{:<6} {:<10} {:>12.0} {:>12} {:>7.1}%",
-                r.abbrev(),
-                r.scheduler(),
+                r.abbrev,
+                r.scheduler,
                 stats.avg_frame_cycles(),
                 stats.total_dram_accesses(),
                 stats.texture_hit_ratio() * 100.0
             ),
-            None => outln!("{:<6} {:<10} -- no result --", r.abbrev(), r.scheduler()),
+            None => outln!("{:<6} {:<10} -- no result --", r.abbrev, r.scheduler),
         }
     }
     if let Some(path) = &cli.report_json {
@@ -621,9 +613,7 @@ fn verify_against_serial(
     if let Some((r, _)) = results.iter().zip(&serial.results).find(|(r, s)| r != s) {
         return Err(format!(
             "verify: job {} ({} / {}) diverged from the serial run",
-            r.job(),
-            r.abbrev(),
-            r.scheduler()
+            r.job, r.abbrev, r.scheduler
         ));
     }
     outln!(
@@ -721,7 +711,8 @@ fn usage() {
     errln!(
         "{text}\nenv: LIBRA_EVENT_LOOP (driver) and LIBRA_SIM_THREADS (par-driver workers), which\n     \
          `serve` passes on to its worker processes; LIBRA_FAULT (campaign fault injection);\n     \
-         LIBRA_HOSTPROF=1 (host-time telemetry); LIBRA_TEST_TIMEOUT_SECS (service read timeout)\n\
+         LIBRA_HOSTPROF=1 (`run`'s par-driver host-time table); LIBRA_TEST_TIMEOUT_SECS\n     \
+         (service read timeout)\n\
          see docs/OPERATIONS.md; timing: libra-benchmark/README.md"
     );
 }

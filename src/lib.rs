@@ -54,7 +54,7 @@ pub mod prelude {
     pub use tbr_sim::{
         event_loop, simulate_sequence, simulate_sequence_mech, Campaign,
         CampaignProfile, CampaignResult, CampaignRun, CampaignSummary, CheckpointFormat,
-        EventLoopMode, FaultSpec, GpuSimulator, JobSuccess, RunOptions,
+        EventLoopMode, FaultSpec, GpuSimulator, JobOutcome, RunOptions,
     };
     pub use tbr_workloads::{suite, BenchmarkProfile, Category};
 }

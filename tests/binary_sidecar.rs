@@ -4,8 +4,8 @@
 //! (replay with `LIBRA_PROPTEST_SEED` / `LIBRA_PROPTEST_CASES`):
 //!
 //! * **Checkpoint records** (`libra-ckpt-bin-v1`) round-trip JSON ↔ binary
-//!   bit-exactly: the same [`CampaignResult`]s written in either encoding load
-//!   back as identical [`Record`]s, and re-encoding is byte-deterministic.
+//!   bit-exactly: the [`CampaignResult`]s written in either encoding load
+//!   back as the very same values, and re-encoding is byte-deterministic.
 //!   Full-range `u64` counters survive the binary encoding even where JSON
 //!   would be limited to exact-in-`f64` integers (≤ 2⁵³). Corrupt, truncated
 //!   and version-bumped binary files are rejected with a diagnosis, never
@@ -27,7 +27,7 @@ use tbr_common::stats::{CacheStats, DramStats, TileHeatmap, TileTally};
 use tbr_geom::pipeline::process_scene_stream;
 use tbr_geom::stream::TriangleStream;
 use tbr_sim::checkpoint::{
-    self, Checkpoint, CheckpointFormat, CheckpointHeader, CheckpointWriter, RecordOutcome,
+    self, Checkpoint, CheckpointFormat, CheckpointHeader, CheckpointWriter,
 };
 use tbr_sim::CampaignResult;
 use tbr_tiling::binner::{bin_stream, bin_triangles};
@@ -137,62 +137,32 @@ const PANIC_POOL: &[&str] = &[
     "",
 ];
 
+/// A result for `job` named `abbrev`/`libra`.
+fn result(job: usize, abbrev: &str, outcome: JobOutcome) -> CampaignResult {
+    CampaignResult { job, abbrev: abbrev.into(), scheduler: "libra".into(), outcome }
+}
+
 fn gen_result(g: &mut Gen, job: usize, max: u64) -> CampaignResult {
-    let abbrevs: &[&'static str] = &["AAt", "CCS", "MCp"];
+    let abbrevs = ["AAt", "CCS", "MCp"];
     let abbrev = abbrevs[g.usize(0, abbrevs.len())];
-    match g.usize(0, 3) {
-        0 => CampaignResult::Done(JobSuccess {
-            job,
-            abbrev,
-            scheduler: "libra",
+    let outcome = match g.usize(0, 3) {
+        0 => JobOutcome::Done {
             effective_seed: wide(g, u64::MAX),
             stats: gen_sequence_stats(g, max),
-        }),
-        1 => CampaignResult::Failed {
-            job,
-            abbrev,
-            scheduler: "libra",
+        },
+        1 => JobOutcome::Failed {
             attempts: g.u32(1, 5),
             panic_msg: PANIC_POOL[g.usize(0, PANIC_POOL.len())].to_string(),
         },
         // `budget_cycles`/`spent_cycles` are plain JSON numbers (unlike the
         // hex-encoded seeds), so they respect `max` for the cross-format test.
-        _ => CampaignResult::TimedOut {
-            job,
-            abbrev,
-            scheduler: "libra",
+        _ => JobOutcome::TimedOut {
             attempts: g.u32(1, 5),
             budget_cycles: wide(g, max),
             spent_cycles: wide(g, max),
         },
-    }
-}
-
-/// The [`Record`] a loader must hand back for `r`.
-fn expected_record(r: &CampaignResult) -> checkpoint::Record {
-    let outcome = match r {
-        CampaignResult::Done(s) => RecordOutcome::Done {
-            effective_seed: s.effective_seed,
-            stats: s.stats.clone(),
-        },
-        CampaignResult::Failed { attempts, panic_msg, .. } => RecordOutcome::Failed {
-            attempts: *attempts,
-            panic_msg: panic_msg.clone(),
-        },
-        CampaignResult::TimedOut { attempts, budget_cycles, spent_cycles, .. } => {
-            RecordOutcome::TimedOut {
-                attempts: *attempts,
-                budget_cycles: *budget_cycles,
-                spent_cycles: *spent_cycles,
-            }
-        }
     };
-    checkpoint::Record {
-        job: r.job(),
-        abbrev: r.abbrev().to_string(),
-        scheduler: r.scheduler().to_string(),
-        outcome,
-    }
+    result(job, abbrev, outcome)
 }
 
 // ---------------------------------------------------------------------------
@@ -212,7 +182,6 @@ fn checkpoint_records_round_trip_json_and_binary_bit_exactly() {
         // binary-only full-range test below drops that cap.
         let results: Vec<CampaignResult> =
             (0..jobs).map(|j| gen_result(g, j, JSON_EXACT_MAX)).collect();
-        let expected: Vec<checkpoint::Record> = results.iter().map(expected_record).collect();
 
         let case = wide(g, u64::MAX); // unique scratch names per case
         let mut loaded = Vec::new();
@@ -231,7 +200,7 @@ fn checkpoint_records_round_trip_json_and_binary_bit_exactly() {
             let ckpt = Checkpoint::load(&path)?;
             ensure_eq!(ckpt.format, format);
             ensure_eq!(ckpt.header, header);
-            ensure!(ckpt.records == expected, "{format:?}: decoded records diverged");
+            ensure!(ckpt.records == results, "{format:?}: decoded records diverged");
 
             // Byte-determinism: the same results always encode to the same file.
             let again = tmp_path(&format!("rt2_{case:x}_{format:?}"));
@@ -263,7 +232,7 @@ fn binary_checkpoint_carries_full_range_u64_counters() {
         cleanup(&path);
         ensure_eq!(ckpt.records.len(), 1);
         ensure!(
-            ckpt.records[0] == expected_record(&result),
+            ckpt.records[0] == result,
             "full-range counters did not survive the binary round trip"
         );
         Ok(())
@@ -373,28 +342,24 @@ fn pinned_stats() -> SequenceStats {
 /// One result per outcome; the panic message exercises the JSON escaper.
 fn pinned_results() -> Vec<CampaignResult> {
     vec![
-        CampaignResult::Done(JobSuccess {
-            job: 0,
-            abbrev: "CCS",
-            scheduler: "libra",
-            effective_seed: 0xDEAD_BEEF_0123_4567,
-            stats: pinned_stats(),
-        }),
-        CampaignResult::Failed {
-            job: 1,
-            abbrev: "AAt",
-            scheduler: "libra",
-            attempts: 2,
-            panic_msg: "boom \"quoted\" \\ tab\t naïve".to_string(),
-        },
-        CampaignResult::TimedOut {
-            job: 2,
-            abbrev: "GrT",
-            scheduler: "libra",
-            attempts: 1,
-            budget_cycles: 1_000,
-            spent_cycles: 52_341,
-        },
+        result(
+            0,
+            "CCS",
+            JobOutcome::Done { effective_seed: 0xDEAD_BEEF_0123_4567, stats: pinned_stats() },
+        ),
+        result(
+            1,
+            "AAt",
+            JobOutcome::Failed {
+                attempts: 2,
+                panic_msg: "boom \"quoted\" \\ tab\t naïve".to_string(),
+            },
+        ),
+        result(
+            2,
+            "GrT",
+            JobOutcome::TimedOut { attempts: 1, budget_cycles: 1_000, spent_cycles: 52_341 },
+        ),
     ]
 }
 
@@ -472,7 +437,6 @@ fn hex_bytes(hex: &str) -> Vec<u8> {
 #[test]
 fn checkpoint_encodings_are_pinned_and_old_files_still_load() {
     let results = pinned_results();
-    let expected: Vec<checkpoint::Record> = results.iter().map(expected_record).collect();
     for (format, pinned) in [
         (CheckpointFormat::Json, PINNED_JSON.as_bytes().to_vec()),
         (CheckpointFormat::Binary, hex_bytes(PINNED_BINARY)),
@@ -499,7 +463,7 @@ fn checkpoint_encodings_are_pinned_and_old_files_still_load() {
         cleanup(&old);
         assert_eq!(ckpt.format, format);
         assert_eq!(ckpt.header, PINNED_HEADER);
-        assert_eq!(ckpt.records, expected, "{format:?}: pinned file decoded differently");
+        assert_eq!(ckpt.records, results, "{format:?}: pinned file decoded differently");
     }
 }
 

@@ -4,9 +4,11 @@
 //! `campaign --verify` runs the sweep through the same resilient driver as a
 //! plain campaign, so every other option (profile, trace, checkpoint, report,
 //! resume) still applies, and then re-runs it serially and fails on the first
-//! job whose result differs. Malformed environment values are refused at
-//! start-up, each subcommand refuses the flags it does not honour, and a
-//! closed stdout or stderr ends the process without a panic.
+//! job whose result differs. Malformed environment values and a fault aimed
+//! past the last job are refused before anything runs, each subcommand
+//! refuses the flags it does not honour, and a closed stdout or stderr ends
+//! the process without a panic. `LIBRA_HOSTPROF=1 run` prints its host-time
+//! table and adds host lanes to the trace without changing the report.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -75,12 +77,27 @@ fn verify_writes_every_requested_output() {
         "r.json",
         "bench_results/campaign_workers.csv",
         "bench_results/campaign_jobs.csv",
-        "bench_results/campaign_hostprof.json",
     ] {
         let len = std::fs::metadata(dir.join(file))
             .unwrap_or_else(|e| panic!("--verify did not write {file}: {e}\n{stdout}"))
             .len();
         assert!(len > 0, "{file} is empty");
+    }
+    // `--profile` writes its two CSVs and nothing else (no host telemetry
+    // file), with the columns the benchmark's traced run reads by name.
+    let mut profiled: Vec<String> = std::fs::read_dir(dir.join("bench_results"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    profiled.sort();
+    assert_eq!(profiled, ["campaign_jobs.csv", "campaign_workers.csv"]);
+    assert!(!dir.join("bench_results/campaign_hostprof.json").exists());
+    for (file, header) in [
+        ("campaign_workers.csv", "worker,jobs_run,steals,busy_secs,utilization"),
+        ("campaign_jobs.csv", "job,abbrev,scheduler,worker,secs"),
+    ] {
+        let csv = std::fs::read_to_string(dir.join("bench_results").join(file)).unwrap();
+        assert_eq!(csv.lines().next(), Some(header), "{file}");
     }
     let trace = std::fs::read_to_string(dir.join("t.json")).unwrap();
     json::parse(&trace).expect("the trace is valid JSON");
@@ -158,6 +175,74 @@ fn malformed_environment_is_refused_at_start_up() {
         assert!(stderr.contains(var), "{var}={value} is not named: {stderr}");
         assert!(!stderr.contains("panicked"), "{var}={value}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fault aimed past the last job would never fire, so a fault test aimed
+/// at the wrong index would pass vacuously: from `--fault` or `LIBRA_FAULT`
+/// alike, `campaign` refuses it before simulating or writing any file.
+#[test]
+fn a_fault_outside_the_campaign_is_refused() {
+    let dir = temp_dir("fault_range");
+    for (flag, env) in [("--fault panic:5", None), ("", Some("panic:5"))] {
+        let mut cmd = libra_sim(&dir);
+        cmd.args("campaign --take 2 --frames 1 --threads 1 --retries 0".split_whitespace())
+            .args(["--report-json", "r.json"])
+            .args(flag.split_whitespace());
+        if let Some(spec) = env {
+            cmd.env("LIBRA_FAULT", spec);
+        }
+        let out = cmd.output().expect("spawn libra-sim");
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {env:?}: {stderr}");
+        assert!(stderr.contains("job 5") && stderr.contains("2 jobs"), "{stderr}");
+        // Neither the report nor the default checkpoint under bench_results/.
+        let written: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert!(written.is_empty(), "{flag} {env:?} wrote {written:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The one host-telemetry path left: `LIBRA_HOSTPROF=1 run` under the par
+/// driver prints the host-time summary, merges a host-coordinator lane into
+/// `--trace-out`, and leaves the metrics report byte-identical.
+#[test]
+fn hostprof_run_prints_its_table_and_adds_host_lanes() {
+    let dir = temp_dir("hostprof_run");
+    let run = "run AAt --frames 1 --event-loop par --sim-threads 2";
+    let out = libra_sim(&dir)
+        .args(run.split_whitespace())
+        .args(["--trace-out", "t.json", "--report-json", "r.json"])
+        .env("LIBRA_HOSTPROF", "1")
+        .output()
+        .expect("spawn libra-sim");
+    assert_ok(&out, "LIBRA_HOSTPROF=1 run");
+    let stdout = text(&out.stdout);
+    assert!(stdout.contains("hostprof: 1 phase(s)"), "{stdout}");
+
+    let check = libra_sim(&dir).args(["trace-check", "t.json"]).output().expect("spawn");
+    assert_ok(&check, "trace-check t.json");
+    let trace = json::parse(&std::fs::read_to_string(dir.join("t.json")).unwrap()).unwrap();
+    let events = trace.get("traceEvents").and_then(|v| v.as_array()).expect("traceEvents");
+    let on_host_lane = |e: &json::Value| {
+        e.get("tid").and_then(|v| v.as_u64()) == Some(8192)
+            && e.get("ph").and_then(|v| v.as_str()) == Some("X")
+    };
+    assert!(events.iter().any(on_host_lane), "no span on the host-coordinator track");
+
+    let plain = libra_sim(&dir)
+        .args(run.split_whitespace())
+        .args(["--report-json", "plain.json"])
+        .env_remove("LIBRA_HOSTPROF")
+        .output()
+        .expect("spawn libra-sim");
+    assert_ok(&plain, "unprofiled run");
+    assert_eq!(
+        std::fs::read(dir.join("r.json")).unwrap(),
+        std::fs::read(dir.join("plain.json")).unwrap(),
+        "LIBRA_HOSTPROF changed the metrics report"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -64,6 +64,14 @@ fn run(c: &Campaign, threads: usize) -> Vec<CampaignResult> {
     c.run_resilient(&RunOptions { threads, ..RunOptions::default() }).unwrap().results
 }
 
+/// The effective seed and statistics of a completed job.
+fn done(r: &CampaignResult) -> (u64, &SequenceStats) {
+    match &r.outcome {
+        JobOutcome::Done { effective_seed, stats } => (*effective_seed, stats),
+        other => panic!("job {} did not complete: {other:?}", r.job),
+    }
+}
+
 #[test]
 fn campaign_parallel_is_bit_identical_to_serial() {
     let cfg = GpuConfig::libra(ScreenConfig::tiny(), 2);
@@ -77,13 +85,13 @@ fn campaign_parallel_is_bit_identical_to_serial() {
         let parallel = run(&campaign, threads);
         assert_eq!(parallel.len(), serial.len(), "{threads} threads lost jobs");
         for (p, s) in parallel.iter().zip(&serial) {
-            assert_eq!(p.job(), s.job(), "{threads} threads: result order diverged");
-            let (ps, ss) = (p.success().expect("job done"), s.success().expect("job done"));
-            assert_eq!(ps.effective_seed, ss.effective_seed, "{threads} threads: seeds diverged");
+            assert_eq!(p.job, s.job, "{threads} threads: result order diverged");
+            let ((p_seed, p_stats), (s_seed, s_stats)) = (done(p), done(s));
+            assert_eq!(p_seed, s_seed, "{threads} threads: seeds diverged");
             assert_sequences_identical(
-                &ps.stats,
-                &ss.stats,
-                &format!("{} threads, job {} ({}/{})", threads, p.job(), p.abbrev(), p.scheduler()),
+                p_stats,
+                s_stats,
+                &format!("{} threads, job {} ({}/{})", threads, p.job, p.abbrev, p.scheduler),
             );
         }
     }
@@ -101,8 +109,8 @@ fn campaign_seed_is_reproducible_but_resamples_layouts() {
 
     let c = run(&Campaign::grid(8, &cfg, &schedulers, &profiles, 1), 2);
     assert_ne!(
-        a[0].success().unwrap().effective_seed,
-        c[0].success().unwrap().effective_seed,
+        done(&a[0]).0,
+        done(&c[0]).0,
         "different campaign seeds must resample the workload layout"
     );
 }

@@ -58,8 +58,8 @@ fn injected_panic_is_isolated_identically_for_serial_and_parallel() {
 
     for (i, r) in serial.results.iter().enumerate() {
         if i == 2 {
-            match r {
-                CampaignResult::Failed { attempts: 1, panic_msg, .. } => {
+            match &r.outcome {
+                JobOutcome::Failed { attempts: 1, panic_msg } => {
                     assert!(panic_msg.contains("injected fault"), "bad panic payload: {panic_msg:?}");
                 }
                 other => panic!("job 2 should have Failed, got {other:?}"),
@@ -83,8 +83,8 @@ fn injected_timeout_is_isolated_identically_for_serial_and_parallel() {
         .run_resilient(&RunOptions { threads: 2, retries: 0, fault, ..RunOptions::default() })
         .unwrap();
     assert_eq!(serial.results, parallel.results);
-    match &serial.results[1] {
-        CampaignResult::TimedOut { budget_cycles: 0, spent_cycles, .. } => {
+    match &serial.results[1].outcome {
+        JobOutcome::TimedOut { budget_cycles: 0, spent_cycles, .. } => {
             assert!(*spent_cycles > 0, "the watchdog reports how far the job got");
         }
         other => panic!("job 1 should have TimedOut, got {other:?}"),
@@ -123,8 +123,8 @@ fn watchdog_budget_is_deterministic_and_only_fires_when_exceeded() {
         })
         .unwrap();
     for r in &tiny.results {
-        match r {
-            CampaignResult::TimedOut { budget_cycles: 1, spent_cycles, .. } => {
+        match &r.outcome {
+            JobOutcome::TimedOut { budget_cycles: 1, spent_cycles, .. } => {
                 assert!(*spent_cycles > 1);
             }
             other => panic!("expected TimedOut under a 1-cycle budget, got {other:?}"),
@@ -170,8 +170,7 @@ fn failed_jobs_are_rerun_on_resume_and_the_final_state_matches_a_clean_run() {
     let done_for_job2 = reloaded
         .records
         .iter()
-        .filter(|r| r.job == 2)
-        .filter(|r| matches!(r.outcome, tbr_sim::checkpoint::RecordOutcome::Done { .. }))
+        .filter(|r| r.job == 2 && r.is_success())
         .count();
     assert_eq!(done_for_job2, 1, "resume must append the corrected record");
     cleanup(&ckpt);
@@ -352,6 +351,23 @@ fn corrupt_and_mismatched_checkpoints_are_rejected_with_clear_errors() {
     assert!(err.contains("schema"), "should name the schema mismatch: {err}");
     cleanup(&p);
 
+    // An `attempts` count past u32 is refused, not wrapped to 1.
+    let p = tmp_path("attempts.ckpt");
+    std::fs::write(
+        &p,
+        concat!(
+            r#"{"schema":"libra-campaign-ckpt-v1","seed":"0x0","jobs":3,"fingerprint":"0x0"}"#,
+            "\n",
+            r#"{"job":1,"outcome":"failed","abbrev":"AmU","scheduler":"libra","#,
+            r#""attempts":4294967297,"panic_msg":"boom"}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    let err = resume(&p).unwrap_err();
+    assert!(err.contains("line 2") && err.contains("attempts"), "should name the field: {err}");
+    cleanup(&p);
+
     // Empty file.
     let p = tmp_path("empty.ckpt");
     std::fs::write(&p, "").unwrap();
@@ -448,6 +464,31 @@ fn mechanism_campaigns_reject_default_checkpoints_and_vice_versa() {
     assert_eq!(resumed.resumed_jobs, 3);
     cleanup(&p);
     cleanup(&pm);
+}
+
+/// A fault aimed at a job the campaign does not have would never fire, and a
+/// test relying on it would pass vacuously: the sweep is refused at setup,
+/// before any job runs or any checkpoint is created.
+#[test]
+fn a_fault_aimed_outside_the_campaign_is_refused_at_setup() {
+    let p = tmp_path("fault_range.ckpt");
+    let c = small_campaign(3, 1);
+    let run = |spec: &str| {
+        c.run_resilient(&RunOptions {
+            retries: 0,
+            fault: Some(FaultSpec::parse(spec).unwrap()),
+            checkpoint_to: Some(p.clone()),
+            ..RunOptions::default()
+        })
+    };
+    for (spec, job) in [("panic:3", 3), ("timeout-once:99", 99)] {
+        let err = run(spec).unwrap_err();
+        assert!(err.contains(&format!("job {job}")) && err.contains("3 jobs"), "{spec}: {err}");
+        assert!(!std::path::Path::new(&p).exists(), "{spec}: a checkpoint was created");
+    }
+    // The last job is still a valid target.
+    assert_eq!(run("panic:2").unwrap().summary().failed, 1);
+    cleanup(&p);
 }
 
 #[test]

@@ -307,9 +307,10 @@ fn trace_goldens_hold_under_the_parallel_core_at_any_thread_count() {
 /// The host-time profiler must be observation-only, exactly like the tracer:
 /// stats and the full metrics-registry JSON are bit-identical with the
 /// collector installed or not, at every parallel-core thread count. On the
-/// same real runs, every phase's (and the totals') serial, parallel, barrier
-/// and other fractions each lie in [0, 1] and sum to at most one: they are
-/// disjoint subintervals of the phase wall.
+/// same real runs, every phase names the thread slots it ran with, and every
+/// phase's (and the totals') serial, parallel, barrier and other fractions
+/// each lie in [0, 1] and sum to at most one: they are disjoint subintervals
+/// of the phase wall.
 #[test]
 fn hostprof_is_observation_only_at_any_thread_count() {
     let p = profile("AAt");
@@ -351,7 +352,10 @@ fn hostprof_is_observation_only_at_any_thread_count() {
             totals.local_events + totals.shared_commits > 0,
             "par@{threads}: no events attributed"
         );
-        json::parse(&hp.to_json()).expect("hostprof JSON must parse");
+        for phase in &hp.phases {
+            // One slot per worker thread, capped at the config's 2 RUs.
+            assert_eq!(phase.threads, threads.min(2), "par@{threads}: phase thread slots");
+        }
 
         let mut splits: Vec<(&str, [f64; 4])> = hp
             .phases
@@ -389,51 +393,6 @@ fn hostprof_is_observation_only_at_any_thread_count() {
     }
     event_loop::set_sim_threads(None);
     event_loop::set_mode(None);
-}
-
-/// Schema and invariants of the speedup attribution as serialised: on a real
-/// par@2 run, every hostprof JSON phase row names its thread count, and the
-/// totals' serial/parallel/barrier/other fractions each lie in [0, 1] and sum
-/// to at most one (they are disjoint subintervals of the phase wall).
-#[test]
-fn attribution_fractions_are_consistent_in_json() {
-    let pinned = pin_event_loop();
-    event_loop::set_mode(Some(EventLoopMode::Par));
-    event_loop::set_sim_threads(Some(2));
-    hostprof::start();
-    GpuSimulator::new(cfg(), SchedulerKind::Libra).render_sequence(&profile("AAt"), FRAMES);
-    let hp = hostprof::finish().expect("collector was installed");
-    event_loop::set_sim_threads(None);
-    event_loop::set_mode(None);
-    drop(pinned);
-
-    let doc = json::parse(&hp.to_json()).expect("hostprof JSON must parse");
-    assert_eq!(
-        doc.get("schema").and_then(|v| v.as_str()),
-        Some("libra-hostprof-v1")
-    );
-    let phases = doc
-        .get("phases")
-        .and_then(|v| v.as_array())
-        .expect("phases");
-    assert_eq!(phases.len(), FRAMES as usize, "one raster phase per frame");
-    for phase in phases {
-        assert_eq!(phase.get("threads").and_then(|v| v.as_u64()), Some(2));
-    }
-    let totals = doc.get("totals").expect("totals object");
-    let mut sum = 0.0;
-    for part in ["serial", "parallel", "barrier", "other"] {
-        let k = format!("{part}_fraction");
-        let f = totals
-            .get(&k)
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| panic!("totals missing `{k}`"));
-        assert!((0.0..=1.0).contains(&f), "{k} = {f} out of [0, 1]");
-        sum += f;
-    }
-    // Each fraction is serialised with 6 decimals, so the exact in-memory
-    // sum-<=-1 invariant can overshoot by up to 4 half-ulps of 1e-6 here.
-    assert!(sum <= 1.0 + 4e-6, "fractions sum to {sum} > 1");
 }
 
 /// Regenerates `TRACE_GOLDENS` in source form.

@@ -16,7 +16,7 @@ use support::{check, Gen};
 use tbr_common::hostprof::HostMeta;
 use tbr_common::wire::{write_frame, FrameReader};
 use tbr_sim::wire::{JobSpec, Message, WIRE_VERSION};
-use tbr_sim::{Record, RecordOutcome};
+use tbr_sim::{CampaignResult, JobOutcome};
 
 /// A string with protocol-hostile characters: quotes, backslashes, control
 /// characters, unicode — everything `escape_into` must keep frame-safe.
@@ -57,20 +57,20 @@ fn gen_spec(g: &mut Gen) -> JobSpec {
     }
 }
 
-/// A random checkpoint record. `Done` outcomes reuse `stats` (one real
-/// simulated sequence, captured once) because stats round-tripping already has
-/// its own exactness suite — here it only needs to ride the wire.
-fn gen_record(g: &mut Gen, stats: &tbr_common::stats::SequenceStats) -> Record {
+/// A random job result. `Done` outcomes reuse `stats` (one real simulated
+/// sequence, captured once) because stats round-tripping already has its own
+/// exactness suite — here it only needs to ride the wire.
+fn gen_record(g: &mut Gen, stats: &tbr_common::stats::SequenceStats) -> CampaignResult {
     let outcome = match g.u32(0, 3) {
-        0 => RecordOutcome::Done { effective_seed: gen_u64(g), stats: stats.clone() },
-        1 => RecordOutcome::Failed { attempts: g.u32(1, 5), panic_msg: gen_string(g) },
-        _ => RecordOutcome::TimedOut {
+        0 => JobOutcome::Done { effective_seed: gen_u64(g), stats: stats.clone() },
+        1 => JobOutcome::Failed { attempts: g.u32(1, 5), panic_msg: gen_string(g) },
+        _ => JobOutcome::TimedOut {
             attempts: g.u32(1, 5),
             budget_cycles: gen_cycles(g),
             spent_cycles: gen_cycles(g),
         },
     };
-    Record {
+    CampaignResult {
         job: g.usize(0, 1024),
         abbrev: gen_string(g),
         scheduler: gen_string(g),
@@ -100,7 +100,7 @@ fn gen_message(g: &mut Gen, stats: &tbr_common::stats::SequenceStats) -> Message
         },
         5 => Message::Error { message: gen_string(g) },
         6 => Message::Assign { job: g.usize(0, 4096), spec: gen_spec(g) },
-        7 => Message::JobResult { record: gen_record(g, stats), host: gen_host(g) },
+        7 => Message::JobResult { record: gen_record(g, stats) },
         _ => Message::Shutdown,
     }
 }
@@ -266,6 +266,46 @@ fn job_spec_rejects_nonsense() {
     let wrapped = frame.replace("\"frames\": 6", "\"frames\": 4294967297");
     let e = Message::decode(&wrapped).unwrap_err();
     assert!(e.contains("frames"), "{e}");
+}
+
+/// A `result` frame whose `attempts` count is past `u32` is refused, not
+/// wrapped to a small count (4294967297 used to decode as 1).
+#[test]
+fn result_frames_refuse_an_attempts_count_past_u32() {
+    for outcome in [
+        JobOutcome::Failed { attempts: 1, panic_msg: "boom".into() },
+        JobOutcome::TimedOut { attempts: 1, budget_cycles: 10, spent_cycles: 11 },
+    ] {
+        let record =
+            CampaignResult { job: 0, abbrev: "AAt".into(), scheduler: "libra".into(), outcome };
+        let frame = Message::JobResult { record }.encode();
+        assert!(Message::decode(&frame).is_ok());
+        let wrapped = frame.replace("\"attempts\":1,", "\"attempts\":4294967297,");
+        assert_ne!(wrapped, frame);
+        let e = Message::decode(&wrapped).unwrap_err();
+        assert!(e.contains("attempts") && e.contains("out of range"), "{e}");
+    }
+}
+
+/// Workers used to stamp each `result` frame with their host; the decoder
+/// ignores that key, so a frame from such a worker still decodes — to the
+/// frame today's encoder writes without it.
+#[test]
+fn result_frames_with_a_host_stamp_still_decode() {
+    let record = concat!(
+        r#"{"job":1,"outcome":"failed","abbrev":"AmU","scheduler":"libra","#,
+        r#""attempts":2,"panic_msg":"boom"}"#
+    );
+    let host = r#"{"cores": 2, "git_rev": "eb2ddc89bfdb", "utc": "2026-10-19T07:20:38Z"}"#;
+    let frame = |tail: &str| {
+        format!("{{\"v\": \"{WIRE_VERSION}\", \"type\": \"result\", \"record\": {record}{tail}}}")
+    };
+    let legacy = frame(&format!(", \"host\": {host}"));
+    let msg = Message::decode(&legacy).expect("a result frame with a host stamp decodes");
+    let Message::JobResult { record: r } = &msg else { panic!("wrong variant: {msg:?}") };
+    assert_eq!((r.job, r.abbrev.as_str()), (1, "AmU"));
+    assert_eq!(r.outcome, JobOutcome::Failed { attempts: 2, panic_msg: "boom".into() });
+    assert_eq!(msg.encode(), frame(""));
 }
 
 #[test]
