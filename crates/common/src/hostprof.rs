@@ -72,10 +72,6 @@ pub struct WorkerLane {
     pub worker: usize,
     /// Parallel epochs this lane drained a chunk in.
     pub epochs: u64,
-    /// Nanoseconds spent draining Local runs.
-    pub busy_ns: u64,
-    /// Nanoseconds parked at the epoch start barrier (workers only).
-    pub wait_ns: u64,
     /// Local micro-events this lane processed over the whole phase.
     pub local_events: u64,
     /// Per-epoch busy spans (capped at [`MAX_LANE_SPANS`]).

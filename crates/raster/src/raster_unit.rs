@@ -23,8 +23,9 @@ use crate::quad::{Quad, QuadStream};
 use crate::rasterizer::{rasterize_setup_in_rect_into, TriangleSetup};
 use crate::reference::shade_color;
 use crate::shader::{SampleLines, SampleLinesRef, ShaderCore, WarpOutcome};
-use crate::texture::{select_mip, MipAddresser};
+use crate::texture::{sample_shift, select_mip, MipAddresser};
 use crate::zbuffer::ZBuffer;
+use std::ops::Range;
 use tbr_common::addr::{param_entry_addr, AccessKind};
 use tbr_common::arena::{Arena, Span};
 use tbr_common::config::{GpuConfig, PipelineCosts, ScreenConfig};
@@ -430,20 +431,37 @@ pub fn gather_sample_lines_for(
 }
 
 /// Where gathered sample lines land: an owned [`SampleLines`] (IMR mode,
-/// tests) or the Raster Unit's per-frame arenas (the TBR hot path).
+/// tests) or the Raster Unit's per-frame arenas (the TBR hot path). Positions
+/// index the sink's flat line storage.
 trait LineSink {
-    /// Appends one quad's deduplicated lines to the stage being built.
-    fn sink_lines(&mut self, lines: &[u64]);
+    /// Lines stored so far.
+    fn len(&self) -> usize;
+    /// Appends `line` unless it already occurs at or after position `from`.
+    fn push_unique(&mut self, from: usize, line: u64);
+    /// Appends a copy of the lines at `src`, each plus `shift`.
+    fn extend_shifted(&mut self, src: Range<usize>, shift: u64);
     /// Closes the stage being built.
-    fn sink_end_stage(&mut self);
+    fn end_stage(&mut self);
 }
 
 impl LineSink for SampleLines {
-    fn sink_lines(&mut self, lines: &[u64]) {
-        self.extend_lines(lines);
+    fn len(&self) -> usize {
+        self.total_lines()
     }
-    fn sink_end_stage(&mut self) {
-        self.end_stage();
+    fn push_unique(&mut self, from: usize, line: u64) {
+        let lines = self.lines_mut();
+        if !lines[from..].contains(&line) {
+            lines.push(line);
+        }
+    }
+    fn extend_shifted(&mut self, src: Range<usize>, shift: u64) {
+        let lines = self.lines_mut();
+        let start = lines.len();
+        lines.extend_from_within(src);
+        lines[start..].iter_mut().for_each(|line| *line += shift);
+    }
+    fn end_stage(&mut self) {
+        SampleLines::end_stage(self);
     }
 }
 
@@ -457,10 +475,19 @@ struct ArenaSink<'a> {
 }
 
 impl LineSink for ArenaSink<'_> {
-    fn sink_lines(&mut self, lines: &[u64]) {
-        self.lines.alloc_slice(lines);
+    fn len(&self) -> usize {
+        self.lines.len()
     }
-    fn sink_end_stage(&mut self) {
+    fn push_unique(&mut self, from: usize, line: u64) {
+        if !self.lines.get(self.lines.span_since(from)).contains(&line) {
+            self.lines.push(line);
+        }
+    }
+    fn extend_shifted(&mut self, src: Range<usize>, shift: u64) {
+        let copy = self.lines.extend_from_within(src);
+        self.lines.get_mut(copy).iter_mut().for_each(|line| *line += shift);
+    }
+    fn end_stage(&mut self) {
         self.ends.push((self.lines.len() - self.base) as u32);
     }
 }
@@ -503,7 +530,12 @@ fn gather_sample_lines_arena(
 /// Coalescing happens at *quad* granularity (a texture unit fetches the
 /// texels of one 2×2 quad together), so lines shared between different quads are
 /// requested once per quad — that inter-quad reuse is what the texture L1 turns into
-/// hits, matching how hardware hit ratios are counted.
+/// hits, matching how hardware hit ratios are counted. A quad's list holds its
+/// `pass` lanes' lines (every bilinear tap, in tap order) in lane order, each
+/// kept at its first occurrence.
+///
+/// Only stage 0 is addressed: stage `s` is stage 0 plus [`sample_shift`]`(s)`,
+/// copied within the sink, which is the same list a per-sample gather builds.
 #[allow(clippy::too_many_arguments)]
 fn gather_lines_generic<S: LineSink>(
     count: usize,
@@ -514,37 +546,38 @@ fn gather_lines_generic<S: LineSink>(
     filter: FilterMode,
     sink: &mut S,
 ) {
-    for s in 0..tex_samples {
-        let addr = MipAddresser::new(texture, lod, s);
-        for i in 0..count {
-            let (uv, pass) = quad_of(i);
-            let mut quad_lines = [0u64; 16];
-            let mut n = 0;
-            let push = |line: u64, quad_lines: &mut [u64; 16], n: &mut usize| {
-                if !quad_lines[..*n].contains(&line) {
-                    quad_lines[*n] = line;
-                    *n += 1;
+    if tex_samples == 0 {
+        return;
+    }
+    let addr = MipAddresser::new(texture, lod, 0);
+    let stage0 = sink.len();
+    for i in 0..count {
+        let (uv, pass) = quad_of(i);
+        let quad = sink.len();
+        let lanes = (0..4).filter(|lane| pass & (1 << lane) != 0);
+        match filter {
+            FilterMode::Nearest => {
+                let lines = addr.lane_lines(&uv);
+                for lane in lanes {
+                    sink.push_unique(quad, lines[lane]);
                 }
-            };
-            for (lane, &(u, v)) in uv.iter().enumerate() {
-                if pass & (1 << lane) != 0 {
-                    match filter {
-                        FilterMode::Nearest => {
-                            push(addr.line_addr(u, v), &mut quad_lines, &mut n)
-                        }
-                        FilterMode::Bilinear => {
-                            let mut bl = [0u64; 4];
-                            let k = addr.bilinear_line_addrs(u, v, &mut bl);
-                            for &line in &bl[..k] {
-                                push(line, &mut quad_lines, &mut n);
-                            }
-                        }
+            }
+            FilterMode::Bilinear => {
+                for lane in lanes {
+                    let (u, v) = uv[lane];
+                    let (lines, n) = addr.bilinear_lines(u, v);
+                    for &line in &lines[..n] {
+                        sink.push_unique(quad, line);
                     }
                 }
             }
-            sink.sink_lines(&quad_lines[..n]);
         }
-        sink.sink_end_stage();
+    }
+    let stage0 = stage0..sink.len();
+    sink.end_stage();
+    for s in 1..tex_samples {
+        sink.extend_shifted(stage0.clone(), sample_shift(s));
+        sink.end_stage();
     }
 }
 

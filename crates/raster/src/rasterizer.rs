@@ -102,26 +102,47 @@ impl TriangleSetup {
         })
     }
 
-    /// Evaluates coverage + attributes at a pixel centre; `None` when outside.
+    /// Coverage mask and attributes of the 2×2 quad at `(px, py)`, clipped to
+    /// `[x0, x1) × [y0, y1)`: all four lanes in one branch-free pass at the
+    /// pixel centres. Uncovered lanes hold 0.0.
     #[inline]
-    fn sample(&self, px: u32, py: u32) -> Option<(f32, f32, f32)> {
-        let x = px as f32 + 0.5;
-        let y = py as f32 + 0.5;
-        let e0 = self.a[0] * x + self.b[0] * y + self.c[0];
-        let e1 = self.a[1] * x + self.b[1] * y + self.c[1];
-        let e2 = self.a[2] * x + self.b[2] * y + self.c[2];
-        // Top-left-rule approximation: include edges on the >= 0 side.
-        if e0 < 0.0 || e1 < 0.0 || e2 < 0.0 {
-            return None;
+    fn quad(
+        &self,
+        px: u32,
+        py: u32,
+        x0: u32,
+        y0: u32,
+        x1: u32,
+        y1: u32,
+    ) -> (u8, [f32; 4], [(f32, f32); 4]) {
+        let lx = [px, px + 1, px, px + 1];
+        let ly = [py, py, py + 1, py + 1];
+        let x = lx.map(|p| p as f32 + 0.5);
+        let y = ly.map(|p| p as f32 + 0.5);
+        let edge = |i: usize| -> [f32; 4] {
+            [0, 1, 2, 3].map(|l| self.a[i] * x[l] + self.b[i] * y[l] + self.c[i])
+        };
+        let (e0, e1, e2) = (edge(0), edge(1), edge(2));
+        let mut mask = 0u8;
+        let mut z = [0.0f32; 4];
+        let mut uv = [(0.0f32, 0.0f32); 4];
+        for l in 0..4 {
+            let in_rect = (lx[l] >= x0) & (lx[l] < x1) & (ly[l] >= y0) & (ly[l] < y1);
+            // Top-left-rule approximation: include edges on the >= 0 side
+            // (a NaN edge value counts as inside).
+            let inside = in_rect & !((e0[l] < 0.0) | (e1[l] < 0.0) | (e2[l] < 0.0));
+            // Barycentric weights: edge e_i is opposite vertex i+2.
+            let w2 = e0[l] * self.inv_area2;
+            let w0 = e1[l] * self.inv_area2;
+            let w1 = e2[l] * self.inv_area2;
+            let lz = w0 * self.z[0] + w1 * self.z[1] + w2 * self.z[2];
+            let lu = w0 * self.u[0] + w1 * self.u[1] + w2 * self.u[2];
+            let lv = w0 * self.v[0] + w1 * self.v[1] + w2 * self.v[2];
+            mask |= (inside as u8) << l;
+            z[l] = if inside { lz } else { 0.0 };
+            uv[l] = if inside { (lu, lv) } else { (0.0, 0.0) };
         }
-        // Barycentric weights: edge e_i is opposite vertex i+2.
-        let w2 = e0 * self.inv_area2;
-        let w0 = e1 * self.inv_area2;
-        let w1 = e2 * self.inv_area2;
-        let z = w0 * self.z[0] + w1 * self.z[1] + w2 * self.z[2];
-        let u = w0 * self.u[0] + w1 * self.u[1] + w2 * self.u[2];
-        let v = w0 * self.v[0] + w1 * self.v[1] + w2 * self.v[2];
-        Some((z, u, v))
+        (mask, z, uv)
     }
 }
 
@@ -207,21 +228,7 @@ fn raster_loop(
     while py < bmaxy {
         let mut px = qx0;
         while px < bmaxx {
-            let mut mask = 0u8;
-            let mut z = [0.0f32; 4];
-            let mut uv = [(0.0f32, 0.0f32); 4];
-            for lane in 0..4u32 {
-                let lx = px + (lane & 1);
-                let ly = py + (lane >> 1);
-                if lx < x0 || lx >= x1 || ly < y0 || ly >= y1 {
-                    continue;
-                }
-                if let Some((sz, su, sv)) = setup.sample(lx, ly) {
-                    mask |= 1 << lane;
-                    z[lane as usize] = sz;
-                    uv[lane as usize] = (su, sv);
-                }
-            }
+            let (mask, z, uv) = setup.quad(px, py, x0, y0, x1, y1);
             if mask != 0 {
                 emit(px, py, mask, z, uv);
             }
@@ -345,5 +352,107 @@ mod tests {
     fn empty_when_triangle_outside_rect() {
         let t = tri([(100.0, 100.0), (120.0, 100.0), (100.0, 120.0)], [(0.0, 0.0); 3]);
         assert!(rasterize_in_rect(&t, 0, 0, 32, 32).is_empty());
+    }
+
+    /// The scalar reference: coverage + attributes of one pixel centre, `None`
+    /// when outside, evaluated lane by lane.
+    fn sample_ref(s: &TriangleSetup, px: u32, py: u32) -> Option<(f32, f32, f32)> {
+        let x = px as f32 + 0.5;
+        let y = py as f32 + 0.5;
+        let e0 = s.a[0] * x + s.b[0] * y + s.c[0];
+        let e1 = s.a[1] * x + s.b[1] * y + s.c[1];
+        let e2 = s.a[2] * x + s.b[2] * y + s.c[2];
+        if e0 < 0.0 || e1 < 0.0 || e2 < 0.0 {
+            return None;
+        }
+        let w2 = e0 * s.inv_area2;
+        let w0 = e1 * s.inv_area2;
+        let w1 = e2 * s.inv_area2;
+        let z = w0 * s.z[0] + w1 * s.z[1] + w2 * s.z[2];
+        let u = w0 * s.u[0] + w1 * s.u[1] + w2 * s.u[2];
+        let v = w0 * s.v[0] + w1 * s.v[1] + w2 * s.v[2];
+        Some((z, u, v))
+    }
+
+    /// The quads of `s` in `[x0, x1) × [y0, y1)` from [`sample_ref`], one
+    /// pixel at a time, skipping lanes outside the rect.
+    fn raster_ref(s: &TriangleSetup, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<Quad> {
+        let mut quads = Vec::new();
+        let bminx = s.min_x.max(x0 as f32) as u32;
+        let bminy = s.min_y.max(y0 as f32) as u32;
+        let bmaxx = (s.max_x as u32).min(x1);
+        let bmaxy = (s.max_y as u32).min(y1);
+        if bminx >= bmaxx || bminy >= bmaxy {
+            return quads;
+        }
+        for py in (bminy & !1..bmaxy).step_by(2) {
+            for px in (bminx & !1..bmaxx).step_by(2) {
+                let mut q = Quad { x: px, y: py, mask: 0, z: [0.0; 4], uv: [(0.0, 0.0); 4] };
+                for lane in 0..4 {
+                    let (lx, ly) = q.lane_pixel(lane);
+                    if lx < x0 || lx >= x1 || ly < y0 || ly >= y1 {
+                        continue;
+                    }
+                    if let Some((z, u, v)) = sample_ref(s, lx, ly) {
+                        q.mask |= 1 << lane;
+                        q.z[lane] = z;
+                        q.uv[lane] = (u, v);
+                    }
+                }
+                if q.mask != 0 {
+                    quads.push(q);
+                }
+            }
+        }
+        quads
+    }
+
+    fn bits(q: &Quad) -> (u32, u32, u8, [u32; 4], [(u32, u32); 4]) {
+        (q.x, q.y, q.mask, q.z.map(f32::to_bits), q.uv.map(|(u, v)| (u.to_bits(), v.to_bits())))
+    }
+
+    #[test]
+    fn four_lane_pass_matches_the_scalar_reference_bit_for_bit() {
+        use tbr_common::rng::{splitmix64_mix, Xoshiro256pp};
+        let (mut checked, mut slivers) = (0, 0);
+        for case in 0..2000u64 {
+            let seed = splitmix64_mix(0x5EED_0000 ^ case);
+            let mut g = Xoshiro256pp::seed_from_u64(seed);
+            // A rect anywhere on the quad grid or off it, with odd right or
+            // bottom edges as often as even ones.
+            let x0 = g.gen_u32(40);
+            let y0 = g.gen_u32(40);
+            let (x1, y1) = (x0 + 1 + g.gen_u32(40), y0 + 1 + g.gen_u32(40));
+            let mut p: [(f32, f32); 3] =
+                std::array::from_fn(|_| (g.gen_f32(-20.0, 100.0), g.gen_f32(-20.0, 100.0)));
+            if g.gen_u32(4) == 0 {
+                // A sliver: the third vertex a hair off the line through the
+                // other two.
+                let t = g.gen_f32(-0.5, 1.5);
+                let off = g.gen_f32(-0.05, 0.05);
+                p[2] = (p[0].0 + t * (p[1].0 - p[0].0) + off, p[0].1 + t * (p[1].1 - p[0].1) - off);
+                slivers += 1;
+            }
+            if g.gen_u32(2) == 0 {
+                p.swap(1, 2); // the other winding
+            }
+            let uv = std::array::from_fn(|_| (g.gen_f32(-3.0, 3.0), g.gen_f32(-3.0, 3.0)));
+            let mut t = tri(p, uv);
+            for v in &mut t.v {
+                v.z = g.gen_f32(0.0, 1.0);
+            }
+            let Some(setup) = TriangleSetup::new(&t) else {
+                continue;
+            };
+            let mut got = QuadStream::new();
+            rasterize_setup_in_rect_into(&setup, x0, y0, x1, y1, &mut got);
+            let want = raster_ref(&setup, x0, y0, x1, y1);
+            assert_eq!(got.len(), want.len(), "case seed {seed:#x}: quad count");
+            for (i, w) in want.iter().enumerate() {
+                assert_eq!(bits(&got.get(i)), bits(w), "case seed {seed:#x}: quad {i}");
+            }
+            checked += 1;
+        }
+        assert!(checked > 1500 && slivers > 300, "{checked} cases, {slivers} slivers");
     }
 }

@@ -104,10 +104,11 @@ impl SampleLines {
         self.lines.len()
     }
 
-    /// Appends several lines to the stage currently being built.
+    /// The flat line storage, which the raster unit's gather appends the
+    /// stage being built to.
     #[inline]
-    pub fn extend_lines(&mut self, lines: &[u64]) {
-        self.lines.extend_from_slice(lines);
+    pub(crate) fn lines_mut(&mut self) -> &mut Vec<u64> {
+        &mut self.lines
     }
 
     /// Closes the stage currently being built (lines pushed afterwards belong

@@ -73,6 +73,17 @@ fn fast_floor(t: f32) -> f32 {
     }
 }
 
+/// Address distance from a line of shader sample 0 to the same texel's line
+/// of sample `sample_index`: sample `s` reads texture `tex.id + s`, which sits
+/// `s` texture strides further on, with the same size, mip chain and layout.
+/// So a sample's lines are sample 0's plus this shift, and since the shift is
+/// one constant, a deduplicated line list stays deduplicated, in the same
+/// order.
+#[inline]
+pub(crate) fn sample_shift(sample_index: u32) -> u64 {
+    sample_index as u64 * TEXTURE_STRIDE
+}
+
 /// Per-(texture, mip, sample) addressing state: hoists the mip-chain walk,
 /// the base-address arithmetic, and the edge conversions out of the per-texel
 /// inner loop. Addresses are bit-identical to [`texel_line_addr`].
@@ -98,23 +109,63 @@ impl MipAddresser {
         }
     }
 
+    /// Block coordinate along one axis of coordinate `t`: wrapped to [0, 1),
+    /// scaled to texels, divided by the block edge.
+    #[inline]
+    fn block(&self, t: f32) -> u32 {
+        let frac = t - fast_floor(t);
+        ((frac * self.edge_f) as u32).min(self.edge - 1) / BLOCK_EDGE
+    }
+
+    /// Address of the line holding block `(bx, by)`.
+    #[inline]
+    fn block_line(&self, bx: u32, by: u32) -> u64 {
+        self.base + morton_encode(bx, by) * 64
+    }
+
     /// Address of the 64 B cache line holding texel `(u, v)`; UVs wrap
     /// (repeat addressing).
     #[inline]
     pub fn line_addr(&self, u: f32, v: f32) -> u64 {
-        // Wrap to [0, 1) then scale to texels.
-        let wrap = |t: f32| -> u32 {
-            let frac = t - fast_floor(t);
-            ((frac * self.edge_f) as u32).min(self.edge - 1)
-        };
-        let bx = wrap(u) / BLOCK_EDGE;
-        let by = wrap(v) / BLOCK_EDGE;
-        self.base + morton_encode(bx, by) * 64
+        self.block_line(self.block(u), self.block(v))
+    }
+
+    /// [`MipAddresser::line_addr`] of all four lanes of a quad, computed
+    /// whatever the lanes' coverage (an uncovered lane's UVs are plain
+    /// numbers too), so the four lanes take one branch-free pass.
+    #[inline]
+    pub(crate) fn lane_lines(&self, uv: &[(f32, f32); 4]) -> [u64; 4] {
+        uv.map(|(u, v)| self.line_addr(u, v))
+    }
+
+    /// What [`MipAddresser::bilinear_line_addrs`] writes, as `(lines, count)`.
+    /// The four taps share two columns, `(u + du) - 0.5 * step` for `du` in
+    /// `{0, step}`, and two rows likewise, so each is wrapped once rather
+    /// than once per tap: the same float expressions on the same inputs,
+    /// hence the same block coordinates. Two taps share a line exactly when
+    /// they share both coordinates, so comparing the columns and the rows
+    /// deduplicates the taps, in tap order.
+    #[inline]
+    pub(crate) fn bilinear_lines(&self, u: f32, v: f32) -> ([u64; 4], usize) {
+        let (step, half) = (self.step, 0.5 * self.step);
+        let [c0, c1] = [0.0, step].map(|du| self.block((u + du) - half));
+        let [r0, r1] = [0.0, step].map(|dv| self.block((v + dv) - half));
+        let first = self.block_line(c0, r0);
+        match (c0 == c1, r0 == r1) {
+            (true, true) => ([first, 0, 0, 0], 1),
+            (true, false) => ([first, self.block_line(c0, r1), 0, 0], 2),
+            (false, true) => ([first, self.block_line(c1, r0), 0, 0], 2),
+            (false, false) => {
+                let rest = [(c1, r0), (c0, r1), (c1, r1)].map(|(c, r)| self.block_line(c, r));
+                ([first, rest[0], rest[1], rest[2]], 4)
+            }
+        }
     }
 
     /// The cache lines holding the 2×2 bilinear texel neighbourhood of
     /// `(u, v)` — between 1 and 4 distinct lines, written into `out`; returns
-    /// the count.
+    /// the count. Tap by tap, as the definition the texture gather's hoisted
+    /// form is checked against.
     #[inline]
     pub fn bilinear_line_addrs(&self, u: f32, v: f32, out: &mut [u64; 4]) -> usize {
         let step = self.step;
@@ -234,6 +285,30 @@ mod tests {
         for i in 0..n {
             for j in 0..i {
                 assert_ne!(out[i], out[j]);
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_bilinear_lines_equal_the_per_tap_ones_on_edges_and_specials() {
+        // Texel and block edges, wrap points, signed zeros and non-finite
+        // UVs: where a hoisted wrap could round differently, if it did.
+        for size in [1, 4, 64, 256] {
+            let t = tex(size);
+            for level in 0..mip_levels(size) {
+                let a = MipAddresser::new(&t, level, 1);
+                let edge = (size >> level) as f32;
+                let mut specials = vec![-0.0, 1.0, -1.0, 1.0e7, -3.5e9, f32::NAN, f32::INFINITY];
+                specials.extend((-9..=9).map(|k| k as f32 / edge));
+                specials.extend((-9..=9).map(|k| (k as f32 + 0.5) / edge));
+                for &u in &specials {
+                    for &v in &specials {
+                        let mut want = [0u64; 4];
+                        let n = a.bilinear_line_addrs(u, v, &mut want);
+                        let (got, k) = a.bilinear_lines(u, v);
+                        assert_eq!(&got[..k], &want[..n], "size {size} mip {level} at ({u}, {v})");
+                    }
+                }
             }
         }
     }

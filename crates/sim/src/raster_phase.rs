@@ -1136,18 +1136,11 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
                 s.spawn(move || {
                     let mut lane = WorkerLane::new(w);
                     loop {
-                        let park0 = if prof_on { ns_since(origin) } else { 0 };
                         start.wait();
                         if done.load(Ordering::Acquire) {
                             break;
                         }
-                        let t1 = if prof_on {
-                            let t = ns_since(origin);
-                            lane.wait_ns += t - park0;
-                            t
-                        } else {
-                            0
-                        };
+                        let t1 = if prof_on { ns_since(origin) } else { 0 };
                         // Safety: between the start and end barriers slot `w`
                         // is exclusively this worker's ([`Exchange`] protocol).
                         unsafe {
@@ -1166,7 +1159,6 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
                         }
                         if prof_on {
                             let t2 = ns_since(origin);
-                            lane.busy_ns += t2 - t1;
                             lane.epochs += 1;
                             lane.push_span("epoch", t1, t2);
                         }

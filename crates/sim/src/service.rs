@@ -379,6 +379,14 @@ impl Coordinator {
                 }
             };
             let (_cfg, campaign) = spec.to_campaign()?;
+            // A crash aimed past the last job would never fire, and the sweep
+            // would pass without the recovery it was meant to exercise.
+            if let Some(job) = self.opts.kill_job.filter(|&job| job >= campaign.len()) {
+                return Err(format!(
+                    "--kill-worker targets job {job}, but the sweep has {} jobs",
+                    campaign.len()
+                ));
+            }
             write_frame(
                 &mut writer,
                 &Message::Accepted {

@@ -15,6 +15,7 @@
 //! dual-RU LIBRA config.
 
 use libra_repro::prelude::*;
+use tbr_sim::{JobSpec, RunOptions};
 
 /// The pinned workloads, alphabetical — the order the table is emitted in.
 const WORKLOAD_ABBREVS: [&str; 6] = ["AAt", "AnB", "CCS", "GDL", "GrT", "SuS"];
@@ -99,6 +100,43 @@ const GOLDENS: &[GoldenRow] = &[
 ];
 
 const FRAMES: u32 = 2;
+
+/// The benchmark's `paper-sweep` jobs at its resolution, where the raster front
+/// end and the texture path carry the most work: AAt and AmU under LIBRA,
+/// 2 RU × 4 cores, 960×544, 2 frames, campaign seed 0. One row per job:
+/// (workload, total cycles, DRAM accesses, texture-L1 hits, texture-L1
+/// accesses, texture requests, micro-events).
+type SweepRow = (&'static str, u64, u64, u64, u64, u64, u64);
+
+const PAPER_SWEEP_GOLDENS: &[SweepRow] = &[
+    ("AAt", 714354, 155396, 862240, 1164520, 1164520, 248902),
+    ("AmU", 562296, 118628, 659101, 868566, 868566, 224257),
+];
+
+/// Runs `paper-sweep`'s campaign job by job, the way `libra-sim campaign
+/// --take 2 --frames 2 --seed 0` does, and returns one [`SweepRow`] per job.
+fn measure_paper_sweep() -> Vec<(String, u64, u64, u64, u64, u64, u64)> {
+    let spec = JobSpec { seed: 0, frames: FRAMES, take: Some(2), ..JobSpec::default() };
+    let (cfg, campaign) = spec.to_campaign().expect("the paper-sweep spec is valid");
+    assert_eq!((cfg.screen.width, cfg.screen.height), (960, 544));
+    assert_eq!((cfg.num_raster_units, cfg.cores_per_ru), (2, 4));
+    (0..campaign.len())
+        .map(|job| {
+            let r = campaign.run_one(job, &RunOptions::default());
+            let s = r.stats().unwrap_or_else(|| panic!("{} failed: {:?}", r.abbrev, r.outcome));
+            let sum = |f: fn(&FrameStats) -> u64| s.frames.iter().map(f).sum::<u64>();
+            (
+                r.abbrev.clone(),
+                s.total_cycles(),
+                s.total_dram_accesses(),
+                sum(|f| f.texture_cache.hits),
+                sum(|f| f.texture_cache.accesses),
+                sum(|f| f.texture_requests),
+                sum(|f| f.micro_events),
+            )
+        })
+        .collect()
+}
 
 /// Scheduler variants under test, alphabetical by label (the table sort order).
 fn kinds() -> [(&'static str, SchedulerKind); 5] {
@@ -259,6 +297,21 @@ fn golden_snapshots_hold_under_the_parallel_core() {
 }
 
 #[test]
+fn paper_sweep_goldens_hold_at_benchmark_resolution() {
+    let measured = measure_paper_sweep();
+    let pinned: Vec<(String, u64, u64, u64, u64, u64, u64)> = PAPER_SWEEP_GOLDENS
+        .iter()
+        .map(|&(w, a, b, c, d, e, f)| (w.to_string(), a, b, c, d, e, f))
+        .collect();
+    assert_eq!(
+        measured, pinned,
+        "paper-sweep drifted from its pinned goldens (workload, cycles, dram, tex-L1 hits, \
+         tex-L1 accesses, texture requests, micro-events) — if intentional, regenerate \
+         with `cargo test print_current_goldens -- --ignored --nocapture`"
+    );
+}
+
+#[test]
 fn static_schedulers_never_replan() {
     // Only the LIBRA feedback loop may switch traversal order or resize
     // supertiles between frames; every other scheduler's plan is fixed.
@@ -315,5 +368,8 @@ fn print_current_goldens() {
                 p.abbrev, label
             );
         }
+    }
+    for (w, cycles, dram, hits, accesses, requests, events) in measure_paper_sweep() {
+        println!("    ({w:?}, {cycles}, {dram}, {hits}, {accesses}, {requests}, {events}),");
     }
 }

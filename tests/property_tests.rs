@@ -454,3 +454,215 @@ fn rendering_elimination_never_falsely_discards_a_changed_tile() {
         Ok(())
     });
 }
+
+// ---- tbr_raster::raster_unit — texture line gathering -----------------------
+//
+// A warp's line lists are the request stream the texture L1, the L2 and DRAM
+// see, and WaSP picks its spearhead warps from them. The gather addresses
+// stage 0 once per quad and shifts it for the other samples; both of its
+// sinks must still hold exactly what a walk over every sample, lane and
+// bilinear tap builds from the public per-texel addressing functions.
+
+use tbr_common::ids::TextureId;
+use tbr_geom::scene::{FilterMode, TextureDesc};
+use tbr_raster::texture::{bilinear_line_addrs, mip_levels, texel_line_addr};
+use tbr_raster::Quad;
+
+/// The per-sample, per-tap reference: stage `s` holds, quad by quad, the
+/// lines of the `pass` lanes in lane order (every bilinear tap), each kept at
+/// its first occurrence within the quad.
+fn reference_lines(
+    group: &[(Quad, u8)],
+    tex: &TextureDesc,
+    lod: u32,
+    samples: u32,
+    filter: FilterMode,
+) -> Vec<Vec<u64>> {
+    (0..samples)
+        .map(|s| {
+            let mut stage = Vec::new();
+            for (q, pass) in group {
+                let mut quad_lines: Vec<u64> = Vec::new();
+                for lane in (0..4).filter(|lane| pass & (1 << lane) != 0) {
+                    let (u, v) = q.uv[lane];
+                    let mut taps = [0u64; 4];
+                    let k = match filter {
+                        FilterMode::Nearest => {
+                            taps[0] = texel_line_addr(tex, u, v, lod, s);
+                            1
+                        }
+                        FilterMode::Bilinear => bilinear_line_addrs(tex, u, v, lod, s, &mut taps),
+                    };
+                    for &line in &taps[..k] {
+                        if !quad_lines.contains(&line) {
+                            quad_lines.push(line);
+                        }
+                    }
+                }
+                stage.extend(quad_lines);
+            }
+            stage
+        })
+        .collect()
+}
+
+fn random_filter(g: &mut Gen) -> FilterMode {
+    [FilterMode::Nearest, FilterMode::Bilinear][g.usize(0, 2)]
+}
+
+#[test]
+fn gathered_lines_match_the_per_sample_per_tap_reference() {
+    use tbr_raster::raster_unit::gather_sample_lines_for;
+
+    check("gathered_lines_match_the_per_sample_per_tap_reference", 24, |g: &mut Gen| {
+        // Up to 32 quads (a warp of 128) with UVs from -3 to 3, their lanes
+        // from a sliver of a texel to a few texels apart at mip 0, and any
+        // pass mask, the empty one included.
+        let group: Vec<(Quad, u8)> = g.vec(0, 33, |g| {
+            let (u0, v0) = (g.f32(-3.0, 3.0), g.f32(-3.0, 3.0));
+            let (du, dv) = (g.f32(0.0, 1.0).powi(3) * 0.01, g.f32(0.0, 1.0).powi(3) * 0.01);
+            let uv = std::array::from_fn(|l| {
+                (u0 + du * (l & 1) as f32, v0 + dv * (l >> 1) as f32)
+            });
+            (Quad { x: 0, y: 0, mask: 0xF, z: [0.5; 4], uv }, g.u32(0, 16) as u8)
+        });
+        for size in [64, 256, 1024] {
+            let tex = TextureDesc::new(TextureId(g.u32(0, 64)), size);
+            for lod in 0..mip_levels(size) {
+                for filter in [FilterMode::Nearest, FilterMode::Bilinear] {
+                    for samples in 0..=3 {
+                        let got = gather_sample_lines_for(&group, &tex, lod, samples, filter);
+                        let got: Vec<Vec<u64>> = got.iter_stages().map(<[u64]>::to_vec).collect();
+                        let want = reference_lines(&group, &tex, lod, samples, filter);
+                        ensure!(
+                            got == want,
+                            "size {size} mip {lod} {filter:?} x{samples}: {got:?} vs {want:?}"
+                        );
+                    }
+                }
+            }
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn front_end_arenas_hold_the_per_sample_per_tap_reference() {
+    use std::collections::HashSet;
+    use tbr_common::config::{CacheConfig, DramConfig};
+    use tbr_common::ids::DrawCallId;
+    use tbr_geom::pipeline::{ScreenTriangle, ScreenVertex};
+    use tbr_geom::scene::{BlendMode, FragmentShaderDesc};
+    use tbr_geom::stream::TriangleStream;
+    use tbr_mem::hierarchy::MemoryHierarchy;
+    use tbr_raster::rasterizer::{rasterize_in_rect, TriangleSetup};
+    use tbr_raster::texture::select_mip;
+    use tbr_raster::RasterUnit;
+
+    // Warps of 128 lanes: groups of up to 32 quads per warp.
+    let cfg = GpuConfig { warp_size: 128, ..GpuConfig::baseline(ScreenConfig::tiny()) };
+    let qpw = cfg.quads_per_warp() as usize;
+    check("front_end_arenas_hold_the_per_sample_per_tap_reference", 12, |g: &mut Gen| {
+        let tile = TileId(g.u32(0, cfg.screen.num_tiles() as u32));
+        let (tx0, ty0, tx1, ty1) = cfg.screen.tile_rect(tile);
+        let (x0, y0, x1, y1) = (tx0 as f32, ty0 as f32, tx1 as f32, ty1 as f32);
+        let occluder_pts =
+            [(); 3].map(|_| (g.f32(x0 - 24.0, x1 + 24.0), g.f32(y0 - 24.0, y1 + 24.0)));
+        // The textured triangle's corners sit 24 to 64 px around a point of
+        // the tile, at most 150 degrees apart, so it covers a disc of at least
+        // 6 px there: every render reaches the gather.
+        let (cx, cy) = (g.f32(x0, x1), g.f32(y0, y1));
+        let (radius, turn) = (g.f32(24.0, 64.0), g.f32(0.0, 1.0));
+        let textured_pts = [0.0f32, 1.0, 2.0].map(|k| {
+            let a = std::f32::consts::TAU * (turn + k / 3.0) + g.f32(-0.5, 0.5);
+            (cx + radius * a.cos(), cy + radius * a.sin())
+        });
+        let (u0, v0) = (g.f32(-3.0, 3.0), g.f32(-3.0, 3.0));
+        let triangle = |pts: [(f32, f32); 3], z: f32, d: f32, texture, shader, seq| ScreenTriangle {
+            v: pts.map(|(x, y)| ScreenVertex { x, y, z, u: u0 + d * x, v: v0 + d * y }),
+            draw: DrawCallId(0),
+            texture,
+            shader,
+            blend: BlendMode::Opaque,
+            seq,
+        };
+        for size in [64, 256, 1024] {
+            let texture = TextureDesc::new(TextureId(g.u32(0, 64)), size);
+            for lod in 0..mip_levels(size) {
+                // An affine UV map of 1.5 × 2^lod texels per pixel selects mip `lod`.
+                let d = 1.5 * (1u32 << lod) as f32 / size as f32;
+                let shader = FragmentShaderDesc {
+                    tex_samples: g.u32(0, 4),
+                    filter: random_filter(g),
+                    ..FragmentShaderDesc::simple()
+                };
+                // The occluder is drawn first and in front, so the textured
+                // triangle's lanes under it fail Early-Z: ragged pass masks.
+                let occluder = triangle(
+                    occluder_pts,
+                    0.1,
+                    0.01,
+                    TextureDesc::new(TextureId(100), 64),
+                    FragmentShaderDesc { filter: random_filter(g), ..FragmentShaderDesc::simple() },
+                    0,
+                );
+                let textured = triangle(textured_pts, 0.9, d, texture, shader, 1);
+
+                let occluded: HashSet<(u32, u32)> = rasterize_in_rect(&occluder, tx0, ty0, tx1, ty1)
+                    .iter()
+                    .flat_map(|q| {
+                        (0..4).filter(|l| q.mask & (1 << l) != 0).map(|l| q.lane_pixel(l))
+                    })
+                    .collect();
+                let mut want = Vec::new();
+                for (tri, front) in [(&occluder, true), (&textured, false)] {
+                    let Some(setup) = TriangleSetup::new(tri) else { continue };
+                    let lod = select_mip(&tri.texture, setup.uv_derivative);
+                    let surviving: Vec<(Quad, u8)> = rasterize_in_rect(tri, tx0, ty0, tx1, ty1)
+                        .into_iter()
+                        .map(|q| {
+                            let hidden = (0..4)
+                                .filter(|&l| !front && occluded.contains(&q.lane_pixel(l)))
+                                .fold(0u8, |m, l| m | 1 << l);
+                            (q, q.mask & !hidden)
+                        })
+                        .filter(|&(_, pass)| pass != 0)
+                        .collect();
+                    for group in surviving.chunks(qpw) {
+                        want.push(reference_lines(
+                            group,
+                            &tri.texture,
+                            lod,
+                            tri.shader.tex_samples,
+                            tri.shader.filter,
+                        ));
+                    }
+                }
+
+                // The tile twice in one frame: the second pass's spans start
+                // past the first's in the arenas.
+                let stream = TriangleStream::from_triangles(&[occluder, textured]);
+                let mut ru = RasterUnit::new(&cfg);
+                let mut hier =
+                    MemoryHierarchy::new(CacheConfig::shared_l2(), DramConfig::lpddr4(), 5000);
+                for pass in 0..2 {
+                    let out =
+                        ru.render_tile_front_end(tile, &stream, &[0, 1], &cfg.screen, 0, &mut hier);
+                    let got: Vec<Vec<Vec<u64>>> = out
+                        .warps
+                        .iter()
+                        .map(|w| ru.sample_lines_ref(w).iter_stages().map(<[u64]>::to_vec).collect())
+                        .collect();
+                    ensure!(!got.is_empty(), "pass {pass}, size {size} mip {lod}: no warp");
+                    ensure!(
+                        got == want,
+                        "pass {pass}, size {size} mip {lod}: {} warps vs {} in the reference",
+                        got.len(),
+                        want.len()
+                    );
+                }
+            }
+        }
+        Ok(())
+    });
+}

@@ -169,6 +169,51 @@ fn coordinator_checkpoint_is_resume_compatible() {
 }
 
 #[test]
+fn a_kill_aimed_past_the_sweep_is_refused_before_accepted() {
+    // `--kill-worker 9` on a 2-job sweep could never fire, so the sweep would
+    // pass without the crash recovery it asked for. The coordinator answers
+    // that submit with an error frame naming the job and the job count, in
+    // place of `accepted`, runs nothing, and keeps serving.
+    use std::io::BufReader;
+    use tbr_common::hostprof::HostMeta;
+    use tbr_common::wire::{write_frame, FrameReader};
+
+    let opts = ServeOptions {
+        workers: 1,
+        worker_cmd: worker_cmd(),
+        once: true,
+        kill_job: Some(9),
+        checkpoint_to: None,
+        read_timeout: test_timeout(),
+    };
+    let coord = Coordinator::bind("127.0.0.1:0", opts).expect("bind ephemeral");
+    let addr = coord.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || coord.serve(&mut |_| {}));
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(test_timeout())).expect("set timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = FrameReader::new(BufReader::new(stream));
+    let mut next = || {
+        let frame = reader.read_frame("coordinator").expect("read").expect("a frame");
+        Message::decode(&frame).expect("decodes")
+    };
+    assert!(matches!(next(), Message::Hello { .. }));
+    let hello = Message::Hello { role: "client".into(), host: HostMeta::capture() };
+    write_frame(&mut writer, &hello.encode(), "coordinator").expect("hello");
+    let submit = Message::Submit { spec: spec_tiny(2) };
+    write_frame(&mut writer, &submit.encode(), "coordinator").expect("submit");
+    match next() {
+        Message::Error { message } => {
+            assert!(message.contains("job 9") && message.contains("2 jobs"), "{message}")
+        }
+        other => panic!("expected an error frame, got {}", other.tag()),
+    }
+    assert!(reader.read_frame("coordinator").expect("read").is_none(), "nothing follows the error");
+    server.join().expect("serve thread").expect("the coordinator outlives the refusal");
+}
+
+#[test]
 fn submit_rejects_a_fingerprint_mismatch() {
     // Version/suite skew check: a coordinator that rebuilds a *different*
     // campaign from the same spec (mismatched builds) must be refused at
