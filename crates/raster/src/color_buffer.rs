@@ -4,6 +4,11 @@
 //! with the ones already in the same position in the *Color Buffer* […] once all the
 //! primitives in the current tile have been completely rendered, the content of the
 //! Color Buffer is flushed to the *Frame Buffer*."
+//!
+//! The timing model charges blending and the flush without computing a colour:
+//! the flush writes every line of the tile ([`flush_line_addrs`]) whatever its
+//! pixels hold. A [`ColorBuffer`] is written only when an image is wanted, by
+//! [`crate::raster_unit::RasterUnit::render_tile_image`].
 
 use crate::quad::Quad;
 use tbr_common::addr::framebuffer_addr;
@@ -59,29 +64,11 @@ impl ColorBuffer {
         tile_x0: u32,
         tile_y0: u32,
     ) {
-        self.write_lanes(quad.x, quad.y, surviving, colors, blend, tile_x0, tile_y0)
-    }
-
-    /// Lane-based body of [`ColorBuffer::write_quad`]: the SoA raster loop calls
-    /// this directly with the `x`/`y` lanes of a [`crate::quad::QuadStream`]
-    /// entry, skipping the depth and texcoord lanes entirely.
-    #[allow(clippy::too_many_arguments)]
-    pub fn write_lanes(
-        &mut self,
-        x: u32,
-        y: u32,
-        surviving: u8,
-        colors: [u32; 4],
-        blend: BlendMode,
-        tile_x0: u32,
-        tile_y0: u32,
-    ) {
         for (lane, &color) in colors.iter().enumerate() {
             if surviving & (1 << lane) == 0 {
                 continue;
             }
-            let px = x + (lane as u32 & 1);
-            let py = y + (lane as u32 >> 1);
+            let (px, py) = quad.lane_pixel(lane);
             let lx = px - tile_x0;
             let ly = py - tile_y0;
             debug_assert!(lx < self.size && ly < self.size, "quad outside tile");
@@ -102,28 +89,6 @@ impl ColorBuffer {
         self.pixels[(y * self.size + x) as usize]
     }
 
-    /// The 64 B-line framebuffer addresses the flush of `tile` writes (16 RGBA8
-    /// pixels per line, clipped to the screen).
-    pub fn flush_line_addrs(&self, tile: TileId, screen: &ScreenConfig) -> Vec<u64> {
-        let mut addrs = Vec::new();
-        self.flush_addrs_into(tile, screen, &mut addrs);
-        addrs
-    }
-
-    /// Non-allocating form of [`ColorBuffer::flush_line_addrs`]: clears `out` and
-    /// fills it in place, so per-flush callers can reuse one scratch buffer.
-    pub fn flush_addrs_into(&self, tile: TileId, screen: &ScreenConfig, out: &mut Vec<u64>) {
-        out.clear();
-        let (x0, y0, x1, y1) = screen.tile_rect(tile);
-        for y in y0..y1 {
-            let mut x = x0;
-            while x < x1 {
-                out.push(framebuffer_addr(screen, x, y));
-                x += 16; // 16 pixels x 4 B = 64 B
-            }
-        }
-    }
-
     /// Copies the tile's pixels into a full-frame image at the tile's position
     /// (used by the reference renderer / examples).
     pub fn blit_to(&self, tile: TileId, screen: &ScreenConfig, frame: &mut [u32]) {
@@ -134,6 +99,14 @@ impl ColorBuffer {
             }
         }
     }
+}
+
+/// The 64 B-line framebuffer addresses the flush of `tile` writes, row by row
+/// (16 RGBA8 pixels per line, clipped to the screen). They depend only on the
+/// tile's place on the screen, never on the pixels written.
+pub fn flush_line_addrs(tile: TileId, screen: &ScreenConfig) -> impl Iterator<Item = u64> + '_ {
+    let (x0, y0, x1, y1) = screen.tile_rect(tile);
+    (y0..y1).flat_map(move |y| (x0..x1).step_by(16).map(move |x| framebuffer_addr(screen, x, y)))
 }
 
 #[cfg(test)]
@@ -174,8 +147,7 @@ mod tests {
     #[test]
     fn flush_addr_count_matches_tile_bytes() {
         let s = ScreenConfig::tiny(); // 32px tiles
-        let cb = ColorBuffer::new(32);
-        let addrs = cb.flush_line_addrs(TileId(0), &s);
+        let addrs: Vec<u64> = flush_line_addrs(TileId(0), &s).collect();
         // 32 rows x 32 px x 4 B = 4096 B = 64 lines.
         assert_eq!(addrs.len(), 64);
         // All distinct.
@@ -186,11 +158,9 @@ mod tests {
     #[test]
     fn flush_addrs_clip_to_screen_edge() {
         let s = ScreenConfig { width: 100, height: 50, tile_size: 32 };
-        let cb = ColorBuffer::new(32);
         // Rightmost tile column covers x in [96, 100): 4px -> still 1 line per row.
         let last_col = s.tile_id(tbr_common::ids::TileCoord::new(s.tiles_x() - 1, 0));
-        let addrs = cb.flush_line_addrs(last_col, &s);
-        assert_eq!(addrs.len(), 32); // 32 rows x 1 segment
+        assert_eq!(flush_line_addrs(last_col, &s).count(), 32); // 32 rows x 1 segment
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //! * [`color_buffer`] — the tile-sized on-chip Colour Buffer with blending, flushed to
 //!   the Frame Buffer in DRAM when a tile completes;
 //! * [`raster_unit`] — one Raster Unit: tile front-end (Parameter-Buffer fetch →
-//!   rasterise → Early-Z → warp assembly) plus its private shader cores;
+//!   rasterise with Early-Z on each quad as it is emitted → warp assembly) plus its
+//!   private shader cores, whose warps are followed by blending and the tile's flush.
+//!   The simulated path charges every stage's cycles and DRAM writes but computes
+//!   no colour; the Colour Buffer is written only by
+//!   [`RasterUnit::render_tile_image`], for images;
 //! * [`mod@reference`] — a purely functional renderer used as a golden model in tests and
 //!   to dump PPM images in the examples;
 //! * [`wasp`] — WaSP-style warp scheduling (arXiv 2404.06156): a max-coverage
@@ -33,7 +37,7 @@ pub mod texture;
 pub mod wasp;
 pub mod zbuffer;
 
-pub use quad::{Quad, QuadStream};
+pub use quad::Quad;
 pub use raster_unit::{RasterUnit, TileFrontEndOutcome, WarpWork};
 pub use shader::{SampleLines, SampleLinesRef, ShaderCore, WarpOutcome};
 pub use wasp::WaspDecision;

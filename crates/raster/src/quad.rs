@@ -43,82 +43,6 @@ impl Quad {
     }
 }
 
-/// A frame's-worth (or tile's-worth) of quads in structure-of-arrays form, so the
-/// early-Z loop reads only `x`/`y`/`mask`/`z` lanes and the texture-sampling loop
-/// only `uv`, instead of striding over 60-byte [`Quad`] structs.
-///
-/// The stream is cleared and refilled per (primitive × tile) by the rasteriser;
-/// [`QuadStream::get`] reassembles the AoS struct for reference paths and tests.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QuadStream {
-    /// Top-left pixel X per quad (even).
-    pub x: Vec<u32>,
-    /// Top-left pixel Y per quad (even).
-    pub y: Vec<u32>,
-    /// Coverage mask per quad.
-    pub mask: Vec<u8>,
-    /// Interpolated depth per lane per quad.
-    pub z: Vec<[f32; 4]>,
-    /// Interpolated texture coordinates per lane per quad.
-    pub uv: Vec<[(f32, f32); 4]>,
-}
-
-impl QuadStream {
-    /// An empty stream.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of quads.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.mask.len()
-    }
-
-    /// Whether the stream holds no quads.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.mask.is_empty()
-    }
-
-    /// Empties the stream, keeping capacity for the next primitive.
-    pub fn clear(&mut self) {
-        self.x.clear();
-        self.y.clear();
-        self.mask.clear();
-        self.z.clear();
-        self.uv.clear();
-    }
-
-    /// Appends one quad, dissolving it into lanes.
-    pub fn push(&mut self, q: &Quad) {
-        self.x.push(q.x);
-        self.y.push(q.y);
-        self.mask.push(q.mask);
-        self.z.push(q.z);
-        self.uv.push(q.uv);
-    }
-
-    /// Reassembles quad `i` as the AoS struct.
-    #[inline]
-    pub fn get(&self, i: usize) -> Quad {
-        Quad { x: self.x[i], y: self.y[i], mask: self.mask[i], z: self.z[i], uv: self.uv[i] }
-    }
-
-    /// Number of covered fragments of quad `i`.
-    #[inline]
-    pub fn coverage(&self, i: usize) -> u32 {
-        (self.mask[i] & 0xF).count_ones()
-    }
-
-    /// Pixel coordinate of lane `lane` of quad `i`.
-    #[inline]
-    pub fn lane_pixel(&self, i: usize, lane: usize) -> (u32, u32) {
-        assert!(lane < 4, "quad lane out of range");
-        (self.x[i] + (lane as u32 & 1), self.y[i] + (lane as u32 >> 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,27 +73,5 @@ mod tests {
     #[should_panic(expected = "lane out of range")]
     fn lane_out_of_range_panics() {
         let _ = q(0xF).lane_pixel(4);
-    }
-
-    #[test]
-    fn stream_round_trips_quads() {
-        let quads = [
-            Quad { x: 0, y: 0, mask: 0b1010, z: [0.1, 0.2, 0.3, 0.4], uv: [(0.5, 0.5); 4] },
-            Quad { x: 6, y: 2, mask: 0xF, z: [0.9; 4], uv: [(0.0, 1.0); 4] },
-        ];
-        let mut s = QuadStream::new();
-        for q in &quads {
-            s.push(q);
-        }
-        assert_eq!(s.len(), 2);
-        for (i, q) in quads.iter().enumerate() {
-            assert_eq!(s.get(i), *q);
-            assert_eq!(s.coverage(i), q.coverage());
-            for lane in 0..4 {
-                assert_eq!(s.lane_pixel(i, lane), q.lane_pixel(lane));
-            }
-        }
-        s.clear();
-        assert!(s.is_empty());
     }
 }

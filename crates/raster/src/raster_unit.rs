@@ -7,20 +7,28 @@
 //! FIFO, tile cache, Z-Buffer, Colour Buffer and shader cores; only the L2 and DRAM
 //! are shared.
 //!
+//! Early-Z runs inside the rasteriser's quad-emission loop
+//! ([`TriangleSetup::emit_quads`]): each quad is depth-tested as it is emitted,
+//! and only the texture coordinates and shade mask of a quad with lanes to
+//! shade are kept for warp assembly. The simulated path charges the cycles of
+//! rasterisation, Early-Z and blending, and the flush's writes, but computes no
+//! colour, since no counter reads one. The Colour Buffer is written only by
+//! [`RasterUnit::render_tile_image`], which runs the same loop for an image.
+//!
 //! Data layout: the front-end consumes the frame's primitives as a SoA
-//! [`TriangleStream`] plus the tile's index list, rasterises into a SoA
-//! [`QuadStream`], and parks each warp's texture line lists in two per-frame
-//! bump arenas ([`Arena`]) owned by the RU — a [`WarpWork`] carries only
-//! [`Span`]s, so warp assembly allocates nothing in steady state. The arenas
-//! are reset wholesale in [`RasterUnit::end_frame`], when no warp is in flight.
+//! [`TriangleStream`] plus the tile's index list, and parks each warp's
+//! texture line lists in two per-frame bump arenas ([`Arena`]) owned by the
+//! RU — a [`WarpWork`] carries only [`Span`]s, so warp assembly allocates
+//! nothing in steady state. The arenas are reset wholesale in
+//! [`RasterUnit::end_frame`], when no warp is in flight.
 //!
 //! Time-ordering contract: the caller (the event-driven simulator) interleaves
 //! front-end and warp execution across Raster Units in global time order, so the
 //! shared-memory reservations stay causal.
 
-use crate::color_buffer::ColorBuffer;
-use crate::quad::{Quad, QuadStream};
-use crate::rasterizer::{rasterize_setup_in_rect_into, TriangleSetup};
+use crate::color_buffer::{flush_line_addrs, ColorBuffer};
+use crate::quad::Quad;
+use crate::rasterizer::TriangleSetup;
 use crate::reference::shade_color;
 use crate::shader::{SampleLines, SampleLinesRef, ShaderCore, WarpOutcome};
 use crate::texture::{sample_shift, select_mip, MipAddresser};
@@ -33,7 +41,7 @@ use tbr_common::ids::TileId;
 use tbr_common::stats::CacheStats;
 use tbr_common::Cycle;
 use tbr_geom::scene::{BlendMode, FilterMode, FragmentShaderDesc, TextureDesc};
-use tbr_geom::stream::TriangleStream;
+use tbr_geom::stream::{DrawState, TriangleStream};
 use tbr_mem::hierarchy::{L1Cache, MemoryHierarchy};
 
 /// A warp of fragments ready for a shader core.
@@ -58,7 +66,9 @@ pub struct WarpWork {
     pub ends: Span,
 }
 
-/// Everything the tile front-end produced.
+/// Everything the tile front-end produced: the same on the simulated path
+/// ([`RasterUnit::render_tile_front_end`]) and the image path
+/// ([`RasterUnit::render_tile_image`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TileFrontEndOutcome {
     /// Warps to execute, in assembly order.
@@ -69,9 +79,10 @@ pub struct TileFrontEndOutcome {
     pub primitives: u64,
     /// Quads produced by the rasteriser.
     pub quads: u64,
-    /// Fragments surviving Early-Z (these get shaded).
+    /// Fragments shaded: those surviving Early-Z, and every covered one of a
+    /// Late-Z primitive.
     pub fragments: u64,
-    /// Fragments killed by Early-Z.
+    /// Covered fragments killed by Early-Z (Late-Z primitives kill none here).
     pub earlyz_killed: u64,
     /// Parameter-Buffer read requests issued.
     pub param_reads: u64,
@@ -85,7 +96,6 @@ pub struct RasterUnit {
     cores: Vec<ShaderCore>,
     tile_l1: L1Cache,
     zbuffer: ZBuffer,
-    color: ColorBuffer,
     costs: PipelineCosts,
     quads_per_warp: usize,
     next_core: usize,
@@ -97,9 +107,7 @@ pub struct RasterUnit {
     // allocation-free once warmed up. Purely capacity caches: no state crosses
     // from one use to the next (each user clears before filling).
     scratch_read_done: Vec<Cycle>,
-    scratch_surviving: Vec<(u32, u8)>,
-    scratch_flush: Vec<u64>,
-    scratch_quads: QuadStream,
+    scratch_surviving: Vec<([(f32, f32); 4], u8)>,
 }
 
 impl RasterUnit {
@@ -111,7 +119,6 @@ impl RasterUnit {
                 .collect(),
             tile_l1: L1Cache::new(cfg.tile_cache),
             zbuffer: ZBuffer::new(cfg.screen.tile_size),
-            color: ColorBuffer::new(cfg.screen.tile_size),
             costs: cfg.costs,
             quads_per_warp: cfg.quads_per_warp() as usize,
             next_core: 0,
@@ -119,8 +126,6 @@ impl RasterUnit {
             ends: Arena::new(),
             scratch_read_done: Vec::new(),
             scratch_surviving: Vec::new(),
-            scratch_flush: Vec::new(),
-            scratch_quads: QuadStream::new(),
         }
     }
 
@@ -141,9 +146,13 @@ impl RasterUnit {
 
     /// Runs the tile front-end over the tile's Parameter-Buffer `list` (indices
     /// into `tris`, in program order), starting at cycle `now`. Returns the
-    /// assembled warps and front-end statistics. Shading and blending results are
-    /// written to the on-chip Colour Buffer functionally; their *timing* is the
-    /// warps' to determine.
+    /// assembled warps and front-end statistics.
+    ///
+    /// This is the simulated path. It charges rasterisation, Early-Z and
+    /// blending cycles, but shades no colour: no counter reads one, and the
+    /// flush writes every line of the tile whatever it holds.
+    /// [`RasterUnit::render_tile_image`] runs the same loop and also writes
+    /// the tile's colours.
     pub fn render_tile_front_end(
         &mut self,
         tile: TileId,
@@ -153,10 +162,46 @@ impl RasterUnit {
         now: Cycle,
         hier: &mut MemoryHierarchy,
     ) -> TileFrontEndOutcome {
+        self.front_end(tile, tris, list, screen, now, hier, &mut NoColor)
+    }
+
+    /// [`RasterUnit::render_tile_front_end`] that also shades each
+    /// depth-passing lane and blends it into `color`, which it clears first:
+    /// the tile's image, for tests and examples (copy it out with
+    /// [`ColorBuffer::blit_to`]). `color` must be sized for the screen's
+    /// tiles. The outcome, and every cache and DRAM access, is the one
+    /// [`RasterUnit::render_tile_front_end`] makes.
+    #[allow(clippy::too_many_arguments)]
+    pub fn render_tile_image(
+        &mut self,
+        tile: TileId,
+        tris: &TriangleStream,
+        list: &[u32],
+        screen: &ScreenConfig,
+        now: Cycle,
+        hier: &mut MemoryHierarchy,
+        color: &mut ColorBuffer,
+    ) -> TileFrontEndOutcome {
+        color.clear();
+        self.front_end(tile, tris, list, screen, now, hier, color)
+    }
+
+    /// The one front-end body behind [`RasterUnit::render_tile_front_end`] and
+    /// [`RasterUnit::render_tile_image`]; only where colours go differs.
+    #[allow(clippy::too_many_arguments)]
+    fn front_end<C: ColorSink>(
+        &mut self,
+        tile: TileId,
+        tris: &TriangleStream,
+        list: &[u32],
+        screen: &ScreenConfig,
+        now: Cycle,
+        hier: &mut MemoryHierarchy,
+        color: &mut C,
+    ) -> TileFrontEndOutcome {
         let mut out = TileFrontEndOutcome::default();
         let (tx0, ty0, tx1, ty1) = screen.tile_rect(tile);
         self.zbuffer.clear();
-        self.color.clear();
         let mut fe = now;
 
         // Stream the tile's Parameter-Buffer list: the Tile Fetcher issues reads
@@ -165,7 +210,6 @@ impl RasterUnit {
         let mut read_done = std::mem::take(&mut self.scratch_read_done);
         read_done.clear();
         let mut surviving = std::mem::take(&mut self.scratch_surviving);
-        let mut quads = std::mem::take(&mut self.scratch_quads);
         for (n, issue) in (0..list.len()).zip(now..) {
             let entry_addr = param_entry_addr(tile, n as u64);
             let rd = self
@@ -186,62 +230,42 @@ impl RasterUnit {
             // One TriangleSetup per (primitive × tile), shared by rasterisation
             // and mip selection.
             let Some(setup) = TriangleSetup::from_vertices(tris.vertices(pidx)) else {
-                quads.clear();
                 continue;
             };
-            rasterize_setup_in_rect_into(&setup, tx0, ty0, tx1, ty1, &mut quads);
-            if quads.is_empty() {
-                continue;
-            }
-            fe += (quads.len() as Cycle).div_ceil(self.costs.raster_quads_per_cycle.max(1))
-                + quads.len() as Cycle * self.costs.earlyz_cycles_per_quad;
-            out.quads += quads.len() as u64;
-
             let state = tris.state_of(pidx);
-            let lod = select_mip(&state.texture, setup.uv_derivative);
             let depth_write = state.blend == BlendMode::Opaque;
             // Depth-modifying shaders disable Early-Z: every covered fragment is
             // shaded and the visibility test happens after shading (Late-Z, §II-A).
             let late_z = state.shader.late_z;
 
+            // Early-Z at emission: each quad is depth-tested as the rasteriser
+            // emits it, and only a quad with lanes to shade is kept. Only
+            // depth-passing lanes reach the Colour Buffer, Early- or Late-Z.
+            let zbuffer = &mut self.zbuffer;
+            let (mut quads, mut killed) = (0u64, 0u64);
             surviving.clear();
-            for qi in 0..quads.len() {
-                let mask = quads.mask[qi];
-                let pass = self.zbuffer.test_lanes(
-                    quads.x[qi],
-                    quads.y[qi],
-                    mask,
-                    &quads.z[qi],
-                    tx0,
-                    ty0,
-                    depth_write,
-                );
-                let covered = quads.coverage(qi) as u64;
-                let passed = pass.count_ones() as u64;
-                let shade_mask = if late_z { mask } else { pass };
-                if !late_z {
-                    out.earlyz_killed += covered - passed;
+            setup.emit_quads(tx0, ty0, tx1, ty1, |q| {
+                quads += 1;
+                let pass = zbuffer.test_quad(&q, tx0, ty0, depth_write);
+                let shade_mask = if late_z { q.mask } else { pass };
+                killed += (q.mask & !shade_mask).count_ones() as u64;
+                if shade_mask != 0 {
+                    color.shade(&q, pass, state, tx0, ty0);
+                    surviving.push((q.uv, shade_mask));
                 }
-                if shade_mask == 0 {
-                    continue;
-                }
-                // Functional shading + blending (timing belongs to the warps). Only
-                // depth-passing lanes reach the Colour Buffer, Early- or Late-Z.
-                let mut colors = [0u32; 4];
-                for (lane, color) in colors.iter_mut().enumerate() {
-                    if pass & (1 << lane) != 0 {
-                        let (u, v) = quads.uv[qi][lane];
-                        *color = shade_color(&state.texture, u, v);
-                    }
-                }
-                self.color
-                    .write_lanes(quads.x[qi], quads.y[qi], pass, colors, state.blend, tx0, ty0);
-                fe += self.costs.blend_cycles_per_quad;
-                surviving.push((qi as u32, shade_mask));
+            });
+            if quads == 0 {
+                continue;
             }
+            fe += quads.div_ceil(self.costs.raster_quads_per_cycle.max(1))
+                + quads * self.costs.earlyz_cycles_per_quad
+                + surviving.len() as Cycle * self.costs.blend_cycles_per_quad;
+            out.quads += quads;
+            out.earlyz_killed += killed;
 
             // Assemble surviving quads into warps of `quads_per_warp`; each warp's
             // line lists land in the RU's per-frame arenas.
+            let lod = select_mip(&state.texture, setup.uv_derivative);
             for group in surviving.chunks(self.quads_per_warp) {
                 let fragments: u32 = group.iter().map(|(_, m)| m.count_ones()).sum();
                 out.fragments += fragments as u64;
@@ -249,7 +273,6 @@ impl RasterUnit {
                     &mut self.lines,
                     &mut self.ends,
                     group,
-                    &quads,
                     &state.texture,
                     lod,
                     state.shader.tex_samples,
@@ -267,7 +290,6 @@ impl RasterUnit {
         }
         self.scratch_read_done = read_done;
         self.scratch_surviving = surviving;
-        self.scratch_quads = quads;
         out.fe_done = fe;
         out
     }
@@ -339,32 +361,26 @@ impl RasterUnit {
         self.cores[0].max_warps()
     }
 
-    /// Flushes the Colour Buffer to the Frame Buffer (bypassing L2). Returns
-    /// `(front-end time after issuing the flush, last write completion, writes)`.
+    /// Flushes the Colour Buffer to the Frame Buffer (bypassing L2): every line
+    /// of the tile ([`flush_line_addrs`]). Returns `(front-end time after
+    /// issuing the flush, last write completion, writes)`.
     pub fn flush_tile(
-        &mut self,
+        &self,
         tile: TileId,
         screen: &ScreenConfig,
         now: Cycle,
         hier: &mut MemoryHierarchy,
     ) -> (Cycle, Cycle, u64) {
-        let mut addrs = std::mem::take(&mut self.scratch_flush);
-        self.color.flush_addrs_into(tile, screen, &mut addrs);
         let mut fe = now;
         let mut last = now;
-        for addr in &addrs {
-            let o = hier.access(*addr, fe, AccessKind::FramebufferWrite);
+        let mut writes = 0;
+        for addr in flush_line_addrs(tile, screen) {
+            let o = hier.access(addr, fe, AccessKind::FramebufferWrite);
             fe += self.costs.flush_cycles_per_line;
             last = last.max(o.completion);
+            writes += 1;
         }
-        let writes = addrs.len() as u64;
-        self.scratch_flush = addrs;
         (fe, last, writes)
-    }
-
-    /// Copies the last rendered tile's pixels into a frame image (examples/tests).
-    pub fn blit_last_tile(&self, tile: TileId, screen: &ScreenConfig, frame: &mut [u32]) {
-        self.color.blit_to(tile, screen, frame);
     }
 
     /// Aggregated texture-L1 counters across this RU's cores (without resetting).
@@ -399,7 +415,6 @@ impl RasterUnit {
         }
         self.tile_l1.cold_reset();
         self.zbuffer.clear();
-        self.color.clear();
         self.next_core = 0;
         self.lines.reset();
         self.ends.reset();
@@ -428,6 +443,36 @@ pub fn gather_sample_lines_for(
         &mut out,
     );
     out
+}
+
+/// Where the front end's depth-passing lanes are shaded to: nowhere on the
+/// simulated path ([`NoColor`]), or a [`ColorBuffer`] for an image.
+trait ColorSink {
+    /// Shades the `pass` lanes of `quad` with `state`'s texture and blends
+    /// them in with its blend mode.
+    fn shade(&mut self, quad: &Quad, pass: u8, state: &DrawState, tile_x0: u32, tile_y0: u32);
+}
+
+/// The simulated path's sink: no counter reads a colour, so none is computed.
+struct NoColor;
+
+impl ColorSink for NoColor {
+    #[inline]
+    fn shade(&mut self, _: &Quad, _: u8, _: &DrawState, _: u32, _: u32) {}
+}
+
+impl ColorSink for ColorBuffer {
+    fn shade(&mut self, quad: &Quad, pass: u8, state: &DrawState, tile_x0: u32, tile_y0: u32) {
+        let colors = std::array::from_fn(|lane| {
+            let (u, v) = quad.uv[lane];
+            if pass & (1 << lane) != 0 {
+                shade_color(&state.texture, u, v)
+            } else {
+                0
+            }
+        });
+        self.write_quad(quad, pass, colors, state.blend, tile_x0, tile_y0);
+    }
 }
 
 /// Where gathered sample lines land: an owned [`SampleLines`] (IMR mode,
@@ -493,13 +538,12 @@ impl LineSink for ArenaSink<'_> {
 }
 
 /// Gathers one warp's sample lines straight into the RU's arenas, returning the
-/// `(lines, ends)` spans for its [`WarpWork`].
-#[allow(clippy::too_many_arguments)]
+/// `(lines, ends)` spans for its [`WarpWork`]. `group` holds each quad's
+/// texture coordinates and shade mask.
 fn gather_sample_lines_arena(
     lines: &mut Arena<u64>,
     ends: &mut Arena<u32>,
-    group: &[(u32, u8)],
-    quads: &QuadStream,
+    group: &[([(f32, f32); 4], u8)],
     texture: &TextureDesc,
     lod: u32,
     tex_samples: u32,
@@ -508,18 +552,7 @@ fn gather_sample_lines_arena(
     let lmark = lines.mark();
     let emark = ends.mark();
     let mut sink = ArenaSink { base: lmark, lines, ends };
-    gather_lines_generic(
-        group.len(),
-        |i| {
-            let (qi, pass) = group[i];
-            (quads.uv[qi as usize], pass)
-        },
-        texture,
-        lod,
-        tex_samples,
-        filter,
-        &mut sink,
-    );
+    gather_lines_generic(group.len(), |i| group[i], texture, lod, tex_samples, filter, &mut sink);
     (lines.span_since(lmark), ends.span_since(emark))
 }
 
@@ -692,7 +725,7 @@ mod tests {
     fn flush_writes_one_tile_of_framebuffer() {
         let cfg = cfg();
         let mut h = hier();
-        let mut ru = RasterUnit::new(&cfg);
+        let ru = RasterUnit::new(&cfg);
         let (fe, last, writes) = ru.flush_tile(TileId(0), &cfg.screen, 100, &mut h);
         assert_eq!(writes, 64, "32x32x4B = 64 lines");
         assert!(fe >= 100 + 64);
@@ -843,19 +876,46 @@ mod feature_tests {
         let far_e = tri(0.9, 1, FragmentShaderDesc::simple());
         let far_l = tri(0.9, 1, FragmentShaderDesc::simple().with_late_z());
 
+        let mut color = ColorBuffer::new(cfg.screen.tile_size);
         let mut img_e = vec![0u32; (cfg.screen.width * cfg.screen.height) as usize];
         let mut ru = RasterUnit::new(&cfg);
         let (ts, list) = stream(&[near, far_e]);
-        ru.render_tile_front_end(TileId(0), &ts, &list, &cfg.screen, 0, &mut h);
-        ru.blit_last_tile(TileId(0), &cfg.screen, &mut img_e);
+        ru.render_tile_image(TileId(0), &ts, &list, &cfg.screen, 0, &mut h, &mut color);
+        color.blit_to(TileId(0), &cfg.screen, &mut img_e);
 
         let mut img_l = vec![0u32; (cfg.screen.width * cfg.screen.height) as usize];
         let mut ru2 = RasterUnit::new(&cfg);
         let (ts2, list2) = stream(&[near, far_l]);
-        ru2.render_tile_front_end(TileId(0), &ts2, &list2, &cfg.screen, 0, &mut h);
-        ru2.blit_last_tile(TileId(0), &cfg.screen, &mut img_l);
+        ru2.render_tile_image(TileId(0), &ts2, &list2, &cfg.screen, 0, &mut h, &mut color);
+        color.blit_to(TileId(0), &cfg.screen, &mut img_l);
 
         assert_eq!(img_e, img_l);
+        // Pixel (0, 0) samples the near primitive at its centre, UV 0.5 / 80.
+        let near_color = shade_color(&near.texture, 0.5 / 80.0, 0.5 / 80.0);
+        assert_eq!(img_e[0], near_color, "the near primitive is drawn");
+    }
+
+    #[test]
+    fn image_path_makes_the_simulated_path_s_accesses() {
+        // render_tile_image runs the simulated loop plus colour writes: the
+        // same outcome, the same cache and DRAM traffic.
+        let cfg = GpuConfig::baseline(ScreenConfig::tiny());
+        let far_l = tri(0.9, 0, FragmentShaderDesc::simple().with_late_z());
+        let near = tri(0.1, 1, FragmentShaderDesc::simple().with_bilinear());
+        let far_e = tri(0.9, 2, FragmentShaderDesc::simple());
+        let (ts, list) = stream(&[far_l, near, far_e]);
+        let (mut ru, mut h) = (RasterUnit::new(&cfg), hier());
+        let (mut ru2, mut h2) = (ru.clone(), h.clone());
+        let mut color = ColorBuffer::new(cfg.screen.tile_size);
+        for tile in [TileId(0), TileId(1), TileId(0)] {
+            let want = ru.render_tile_front_end(tile, &ts, &list, &cfg.screen, 7, &mut h);
+            let got =
+                ru2.render_tile_image(tile, &ts, &list, &cfg.screen, 7, &mut h2, &mut color);
+            assert_eq!(got, want);
+            assert!(got.earlyz_killed > 0 && got.fragments > 0);
+        }
+        assert_eq!(h2.dram_stats(), h.dram_stats());
+        assert_eq!(ru2.tile_l1.stats(), ru.tile_l1.stats());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! mobile content modelled here and for the memory-address streams the simulator
 //! needs).
 
-use crate::quad::{Quad, QuadStream};
+use crate::quad::Quad;
 use tbr_geom::pipeline::{double_area_from_lanes, ScreenTriangle, ScreenVertex};
 
 /// Per-triangle interpolation setup: edge functions and attribute gradients.
@@ -102,6 +102,41 @@ impl TriangleSetup {
         })
     }
 
+    /// Emits the covered quads of this triangle within `[x0, x1) × [y0, y1)`
+    /// (a tile, already clipped to the screen), row by row over the quad grid
+    /// of the bounding box. Lanes outside the rectangle are never covered.
+    ///
+    /// This is the one quad-emission loop: [`rasterize_in_rect`] collects its
+    /// quads, and the raster front end depth-tests each quad as it is emitted,
+    /// so no quad is stored before Early-Z.
+    #[inline]
+    pub fn emit_quads(&self, x0: u32, y0: u32, x1: u32, y1: u32, mut emit: impl FnMut(Quad)) {
+        // Intersect the tile rect with the triangle bbox (pre-folded in the
+        // setup), then align to the quad grid.
+        let bminx = self.min_x.max(x0 as f32) as u32;
+        let bminy = self.min_y.max(y0 as f32) as u32;
+        let bmaxx = (self.max_x as u32).min(x1);
+        let bmaxy = (self.max_y as u32).min(y1);
+        if bminx >= bmaxx || bminy >= bmaxy {
+            return;
+        }
+        let qx0 = bminx & !1;
+        let qy0 = bminy & !1;
+
+        let mut y = qy0;
+        while y < bmaxy {
+            let mut x = qx0;
+            while x < bmaxx {
+                let (mask, z, uv) = self.quad(x, y, x0, y0, x1, y1);
+                if mask != 0 {
+                    emit(Quad { x, y, mask, z, uv });
+                }
+                x += 2;
+            }
+            y += 2;
+        }
+    }
+
     /// Coverage mask and attributes of the 2×2 quad at `(px, py)`, clipped to
     /// `[x0, x1) × [y0, y1)`: all four lanes in one branch-free pass at the
     /// pixel centres. Uncovered lanes hold 0.0.
@@ -156,86 +191,10 @@ pub fn rasterize_in_rect(
     y1: u32,
 ) -> Vec<Quad> {
     let mut quads = Vec::new();
-    rasterize_in_rect_into(tri, x0, y0, x1, y1, &mut quads);
+    if let Some(setup) = TriangleSetup::new(tri) {
+        setup.emit_quads(x0, y0, x1, y1, |q| quads.push(q));
+    }
     quads
-}
-
-/// [`rasterize_in_rect`] writing into a caller-owned buffer (cleared first), so
-/// the per-(primitive × tile) hot path can reuse one allocation.
-pub fn rasterize_in_rect_into(
-    tri: &ScreenTriangle,
-    x0: u32,
-    y0: u32,
-    x1: u32,
-    y1: u32,
-    quads: &mut Vec<Quad>,
-) {
-    quads.clear();
-    let Some(setup) = TriangleSetup::new(tri) else {
-        return;
-    };
-    raster_loop(&setup, x0, y0, x1, y1, |x, y, mask, z, uv| {
-        quads.push(Quad { x, y, mask, z, uv });
-    });
-}
-
-/// Rasterises an already-built [`TriangleSetup`] within `[x0, x1) × [y0, y1)`
-/// into a SoA [`QuadStream`] (cleared first) — the hot path: the raster
-/// front-end builds the setup once per (primitive × tile) and reuses it for
-/// both rasterisation and mip selection.
-pub fn rasterize_setup_in_rect_into(
-    setup: &TriangleSetup,
-    x0: u32,
-    y0: u32,
-    x1: u32,
-    y1: u32,
-    quads: &mut QuadStream,
-) {
-    quads.clear();
-    raster_loop(setup, x0, y0, x1, y1, |x, y, mask, z, uv| {
-        quads.x.push(x);
-        quads.y.push(y);
-        quads.mask.push(mask);
-        quads.z.push(z);
-        quads.uv.push(uv);
-    });
-}
-
-/// The single quad-emission loop behind both [`rasterize_in_rect_into`] (AoS)
-/// and [`rasterize_setup_in_rect_into`] (SoA) — one body, so the two output
-/// layouts cannot diverge arithmetically.
-fn raster_loop(
-    setup: &TriangleSetup,
-    x0: u32,
-    y0: u32,
-    x1: u32,
-    y1: u32,
-    mut emit: impl FnMut(u32, u32, u8, [f32; 4], [(f32, f32); 4]),
-) {
-    // Intersect the tile rect with the triangle bbox (pre-folded in the setup),
-    // then align to the quad grid.
-    let bminx = setup.min_x.max(x0 as f32) as u32;
-    let bminy = setup.min_y.max(y0 as f32) as u32;
-    let bmaxx = (setup.max_x as u32).min(x1);
-    let bmaxy = (setup.max_y as u32).min(y1);
-    if bminx >= bmaxx || bminy >= bmaxy {
-        return;
-    }
-    let qx0 = bminx & !1;
-    let qy0 = bminy & !1;
-
-    let mut py = qy0;
-    while py < bmaxy {
-        let mut px = qx0;
-        while px < bmaxx {
-            let (mask, z, uv) = setup.quad(px, py, x0, y0, x1, y1);
-            if mask != 0 {
-                emit(px, py, mask, z, uv);
-            }
-            px += 2;
-        }
-        py += 2;
-    }
 }
 
 #[cfg(test)]
@@ -444,12 +403,12 @@ mod tests {
             let Some(setup) = TriangleSetup::new(&t) else {
                 continue;
             };
-            let mut got = QuadStream::new();
-            rasterize_setup_in_rect_into(&setup, x0, y0, x1, y1, &mut got);
+            let mut got = Vec::new();
+            setup.emit_quads(x0, y0, x1, y1, |q| got.push(q));
             let want = raster_ref(&setup, x0, y0, x1, y1);
             assert_eq!(got.len(), want.len(), "case seed {seed:#x}: quad count");
             for (i, w) in want.iter().enumerate() {
-                assert_eq!(bits(&got.get(i)), bits(w), "case seed {seed:#x}: quad {i}");
+                assert_eq!(bits(&got[i]), bits(w), "case seed {seed:#x}: quad {i}");
             }
             checked += 1;
         }

@@ -493,6 +493,7 @@ impl<'a> PhaseCtx<'a> {
                             vec![
                                 ("prims", list.len().to_string()),
                                 ("fragments", fe.fragments.to_string()),
+                                ("earlyz_killed", fe.earlyz_killed.to_string()),
                             ],
                         );
                     }

@@ -34,16 +34,26 @@ echo "== [7/15] 2-thread campaign smoke (parallel == serial, bit-identical) =="
 cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 --verify
 
 echo "== [8/15] heap-vs-scan event-loop differential smoke (metrics bit-identical) =="
+# CCS under LIBRA, and CuT under Rendering Elimination on a static camera: RE
+# discards most tiles and Early-Z sees the rest.
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop scan \
     --report-json target/ci_eventloop_scan.json
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop heap \
     --report-json target/ci_eventloop_heap.json
 cmp target/ci_eventloop_scan.json target/ci_eventloop_heap.json
+cargo run --release --bin libra-sim -- run CuT --frames 3 --mechanism re --event-loop scan \
+    --report-json target/ci_eventloop_re_scan.json
+cargo run --release --bin libra-sim -- run CuT --frames 3 --mechanism re --event-loop heap \
+    --report-json target/ci_eventloop_re_heap.json
+cmp target/ci_eventloop_re_scan.json target/ci_eventloop_re_heap.json
 
 echo "== [9/15] par-vs-heap event-loop differential smoke (2 worker threads, metrics bit-identical) =="
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop par --sim-threads 2 \
     --report-json target/ci_eventloop_par.json
 cmp target/ci_eventloop_heap.json target/ci_eventloop_par.json
+cargo run --release --bin libra-sim -- run CuT --frames 3 --mechanism re --event-loop par \
+    --sim-threads 2 --report-json target/ci_eventloop_re_par.json
+cmp target/ci_eventloop_re_heap.json target/ci_eventloop_re_par.json
 
 echo "== [10/15] kill-and-resume smoke (poison one job, resume, metrics bit-identical) =="
 # Reference: an uninterrupted sweep (no checkpoint so it cannot collide).

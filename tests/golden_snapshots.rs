@@ -138,6 +138,61 @@ fn measure_paper_sweep() -> Vec<(String, u64, u64, u64, u64, u64, u64)> {
         .collect()
 }
 
+/// The benchmark's `static-re` jobs, run as `libra-sim run T --frames 3
+/// --mechanism re` runs them, on `run`'s default config (LIBRA, 2 RU × 4
+/// cores, 960×544). CuT and LuL keep a static camera, so Rendering
+/// Elimination discards most of their tiles and Early-Z sees the rest; FrF
+/// and DoD scroll, so RE only hashes. One row per title: (title, total
+/// cycles, fragments, warps, DRAM accesses, texture-L1 hits, texture-L1
+/// accesses, micro-events, RE tiles discarded).
+type StaticReRow = (&'static str, u64, u64, u64, u64, u64, u64, u64, u64);
+
+const STATIC_RE_GOLDENS: &[StaticReRow] = &[
+    ("CuT", 233282, 950397, 30962, 52291, 234111, 253843, 98542, 812),
+    ("FrF", 414368, 1815911, 58452, 105471, 466501, 500886, 182795, 0),
+    ("LuL", 176312, 771422, 24857, 45035, 210241, 218135, 79096, 892),
+    ("DoD", 432910, 1788522, 57336, 103905, 479473, 502931, 178873, 0),
+];
+
+/// Runs each `static-re` title the way `libra-sim run` does and returns one
+/// [`StaticReRow`] per title.
+fn measure_static_re() -> Vec<StaticReRow> {
+    let spec = JobSpec { mechanism: "re".into(), frames: 3, ..JobSpec::default() };
+    let cfg = spec.gpu_config().expect("`run`'s default config is valid");
+    assert_eq!((cfg.screen.width, cfg.screen.height), (960, 544));
+    assert_eq!((cfg.num_raster_units, cfg.cores_per_ru), (2, 4));
+    let sched =
+        tbr_sim::wire::parse_scheduler(&spec.scheduler).expect("the default scheduler parses");
+    let mech = MechanismSpec::parse(&spec.mechanism).expect("`re` is a mechanism");
+    STATIC_RE_GOLDENS
+        .iter()
+        .map(|row| {
+            let p = suite().into_iter().find(|p| p.abbrev == row.0).expect("title is in the suite");
+            let mut sim = GpuSimulator::with_mechanism(cfg.clone(), sched, mech);
+            let s = sim.render_sequence(&p, spec.frames);
+            let sum = |f: fn(&FrameStats) -> u64| s.frames.iter().map(f).sum::<u64>();
+            let discarded = (0..spec.frames)
+                .map(|f| {
+                    let label = f.to_string();
+                    let frame = [("frame", label.as_str())];
+                    sim.metrics().counter_value("re_tiles_discarded", &frame).unwrap_or(0)
+                })
+                .sum();
+            (
+                row.0,
+                s.total_cycles(),
+                sum(|f| f.fragments),
+                sum(|f| f.warps),
+                s.total_dram_accesses(),
+                sum(|f| f.texture_cache.hits),
+                sum(|f| f.texture_cache.accesses),
+                sum(|f| f.micro_events),
+                discarded,
+            )
+        })
+        .collect()
+}
+
 /// Scheduler variants under test, alphabetical by label (the table sort order).
 fn kinds() -> [(&'static str, SchedulerKind); 5] {
     [
@@ -312,6 +367,17 @@ fn paper_sweep_goldens_hold_at_benchmark_resolution() {
 }
 
 #[test]
+fn static_re_goldens_hold_on_the_run_path() {
+    assert_eq!(
+        measure_static_re(),
+        STATIC_RE_GOLDENS,
+        "static-re drifted from its pinned goldens (title, cycles, fragments, warps, dram, \
+         tex-L1 hits, tex-L1 accesses, micro-events, RE tiles discarded) — if intentional, \
+         regenerate with `cargo test print_current_goldens -- --ignored --nocapture`"
+    );
+}
+
+#[test]
 fn static_schedulers_never_replan() {
     // Only the LIBRA feedback loop may switch traversal order or resize
     // supertiles between frames; every other scheduler's plan is fixed.
@@ -371,5 +437,11 @@ fn print_current_goldens() {
     }
     for (w, cycles, dram, hits, accesses, requests, events) in measure_paper_sweep() {
         println!("    ({w:?}, {cycles}, {dram}, {hits}, {accesses}, {requests}, {events}),");
+    }
+    for (w, cycles, frags, warps, dram, hits, accesses, events, discarded) in measure_static_re() {
+        println!(
+            "    ({w:?}, {cycles}, {frags}, {warps}, {dram}, {hits}, {accesses}, {events}, \
+             {discarded}),"
+        );
     }
 }

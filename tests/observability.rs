@@ -79,6 +79,25 @@ fn every_tile_gets_front_end_and_flush_spans() {
         "fragment spans only for tiles with fragments"
     );
     assert!(frag > 0, "a real workload shades fragments");
+    // Each front-end span carries its tile's counts: the shaded fragments add
+    // up to the frames' total, and Early-Z kills show on an overdrawn title.
+    let arg_sum = |key: &str| -> u64 {
+        t.events
+            .iter()
+            .filter(|e| matches!(e.track, Track::RuFrontEnd(_)))
+            .map(|e| {
+                let (_, v) = e.args.iter().find(|(k, _)| *k == key).unwrap_or_else(|| {
+                    panic!("front-end span `{}` has no `{key}` arg", e.name)
+                });
+                v.parse::<u64>().expect("a front-end count")
+            })
+            .sum()
+    };
+    assert_eq!(
+        arg_sum("fragments"),
+        stats.frames.iter().map(|f| f.fragments).sum::<u64>()
+    );
+    assert!(arg_sum("earlyz_killed") > 0, "AAt overdraws, so Early-Z kills");
 }
 
 #[test]

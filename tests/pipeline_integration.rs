@@ -5,36 +5,58 @@
 use libra_repro::prelude::*;
 use tbr_geom::{process_scene, process_scene_stream};
 use tbr_mem::hierarchy::{L1Cache, MemoryHierarchy};
+use tbr_raster::color_buffer::ColorBuffer;
 use tbr_raster::raster_unit::RasterUnit;
 use tbr_raster::reference::render_frame;
 use tbr_tiling::binner::{bin_stream, bin_triangles};
 use tbr_workloads::SceneGenerator;
 
-/// Renders a scene through the tiled pipeline and returns the assembled image.
-fn render_tiled(scene: &tbr_geom::Scene, cfg: &tbr_common::config::GpuConfig) -> Vec<u32> {
+/// The image and the summed front-end counts of one pass over the tiles.
+#[derive(Debug, PartialEq)]
+struct Tiled {
+    image: Vec<u32>,
+    fragments: u64,
+    earlyz_killed: u64,
+}
+
+/// Renders a scene through the tiled pipeline, tile by tile in `order`, with
+/// `render_tile_image`.
+fn render_tiled(
+    scene: &tbr_geom::Scene,
+    cfg: &GpuConfig,
+    order: impl Iterator<Item = u32>,
+) -> Tiled {
     let screen = &cfg.screen;
     let (tris, _) = process_scene_stream(scene, screen);
     let bins = bin_stream(&tris, screen);
     let mut hier = MemoryHierarchy::new(cfg.l2_cache, cfg.dram, cfg.dram_interval_cycles);
     let mut ru = RasterUnit::new(cfg);
-    let mut frame = vec![0u32; (screen.width * screen.height) as usize];
-    for t in 0..screen.num_tiles() as u32 {
-        let tile = tbr_common::ids::TileId(t);
-        let _ = ru.render_tile_front_end(tile, &tris, bins.list(tile), screen, 0, &mut hier);
-        ru.blit_last_tile(tile, screen, &mut frame);
+    let mut color = ColorBuffer::new(screen.tile_size);
+    let mut out = Tiled {
+        image: vec![0u32; (screen.width * screen.height) as usize],
+        fragments: 0,
+        earlyz_killed: 0,
+    };
+    for t in order {
+        let tile = TileId(t);
+        let fe =
+            ru.render_tile_image(tile, &tris, bins.list(tile), screen, 0, &mut hier, &mut color);
+        color.blit_to(tile, screen, &mut out.image);
+        out.fragments += fe.fragments;
+        out.earlyz_killed += fe.earlyz_killed;
     }
-    frame
+    out
 }
 
 #[test]
 fn tiled_pipeline_matches_reference_renderer_on_every_benchmark() {
     let screen = ScreenConfig::tiny();
-    let cfg = tbr_common::config::GpuConfig::baseline(screen);
+    let cfg = GpuConfig::baseline(screen);
     for p in suite() {
         let scene = SceneGenerator::new(&p, &screen).scene(0);
         let (tris, _) = process_scene(&scene, &screen);
         let want = render_frame(&tris, &screen);
-        let got = render_tiled(&scene, &cfg);
+        let got = render_tiled(&scene, &cfg, 0..screen.num_tiles() as u32).image;
         let diff = want.iter().zip(&got).filter(|(a, b)| a != b).count();
         // The tiled path and the reference path share the rasteriser, so images must
         // match exactly (same coverage, same z decisions, same blending).
@@ -47,27 +69,54 @@ fn tile_order_does_not_change_the_image() {
     // Tiles are independent: rendering them in reverse order must give the same
     // image (the property LIBRA's scheduler relies on).
     let screen = ScreenConfig::tiny();
-    let cfg = tbr_common::config::GpuConfig::baseline(screen);
+    let cfg = GpuConfig::baseline(screen);
     let p = suite().remove(4); // CCS
     let scene = SceneGenerator::new(&p, &screen).scene(0);
-    let (tris, _) = process_scene_stream(&scene, &screen);
-    let bins = bin_stream(&tris, &screen);
-    let mut hier = MemoryHierarchy::new(cfg.l2_cache, cfg.dram, cfg.dram_interval_cycles);
-    let mut ru = RasterUnit::new(&cfg);
-
-    let mut forward = vec![0u32; (screen.width * screen.height) as usize];
-    for t in 0..screen.num_tiles() as u32 {
-        let tile = tbr_common::ids::TileId(t);
-        ru.render_tile_front_end(tile, &tris, bins.list(tile), &screen, 0, &mut hier);
-        ru.blit_last_tile(tile, &screen, &mut forward);
-    }
-    let mut backward = vec![0u32; (screen.width * screen.height) as usize];
-    for t in (0..screen.num_tiles() as u32).rev() {
-        let tile = tbr_common::ids::TileId(t);
-        ru.render_tile_front_end(tile, &tris, bins.list(tile), &screen, 0, &mut hier);
-        ru.blit_last_tile(tile, &screen, &mut backward);
-    }
+    let tiles = screen.num_tiles() as u32;
+    let forward = render_tiled(&scene, &cfg, 0..tiles);
+    let backward = render_tiled(&scene, &cfg, (0..tiles).rev());
     assert_eq!(forward, backward);
+}
+
+#[test]
+fn tile_size_changes_neither_the_image_nor_the_early_z_counts() {
+    // Coverage and each pixel's depth test depend only on the pixel and the
+    // program order of the primitives over it, never on how the screen is
+    // cut into tiles: summed fragments, summed Early-Z kills and the image
+    // are the same at every tile size, 1-pixel tiles at odd origins
+    // included, and the image is the reference renderer's.
+    let (width, height) = (96, 48);
+    let scene_screen = ScreenConfig { width, height, tile_size: 32 };
+    // Titles from both halves of the suite, two with Late-Z shaders (BlB,
+    // MiC) and two sampling bilinearly.
+    let titles = ["AAt", "BlB", "CCS", "CuT", "MiC", "SuS"];
+    let mut checked = 0;
+    for p in suite().into_iter().filter(|p| titles.contains(&p.abbrev)) {
+        let scene = SceneGenerator::new(&p, &scene_screen).scene(0);
+        let (tris, _) = process_scene(&scene, &scene_screen);
+        let want = render_frame(&tris, &scene_screen);
+        let mut first: Option<Tiled> = None;
+        for tile_size in [1, 2, 4, 8, 16, 32] {
+            let screen = ScreenConfig { width, height, tile_size };
+            let cfg = GpuConfig::baseline(screen);
+            cfg.validate().expect("every tile size is a valid config");
+            let got = render_tiled(&scene, &cfg, 0..screen.num_tiles() as u32);
+            let diff = want.iter().zip(&got.image).filter(|(a, b)| a != b).count();
+            assert_eq!(diff, 0, "{} at {tile_size}-px tiles: {diff} pixels differ", p.abbrev);
+            assert!(got.fragments > 0, "{}: nothing shaded", p.abbrev);
+            match &first {
+                None => first = Some(got),
+                Some(f) => assert_eq!(
+                    (got.fragments, got.earlyz_killed),
+                    (f.fragments, f.earlyz_killed),
+                    "{} at {tile_size}-px tiles: (fragments, Early-Z kills) differ from 1-px tiles",
+                    p.abbrev
+                ),
+            }
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, titles.len(), "every listed title is in the suite");
 }
 
 #[test]
