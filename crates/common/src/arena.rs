@@ -101,31 +101,6 @@ impl<T> Arena<T> {
         &self.data[span.range()]
     }
 
-    /// [`Arena::get`], mutably.
-    ///
-    /// # Panics
-    /// Panics if the span is out of bounds, as [`Arena::get`] does.
-    pub fn get_mut(&mut self, span: Span) -> &mut [T] {
-        &mut self.data[span.range()]
-    }
-
-    /// The current high-water position — pass to [`Arena::span_since`] to
-    /// capture everything pushed after this point as one span.
-    pub fn mark(&self) -> usize {
-        self.data.len()
-    }
-
-    /// The span covering everything allocated since `mark`.
-    pub fn span_since(&self, mark: usize) -> Span {
-        Self::span_of(mark, self.data.len())
-    }
-
-    /// Appends one element (part of an open allocation between
-    /// [`Arena::mark`] and [`Arena::span_since`]).
-    pub fn push(&mut self, item: T) {
-        self.data.push(item);
-    }
-
     fn span_of(start: usize, end: usize) -> Span {
         let len = end - start;
         assert!(
@@ -146,17 +121,6 @@ impl<T: Copy> Arena<T> {
         self.data.extend_from_slice(items);
         Self::span_of(start, self.data.len())
     }
-
-    /// Allocates a span holding a copy of the elements at positions `src`
-    /// (indices into the backing storage, as [`Arena::mark`] gives them).
-    ///
-    /// # Panics
-    /// Panics if `src` reaches past the allocated elements.
-    pub fn extend_from_within(&mut self, src: std::ops::Range<usize>) -> Span {
-        let start = self.data.len();
-        self.data.extend_from_within(src);
-        Self::span_of(start, self.data.len())
-    }
 }
 
 #[cfg(test)]
@@ -174,29 +138,6 @@ mod tests {
         assert_eq!(a.get(empty), &[] as &[u32]);
         assert!(empty.is_empty());
         assert_eq!(a.len(), 6);
-    }
-
-    #[test]
-    fn mark_and_span_since_capture_open_allocations() {
-        let mut a: Arena<u64> = Arena::new();
-        a.alloc_slice(&[9, 9]);
-        let m = a.mark();
-        a.push(1);
-        a.push(2);
-        let s = a.span_since(m);
-        assert_eq!(a.get(s), &[1, 2]);
-    }
-
-    #[test]
-    fn extend_from_within_copies_and_get_mut_edits_only_the_copy() {
-        let mut a: Arena<u64> = Arena::new();
-        let orig = a.alloc_slice(&[9, 1, 2]);
-        let copy = a.extend_from_within(1..3);
-        for x in a.get_mut(copy) {
-            *x += 10;
-        }
-        assert_eq!(a.get(orig), &[9, 1, 2]);
-        assert_eq!(a.get(copy), &[11, 12]);
     }
 
     #[test]

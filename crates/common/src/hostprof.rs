@@ -1,17 +1,21 @@
-//! Host wall-clock profiler for the intra-frame parallel event core.
+//! Host wall-clock profiler for the raster phase: its event-loop drivers and
+//! the idle-core front-end helper.
 //!
 //! The [`trace`](crate::trace) module and the metrics registry measure
 //! *simulated cycles* — deterministic, host-independent, bit-identical at any
-//! thread count. The parallel driver's losses live on the other clock: barrier
-//! waits, coordinator serialization and shard imbalance cost *host
-//! nanoseconds* and leave no mark on any simulated counter. This module is the
-//! host-time twin of the tracer: a thread-local, runtime-gated collector the
-//! parallel raster driver publishes one [`PhaseProfile`] into per raster
-//! phase, recording per-worker epoch timelines (busy/wait spans, Local-run
-//! lengths), coordinator commit/barrier time, per-RU event occupancy and the
-//! Local-vs-Shared classification split: `local_events` ran on the worker and
-//! coordinator lanes, `shared_commits` were popped one at a time from the
-//! coordinator's single parking queue.
+//! thread count. Host-side losses live on the other clock: barrier waits,
+//! coordinator serialization, shard imbalance and a helper thread's wasted
+//! work cost *host nanoseconds* and leave no mark on any simulated counter.
+//! This module is the host-time twin of the tracer: a thread-local,
+//! runtime-gated collector every raster phase publishes one [`PhaseProfile`]
+//! into, under every driver. Each records the phase's wall time and how its
+//! tiles were rasterised: prepared by the idle-core helper, rasterised inline
+//! by the event loop, or rasterised by the helper too late to be used. The
+//! parallel driver also records per-worker epoch timelines (busy spans,
+//! Local-run lengths), coordinator commit/barrier time, per-RU event
+//! occupancy and the Local-vs-Shared classification split: `local_events` ran
+//! on the worker and coordinator lanes, `shared_commits` were popped one at a
+//! time from the coordinator's single parking queue.
 //!
 //! # Zero overhead when disabled
 //!
@@ -103,9 +107,10 @@ impl WorkerLane {
     }
 }
 
-/// The host-time record of one raster phase under the parallel driver.
+/// The host-time record of one raster phase.
 ///
-/// The coordinator-lane intervals (`commit_ns`, `coord_drain_ns`,
+/// The par-only fields (`commit_ns` through `coord`) stay zero under the
+/// serial drivers. The coordinator-lane intervals (`commit_ns`, `coord_drain_ns`,
 /// `barrier_ns`) are *disjoint* sub-intervals of `wall_ns` measured on the
 /// same monotonic clock, so their fractions are each in `[0, 1]` and sum to
 /// at most 1 — the invariant the serial/parallel/barrier/other split of
@@ -114,8 +119,20 @@ impl WorkerLane {
 pub struct PhaseProfile {
     /// Phase label ("raster"; the collector numbers repeats on rendering).
     pub label: String,
-    /// Thread slots the phase ran with (1 = fully inline).
+    /// Event-loop driver: "heap", "scan" or "par".
+    pub driver: &'static str,
+    /// Parallel-core thread slots the phase ran with (1 = fully inline, and
+    /// under the serial drivers).
     pub threads: usize,
+    /// Whether the idle-core front-end helper ran beside the event loop.
+    pub helper: bool,
+    /// Tiles the helper rasterised and the event loop issued.
+    pub tiles_prepared: u64,
+    /// Tiles the event loop rasterised itself.
+    pub tiles_inline: u64,
+    /// Tiles the helper rasterised after the event loop had passed them: its
+    /// wasted work.
+    pub tiles_discarded: u64,
     /// Phase start, ns since the profile origin.
     pub start_ns: u64,
     /// Phase wall-clock, ns.
@@ -167,6 +184,12 @@ impl PhaseProfile {
         (ns as f64 / self.wall_ns as f64).clamp(0.0, 1.0)
     }
 
+    /// Whether the phase ran under the parallel driver (the par-only fields
+    /// are meaningful).
+    pub fn is_par(&self) -> bool {
+        self.driver == "par"
+    }
+
     /// Fraction of the phase wall spent in serial Shared commits.
     pub fn serial_fraction(&self) -> f64 {
         self.frac(self.commit_ns)
@@ -210,13 +233,26 @@ pub struct HostProfile {
     pub phases: Vec<PhaseProfile>,
 }
 
-/// Phase totals summed over a [`HostProfile`].
+/// Phase totals summed over a [`HostProfile`]. The par-only sums cover the
+/// parallel driver's phases, and its fractions their wall.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HostTotals {
     /// Phases aggregated.
     pub phases: u64,
     /// Summed phase wall-clock, ns.
     pub wall_ns: u64,
+    /// Phases under the parallel driver.
+    pub par_phases: u64,
+    /// Summed wall-clock of the parallel driver's phases, ns.
+    pub par_wall_ns: u64,
+    /// Phases with the idle-core helper beside the event loop.
+    pub helper_phases: u64,
+    /// Summed tiles the helper prepared and the event loop issued.
+    pub tiles_prepared: u64,
+    /// Summed tiles the event loop rasterised itself.
+    pub tiles_inline: u64,
+    /// Summed tiles the helper rasterised too late to be used.
+    pub tiles_discarded: u64,
     /// Summed serial Shared-commit ns.
     pub commit_ns: u64,
     /// Summed coordinator Local-drain ns.
@@ -237,13 +273,23 @@ pub struct HostTotals {
 
 impl HostTotals {
     fn frac(&self, ns: u64) -> f64 {
-        if self.wall_ns == 0 {
+        if self.par_wall_ns == 0 {
             return 0.0;
         }
-        (ns as f64 / self.wall_ns as f64).clamp(0.0, 1.0)
+        (ns as f64 / self.par_wall_ns as f64).clamp(0.0, 1.0)
     }
 
-    /// Fraction of summed phase wall spent in serial Shared commits.
+    /// Share of the helper's rasterised tiles the event loop used (0 when
+    /// the helper rasterised none).
+    pub fn helper_useful_ratio(&self) -> f64 {
+        let done = self.tiles_prepared + self.tiles_discarded;
+        if done == 0 {
+            return 0.0;
+        }
+        self.tiles_prepared as f64 / done as f64
+    }
+
+    /// Fraction of the par phases' summed wall spent in serial Shared commits.
     pub fn serial_fraction(&self) -> f64 {
         self.frac(self.commit_ns)
     }
@@ -285,31 +331,48 @@ impl HostTotals {
     /// One-paragraph human summary.
     pub fn render(&self) -> String {
         if self.phases == 0 {
-            return "hostprof: no parallel-core phases recorded \
-                    (requires the `par` event-loop driver)\n"
-                .to_string();
+            return "hostprof: no raster phases recorded\n".to_string();
         }
-        let h = self.run_length_histogram();
-        let p = |q: f64| h.quantile(q).unwrap_or(0.0);
-        format!(
-            "hostprof: {} phase(s), {:.2} ms wall — serial {:.1}% | parallel {:.1}% | \
-             barrier {:.1}% | other {:.1}%\n  {} epochs ({} parallel), local share {:.1}% \
-             ({} local / {} shared), run-length p50/p95/p99 = {:.0}/{:.0}/{:.0}\n",
+        let mut s = format!(
+            "hostprof: {} phase(s), {:.2} ms wall",
             self.phases,
-            self.wall_ns as f64 / 1e6,
-            self.serial_fraction() * 100.0,
-            self.parallel_fraction() * 100.0,
-            self.barrier_fraction() * 100.0,
-            self.other_fraction() * 100.0,
-            self.epochs,
-            self.parallel_epochs,
-            self.local_share() * 100.0,
-            self.local_events,
-            self.shared_commits,
-            p(0.50),
-            p(0.95),
-            p(0.99),
-        )
+            self.wall_ns as f64 / 1e6
+        );
+        if self.par_phases == 0 {
+            s.push_str(" (parallel-core columns need the `par` event-loop driver)\n");
+        } else {
+            let h = self.run_length_histogram();
+            let p = |q: f64| h.quantile(q).unwrap_or(0.0);
+            s.push_str(&format!(
+                " — serial {:.1}% | parallel {:.1}% | barrier {:.1}% | other {:.1}% \
+                 of {} par phase(s)\n  {} epochs ({} parallel), local share {:.1}% \
+                 ({} local / {} shared), run-length p50/p95/p99 = {:.0}/{:.0}/{:.0}\n",
+                self.serial_fraction() * 100.0,
+                self.parallel_fraction() * 100.0,
+                self.barrier_fraction() * 100.0,
+                self.other_fraction() * 100.0,
+                self.par_phases,
+                self.epochs,
+                self.parallel_epochs,
+                self.local_share() * 100.0,
+                self.local_events,
+                self.shared_commits,
+                p(0.50),
+                p(0.95),
+                p(0.99),
+            ));
+        }
+        s.push_str(&format!(
+            "  front end: {} tile(s) prepared by the helper, {} rasterised inline, {} helper \
+             result(s) discarded; helper in {} of {} phase(s), useful-work ratio {:.1}%\n",
+            self.tiles_prepared,
+            self.tiles_inline,
+            self.tiles_discarded,
+            self.helper_phases,
+            self.phases,
+            self.helper_useful_ratio() * 100.0,
+        ));
+        s
     }
 }
 
@@ -328,6 +391,15 @@ impl HostProfile {
         for p in &self.phases {
             t.phases += 1;
             t.wall_ns += p.wall_ns;
+            t.helper_phases += u64::from(p.helper);
+            t.tiles_prepared += p.tiles_prepared;
+            t.tiles_inline += p.tiles_inline;
+            t.tiles_discarded += p.tiles_discarded;
+            if !p.is_par() {
+                continue;
+            }
+            t.par_phases += 1;
+            t.par_wall_ns += p.wall_ns;
             t.commit_ns += p.commit_ns;
             t.coord_drain_ns += p.coord_drain_ns;
             t.barrier_ns += p.barrier_ns;
@@ -354,7 +426,7 @@ impl HostProfile {
         for (k, p) in self.phases.iter().enumerate() {
             events.push(TraceEvent {
                 track: Track::HostCoordinator,
-                name: format!("{} #{k} ({} threads)", p.label, p.threads),
+                name: format!("{} #{k} ({}, {} threads)", p.label, p.driver, p.threads),
                 kind: EventKind::Span {
                     dur: us(p.wall_ns),
                 },
@@ -364,6 +436,9 @@ impl HostProfile {
                     ("barrier_ns", p.barrier_ns.to_string()),
                     ("epochs", p.epochs.to_string()),
                     ("shared_commits", p.shared_commits.to_string()),
+                    ("tiles_prepared", p.tiles_prepared.to_string()),
+                    ("tiles_inline", p.tiles_inline.to_string()),
+                    ("tiles_discarded", p.tiles_discarded.to_string()),
                 ],
             });
             let mut lane = |track: Track, w: &WorkerLane| {
@@ -388,28 +463,43 @@ impl HostProfile {
     }
 
     /// Multi-line human table (one row per phase plus the totals paragraph).
+    /// The parallel-core columns read `-` for a phase under a serial driver.
     pub fn render(&self) -> String {
         let t = self.totals();
         if self.phases.is_empty() {
             return t.render();
         }
         let mut s = String::from(
-            "hostprof — host-time decomposition of the parallel event core\n  \
-             phase        thr   wall_ms  commit%  drain%  barr%  other%    epochs  par-ep  imbal\n",
+            "hostprof — host-time decomposition of the raster phases\n  \
+             phase      driver  thr   wall_ms  commit%  drain%  barr%  other%    epochs  par-ep  \
+             imbal  helper  prepared  inline  discarded\n",
         );
         for (k, p) in self.phases.iter().enumerate() {
+            let par = if p.is_par() {
+                format!(
+                    "{:>8.1} {:>7.1} {:>6.1} {:>7.1} {:>9} {:>7} {:>6.2}",
+                    p.serial_fraction() * 100.0,
+                    p.parallel_fraction() * 100.0,
+                    p.barrier_fraction() * 100.0,
+                    p.other_fraction() * 100.0,
+                    p.epochs,
+                    p.parallel_epochs,
+                    p.imbalance(),
+                )
+            } else {
+                let dash = "-";
+                format!("{dash:>8} {dash:>7} {dash:>6} {dash:>7} {dash:>9} {dash:>7} {dash:>6}")
+            };
             s.push_str(&format!(
-                "  {:<10} {:>4} {:>9.3} {:>8.1} {:>7.1} {:>6.1} {:>7.1} {:>9} {:>7} {:>6.2}\n",
+                "  {:<10} {:<6} {:>4} {:>9.3} {par} {:>7} {:>9} {:>7} {:>10}\n",
                 format!("{} #{k}", p.label),
+                p.driver,
                 p.threads,
                 p.wall_ns as f64 / 1e6,
-                p.serial_fraction() * 100.0,
-                p.parallel_fraction() * 100.0,
-                p.barrier_fraction() * 100.0,
-                p.other_fraction() * 100.0,
-                p.epochs,
-                p.parallel_epochs,
-                p.imbalance(),
+                if p.helper { "yes" } else { "no" },
+                p.tiles_prepared,
+                p.tiles_inline,
+                p.tiles_discarded,
             ));
         }
         s.push_str(&t.render());
@@ -623,6 +713,7 @@ mod tests {
         start();
         assert!(origin().is_some());
         let mut p = PhaseProfile::new("raster", 2, 4);
+        p.driver = "par";
         p.wall_ns = 1_000;
         p.commit_ns = 400;
         p.coord_drain_ns = 300;
@@ -637,7 +728,37 @@ mod tests {
         assert!((t.parallel_fraction() - 0.3).abs() < 1e-12);
         assert!((t.barrier_fraction() - 0.1).abs() < 1e-12);
         assert!((t.other_fraction() - 0.2).abs() < 1e-12);
-        assert!(prof.render().contains("hostprof"));
+        assert!(prof.render().contains("hostprof: 1 phase(s)"));
+    }
+
+    #[test]
+    fn serial_phases_report_their_tiles_and_leave_the_par_split_alone() {
+        let mut heap = PhaseProfile::new("raster", 1, 2);
+        heap.driver = "heap";
+        heap.helper = true;
+        heap.wall_ns = 3_000;
+        (heap.tiles_prepared, heap.tiles_inline, heap.tiles_discarded) = (6, 4, 2);
+        let mut par = PhaseProfile::new("raster", 2, 2);
+        par.driver = "par";
+        par.wall_ns = 1_000;
+        par.commit_ns = 500;
+        par.tiles_inline = 10;
+        let prof = HostProfile { phases: vec![heap, par] };
+        let t = prof.totals();
+        assert_eq!((t.phases, t.par_phases, t.helper_phases), (2, 1, 1));
+        assert_eq!((t.wall_ns, t.par_wall_ns), (4_000, 1_000));
+        assert_eq!(t.serial_fraction(), 0.5, "the par split covers par phases only");
+        assert_eq!((t.tiles_prepared, t.tiles_inline, t.tiles_discarded), (6, 14, 2));
+        assert_eq!(t.helper_useful_ratio(), 0.75);
+        let table = prof.render();
+        let counts = "6 tile(s) prepared by the helper, 14 rasterised inline";
+        assert!(table.contains(counts), "{table}");
+        assert!(table.contains("useful-work ratio 75.0%"), "{table}");
+        let heap_row = table.lines().find(|l| l.contains("raster #0")).expect("a row per phase");
+        assert!(heap_row.contains(" heap ") && heap_row.contains(" - "), "{heap_row}");
+
+        let serial_only = HostProfile { phases: vec![prof.phases[0].clone()] };
+        assert!(serial_only.totals().render().contains("need the `par` event-loop driver"));
     }
 
     #[test]

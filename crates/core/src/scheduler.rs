@@ -64,6 +64,21 @@ impl FramePlan {
         }
     }
 
+    /// The first tile of each group the next `depth` rounds of pulls by
+    /// `rus` Raster Units would hand out, without taking any: `depth` groups
+    /// per RU pulling from each end, so with `hot_cold` the next `depth` at
+    /// the hot end and the next `depth × (rus − 1)` at the cold end, and
+    /// otherwise the next `depth × rus` at the front.
+    pub fn upcoming(&self, rus: usize, depth: usize) -> impl Iterator<Item = TileId> + '_ {
+        let (front, back) = if self.hot_cold { (1, rus.saturating_sub(1)) } else { (rus, 0) };
+        let (front, back) = (front * depth, back * depth);
+        self.groups
+            .iter()
+            .take(front)
+            .chain(self.groups.iter().rev().take(back))
+            .filter_map(|g| g.first().copied())
+    }
+
     /// Drops every tile for which `keep` returns `false` from the plan and
     /// returns how many were removed. Groups that become empty are removed so
     /// `next_group` never hands an RU an empty dispatch; relative tile order
@@ -413,6 +428,46 @@ mod tests {
         // RU1 pulls from the cold end: its group must not contain tile 0.
         let cold_group = plan.next_group(RasterUnitId(1)).unwrap();
         assert!(!cold_group.contains(&TileId(0)));
+    }
+
+    #[test]
+    fn upcoming_names_the_first_tile_of_each_group_the_next_pulls_take() {
+        let s = screen();
+        let mut hm = TileHeatmap::new(s.num_tiles());
+        for (i, t) in hm.tiles.iter_mut().enumerate() {
+            t.dram_accesses = (i % 37) as u64;
+            t.instructions = 100 + (i % 11) as u64;
+        }
+        let fb = FrameFeedback::new(hm, 100_000, 0.5);
+        let hot_cold = SchedulerKind::Libra.build().plan_frame(&s, Some(&fb));
+        let plain = SchedulerKind::StaticSupertile(4).build().plan_frame(&s, None);
+        assert!(hot_cold.hot_cold && !plain.hot_cold);
+        for mut plan in [hot_cold, plain] {
+            for rus in [1u8, 2, 5] {
+                for depth in [1, 3] {
+                    // `depth` rounds of pulls, RU 0 to the last in each. The
+                    // peek lists the front end's groups before the back end's.
+                    let mut pulled = plan.clone();
+                    let (mut front, mut back) = (Vec::new(), Vec::new());
+                    for _ in 0..depth {
+                        for ru in 0..rus {
+                            let first = pulled.next_group(RasterUnitId(ru)).unwrap()[0];
+                            let end = if plan.hot_cold && ru != 0 { &mut back } else { &mut front };
+                            end.push(first);
+                        }
+                    }
+                    front.extend(back);
+                    let want: Vec<TileId> = plan.upcoming(rus as usize, depth).collect();
+                    assert_eq!(want, front, "{rus} RUs, depth {depth}, hot_cold {}", plan.hot_cold);
+                }
+            }
+            // Peeking takes nothing.
+            let before = plan.remaining_tiles();
+            let _ = plan.upcoming(4, 3).count();
+            assert_eq!(plan.remaining_tiles(), before);
+            drain_all(&mut plan, 2);
+            assert_eq!(plan.upcoming(4, 3).count(), 0);
+        }
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! * [`raster_unit`] — one Raster Unit: tile front-end (Parameter-Buffer fetch →
 //!   rasterise with Early-Z on each quad as it is emitted → warp assembly) plus its
 //!   private shader cores, whose warps are followed by blending and the tile's flush.
+//!   The front end comes in two halves: [`TileRasterizer`] rasterises a tile into a
+//!   [`TileRaster`] without touching the memory model, on any thread, and
+//!   [`RasterUnit::issue_tile`] adds the Parameter-Buffer reads and warp arrivals.
 //!   The simulated path charges every stage's cycles and DRAM writes but computes
 //!   no colour; the Colour Buffer is written only by
 //!   [`RasterUnit::render_tile_image`], for images;
@@ -38,7 +41,7 @@ pub mod wasp;
 pub mod zbuffer;
 
 pub use quad::Quad;
-pub use raster_unit::{RasterUnit, TileFrontEndOutcome, WarpWork};
+pub use raster_unit::{RasterUnit, TileFrontEndOutcome, TileRaster, TileRasterizer, WarpWork};
 pub use shader::{SampleLines, SampleLinesRef, ShaderCore, WarpOutcome};
 pub use wasp::WaspDecision;
 pub use zbuffer::ZBuffer;

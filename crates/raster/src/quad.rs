@@ -26,12 +26,6 @@ impl Quad {
         (self.mask & 0xF).count_ones()
     }
 
-    /// Whether any lane is covered.
-    #[inline]
-    pub fn any(&self) -> bool {
-        self.mask & 0xF != 0
-    }
-
     /// Pixel coordinate of lane `i`.
     ///
     /// # Panics
@@ -56,8 +50,6 @@ mod tests {
         assert_eq!(q(0b0000).coverage(), 0);
         assert_eq!(q(0b1010).coverage(), 2);
         assert_eq!(q(0b1111).coverage(), 4);
-        assert!(!q(0).any());
-        assert!(q(1).any());
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! FIFO, tile cache, Z-Buffer, Colour Buffer and shader cores; only the L2 and DRAM
 //! are shared.
 //!
+//! The front end runs in two halves. The pure half, [`TileRasterizer::raster`],
+//! rasterises the tile's primitives, runs Early-Z, assembles warps and gathers
+//! each warp's texture lines into a [`TileRaster`]: it reads only the tile's
+//! primitives, never the memory model, so it may run on any thread and ahead
+//! of the simulation. The timed half, [`RasterUnit::issue_tile`], issues the
+//! Parameter-Buffer reads through the tile cache, gives each warp its arrival
+//! cycle and copies its lines into the RU's arenas.
+//! [`RasterUnit::render_tile_front_end`] is the one, then the other.
+//!
 //! Early-Z runs inside the rasteriser's quad-emission loop
 //! ([`TriangleSetup::emit_quads`]): each quad is depth-tested as it is emitted,
 //! and only the texture coordinates and shade mask of a quad with lanes to
@@ -23,8 +32,11 @@
 //! [`RasterUnit::end_frame`], when no warp is in flight.
 //!
 //! Time-ordering contract: the caller (the event-driven simulator) interleaves
-//! front-end and warp execution across Raster Units in global time order, so the
-//! shared-memory reservations stay causal.
+//! the timed half of the front end and warp execution across Raster Units in
+//! global time order, so the shared-memory reservations stay causal. The pure
+//! half touches no shared state and no clock, so when and on which thread a
+//! tile was rasterised cannot change a result: a [`TileRaster`] is a function
+//! of the tile, its primitives and the configuration alone.
 
 use crate::color_buffer::{flush_line_addrs, ColorBuffer};
 use crate::quad::Quad;
@@ -33,7 +45,6 @@ use crate::reference::shade_color;
 use crate::shader::{SampleLines, SampleLinesRef, ShaderCore, WarpOutcome};
 use crate::texture::{sample_shift, select_mip, MipAddresser};
 use crate::zbuffer::ZBuffer;
-use std::ops::Range;
 use tbr_common::addr::{param_entry_addr, AccessKind};
 use tbr_common::arena::{Arena, Span};
 use tbr_common::config::{GpuConfig, PipelineCosts, ScreenConfig};
@@ -49,7 +60,7 @@ use tbr_mem::hierarchy::{L1Cache, MemoryHierarchy};
 /// The texture line lists live in the owning Raster Unit's per-frame arenas;
 /// this struct carries only their [`Span`]s (resolve with
 /// [`RasterUnit::sample_lines_ref`]). Spans are valid until the RU's
-/// [`RasterUnit::end_frame`] / [`RasterUnit::cold_reset`].
+/// [`RasterUnit::end_frame`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarpWork {
     /// Cycle at which the front-end finished assembling this warp.
@@ -90,24 +101,203 @@ pub struct TileFrontEndOutcome {
     pub dram_accesses: u64,
 }
 
+/// One warp of a [`TileRaster`], before it has an arrival cycle.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RasterWarp {
+    /// Position in the tile's list of the primitive it came from: the warp
+    /// arrives when that primitive's front-end work is done.
+    prim: u32,
+    shader: FragmentShaderDesc,
+    fragments: u32,
+    /// Its line addresses, as positions in [`TileRaster::lines`].
+    lines: Span,
+    /// Its stage end offsets (relative to its first line), as positions in
+    /// [`TileRaster::ends`].
+    ends: Span,
+}
+
+/// The pure half of one tile's front end ([`TileRasterizer::raster`]):
+/// everything but the Parameter-Buffer reads and the arrival cycles, which
+/// [`RasterUnit::issue_tile`] adds. A buffer is reused from tile to tile;
+/// rasterising into it replaces what it held.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TileRaster {
+    tile: TileId,
+    /// Per primitive of the list, the cycles it charges once its FIFO entry
+    /// arrived: setup, then rasterisation, Early-Z and blending of its quads.
+    prim_cycles: Vec<Cycle>,
+    warps: Vec<RasterWarp>,
+    lines: Vec<u64>,
+    ends: Vec<u32>,
+    quads: u64,
+    fragments: u64,
+    earlyz_killed: u64,
+}
+
+impl TileRaster {
+    /// The tile last rasterised into this buffer.
+    pub fn tile(&self) -> TileId {
+        self.tile
+    }
+
+    /// Empties the buffer for `tile`, keeping its capacity.
+    fn reset(&mut self, tile: TileId) {
+        self.tile = tile;
+        self.prim_cycles.clear();
+        self.warps.clear();
+        self.lines.clear();
+        self.ends.clear();
+        self.quads = 0;
+        self.fragments = 0;
+        self.earlyz_killed = 0;
+    }
+}
+
+/// The pure half of the tile front end: rasterisation, Early-Z, warp assembly
+/// and each warp's texture-line gather. It owns the tile's Z-Buffer and reads
+/// nothing but the tile's primitives, so any thread may run it, for any tile,
+/// in any order.
+#[derive(Debug, Clone)]
+pub struct TileRasterizer {
+    zbuffer: ZBuffer,
+    costs: PipelineCosts,
+    quads_per_warp: usize,
+    // Capacity cache: cleared before each primitive fills it.
+    surviving: Vec<([(f32, f32); 4], u8)>,
+}
+
+impl TileRasterizer {
+    /// A rasteriser for the configuration's tile size, costs and warp width.
+    pub fn new(cfg: &GpuConfig) -> Self {
+        Self {
+            zbuffer: ZBuffer::new(cfg.screen.tile_size),
+            costs: cfg.costs,
+            quads_per_warp: cfg.quads_per_warp() as usize,
+            surviving: Vec::new(),
+        }
+    }
+
+    /// Rasterises `tile`'s Parameter-Buffer `list` (indices into `tris`, in
+    /// program order) into `out`: Early-Z, warp assembly and each warp's
+    /// texture lines, with the cycles each primitive charges. No colour is
+    /// shaded: no counter reads one.
+    pub fn raster(
+        &mut self,
+        tile: TileId,
+        tris: &TriangleStream,
+        list: &[u32],
+        screen: &ScreenConfig,
+        out: &mut TileRaster,
+    ) {
+        self.raster_with(tile, tris, list, screen, out, &mut NoColor);
+    }
+
+    /// The one rasterisation body behind [`TileRasterizer::raster`] and
+    /// [`RasterUnit::render_tile_image`]; only where colours go differs.
+    fn raster_with<C: ColorSink>(
+        &mut self,
+        tile: TileId,
+        tris: &TriangleStream,
+        list: &[u32],
+        screen: &ScreenConfig,
+        out: &mut TileRaster,
+        color: &mut C,
+    ) {
+        out.reset(tile);
+        let (tx0, ty0, tx1, ty1) = screen.tile_rect(tile);
+        let Self { zbuffer, costs, quads_per_warp, surviving } = self;
+        zbuffer.clear();
+
+        for (n, &pidx) in list.iter().enumerate() {
+            let pidx = pidx as usize;
+            let mut cycles = costs.raster_setup_cycles;
+            // One TriangleSetup per (primitive × tile), shared by rasterisation
+            // and mip selection.
+            if let Some(setup) = TriangleSetup::from_vertices(tris.vertices(pidx)) {
+                let state = tris.state_of(pidx);
+                let depth_write = state.blend == BlendMode::Opaque;
+                // Depth-modifying shaders disable Early-Z: every covered fragment is
+                // shaded and the visibility test happens after shading (Late-Z, §II-A).
+                let late_z = state.shader.late_z;
+
+                // Early-Z at emission: each quad is depth-tested as the rasteriser
+                // emits it, and only a quad with lanes to shade is kept. Only
+                // depth-passing lanes reach the Colour Buffer, Early- or Late-Z.
+                let (mut quads, mut killed) = (0u64, 0u64);
+                surviving.clear();
+                setup.emit_quads(tx0, ty0, tx1, ty1, |q| {
+                    quads += 1;
+                    let pass = zbuffer.test_quad(&q, tx0, ty0, depth_write);
+                    let shade_mask = if late_z { q.mask } else { pass };
+                    killed += (q.mask & !shade_mask).count_ones() as u64;
+                    if shade_mask != 0 {
+                        color.shade(&q, pass, state, tx0, ty0);
+                        surviving.push((q.uv, shade_mask));
+                    }
+                });
+                if quads > 0 {
+                    cycles += quads.div_ceil(costs.raster_quads_per_cycle.max(1))
+                        + quads * costs.earlyz_cycles_per_quad
+                        + surviving.len() as Cycle * costs.blend_cycles_per_quad;
+                    out.quads += quads;
+                    out.earlyz_killed += killed;
+
+                    // Assemble surviving quads into warps of `quads_per_warp`.
+                    let lod = select_mip(&state.texture, setup.uv_derivative);
+                    for group in surviving.chunks(*quads_per_warp) {
+                        let fragments: u32 = group.iter().map(|(_, m)| m.count_ones()).sum();
+                        out.fragments += fragments as u64;
+                        let (lmark, emark) = (out.lines.len(), out.ends.len());
+                        let mut sink =
+                            WarpLines { lines: &mut out.lines, ends: &mut out.ends, base: lmark };
+                        gather_lines(
+                            group.len(),
+                            |i| group[i],
+                            &state.texture,
+                            lod,
+                            state.shader.tex_samples,
+                            state.shader.filter,
+                            &mut sink,
+                        );
+                        out.warps.push(RasterWarp {
+                            prim: n as u32,
+                            shader: state.shader,
+                            fragments,
+                            lines: span(lmark, out.lines.len()),
+                            ends: span(emark, out.ends.len()),
+                        });
+                    }
+                }
+            }
+            out.prim_cycles.push(cycles);
+        }
+    }
+}
+
+/// The span of positions `start..end`.
+fn span(start: usize, end: usize) -> Span {
+    Span { start: start as u32, len: (end - start) as u32 }
+}
+
 /// One Raster Unit.
 #[derive(Debug, Clone)]
 pub struct RasterUnit {
     cores: Vec<ShaderCore>,
     tile_l1: L1Cache,
-    zbuffer: ZBuffer,
+    rasterizer: TileRasterizer,
     costs: PipelineCosts,
-    quads_per_warp: usize,
     next_core: usize,
     // Per-frame bump arenas holding every warp's texture line lists; reset
-    // wholesale in end_frame()/cold_reset(), when no warp is in flight.
+    // wholesale in end_frame(), when no warp is in flight.
     lines: Arena<u64>,
     ends: Arena<u32>,
-    // Scratch buffers reused across tiles so the per-event path stays
-    // allocation-free once warmed up. Purely capacity caches: no state crosses
-    // from one use to the next (each user clears before filling).
-    scratch_read_done: Vec<Cycle>,
-    scratch_surviving: Vec<([(f32, f32); 4], u8)>,
+}
+
+thread_local! {
+    // The buffer the Raster Units of a thread rasterise their own tiles into:
+    // a capacity cache, so the per-tile path stays allocation-free once warmed
+    // up, shared by all of the thread's units rather than held by each.
+    static SCRATCH: std::cell::RefCell<TileRaster> = std::cell::RefCell::default();
 }
 
 impl RasterUnit {
@@ -118,14 +308,11 @@ impl RasterUnit {
                 .map(|_| ShaderCore::new(cfg.texture_cache, cfg.max_warps_per_core))
                 .collect(),
             tile_l1: L1Cache::new(cfg.tile_cache),
-            zbuffer: ZBuffer::new(cfg.screen.tile_size),
+            rasterizer: TileRasterizer::new(cfg),
             costs: cfg.costs,
-            quads_per_warp: cfg.quads_per_warp() as usize,
             next_core: 0,
             lines: Arena::new(),
             ends: Arena::new(),
-            scratch_read_done: Vec::new(),
-            scratch_surviving: Vec::new(),
         }
     }
 
@@ -148,9 +335,10 @@ impl RasterUnit {
     /// into `tris`, in program order), starting at cycle `now`. Returns the
     /// assembled warps and front-end statistics.
     ///
-    /// This is the simulated path. It charges rasterisation, Early-Z and
-    /// blending cycles, but shades no colour: no counter reads one, and the
-    /// flush writes every line of the tile whatever it holds.
+    /// This is the simulated path: [`TileRasterizer::raster`] on the RU's own
+    /// rasteriser, then [`RasterUnit::issue_tile`]. It charges rasterisation,
+    /// Early-Z and blending cycles, but shades no colour: no counter reads
+    /// one, and the flush writes every line of the tile whatever it holds.
     /// [`RasterUnit::render_tile_image`] runs the same loop and also writes
     /// the tile's colours.
     pub fn render_tile_front_end(
@@ -162,7 +350,10 @@ impl RasterUnit {
         now: Cycle,
         hier: &mut MemoryHierarchy,
     ) -> TileFrontEndOutcome {
-        self.front_end(tile, tris, list, screen, now, hier, &mut NoColor)
+        SCRATCH.with_borrow_mut(|raster| {
+            self.rasterizer.raster(tile, tris, list, screen, raster);
+            self.issue_tile(raster, now, hier)
+        })
     }
 
     /// [`RasterUnit::render_tile_front_end`] that also shades each
@@ -183,113 +374,59 @@ impl RasterUnit {
         color: &mut ColorBuffer,
     ) -> TileFrontEndOutcome {
         color.clear();
-        self.front_end(tile, tris, list, screen, now, hier, color)
+        SCRATCH.with_borrow_mut(|raster| {
+            self.rasterizer.raster_with(tile, tris, list, screen, raster, color);
+            self.issue_tile(raster, now, hier)
+        })
     }
 
-    /// The one front-end body behind [`RasterUnit::render_tile_front_end`] and
-    /// [`RasterUnit::render_tile_image`]; only where colours go differs.
-    #[allow(clippy::too_many_arguments)]
-    fn front_end<C: ColorSink>(
+    /// The timed half of the tile front end, from cycle `now`: streams the
+    /// tile's Parameter-Buffer list through the tile cache, gives each of
+    /// `raster`'s warps its arrival cycle and copies its lines into this RU's
+    /// arenas. `raster` may come from any [`TileRasterizer`] built for the
+    /// same configuration; the outcome is the same.
+    pub fn issue_tile(
         &mut self,
-        tile: TileId,
-        tris: &TriangleStream,
-        list: &[u32],
-        screen: &ScreenConfig,
+        raster: &TileRaster,
         now: Cycle,
         hier: &mut MemoryHierarchy,
-        color: &mut C,
     ) -> TileFrontEndOutcome {
-        let mut out = TileFrontEndOutcome::default();
-        let (tx0, ty0, tx1, ty1) = screen.tile_rect(tile);
-        self.zbuffer.clear();
-        let mut fe = now;
+        let tile = raster.tile;
+        let mut out = TileFrontEndOutcome {
+            warps: Vec::with_capacity(raster.warps.len()),
+            primitives: raster.prim_cycles.len() as u64,
+            quads: raster.quads,
+            fragments: raster.fragments,
+            earlyz_killed: raster.earlyz_killed,
+            ..TileFrontEndOutcome::default()
+        };
+        let lbase = self.lines.alloc_slice(&raster.lines).start;
+        let ebase = self.ends.alloc_slice(&raster.ends).start;
+        let rebase = |s: Span, base: u32| Span { start: base + s.start, len: s.len };
 
-        // Stream the tile's Parameter-Buffer list: the Tile Fetcher issues reads
-        // ahead of the pipeline into the RU's FIFO (Fig 5), one per cycle, so list
-        // fetch latency is pipelined rather than serialising the front-end.
-        let mut read_done = std::mem::take(&mut self.scratch_read_done);
-        read_done.clear();
-        let mut surviving = std::mem::take(&mut self.scratch_surviving);
-        for (n, issue) in (0..list.len()).zip(now..) {
+        // The Tile Fetcher issues the list's reads ahead of the pipeline into
+        // the RU's FIFO (Fig 5), one per cycle, so list fetch latency is
+        // pipelined rather than serialising the front-end; a primitive is
+        // rasterised once its entry arrived.
+        let mut fe = now;
+        let mut warps = raster.warps.iter().peekable();
+        for (n, (&cycles, issue)) in raster.prim_cycles.iter().zip(now..).enumerate() {
             let entry_addr = param_entry_addr(tile, n as u64);
-            let rd = self
-                .tile_l1
-                .access(entry_addr, issue, AccessKind::ParamRead, hier);
+            let rd = self.tile_l1.access(entry_addr, issue, AccessKind::ParamRead, hier);
             out.param_reads += 1;
             out.dram_accesses += rd.dram_accesses as u64;
-            read_done.push(rd.completion);
-        }
-
-        for (n, &pidx) in list.iter().enumerate() {
-            let pidx = pidx as usize;
-            // The primitive can only be rasterised once its FIFO entry arrived.
-            fe = fe.max(read_done[n]);
-            fe += self.costs.raster_setup_cycles;
-            out.primitives += 1;
-
-            // One TriangleSetup per (primitive × tile), shared by rasterisation
-            // and mip selection.
-            let Some(setup) = TriangleSetup::from_vertices(tris.vertices(pidx)) else {
-                continue;
-            };
-            let state = tris.state_of(pidx);
-            let depth_write = state.blend == BlendMode::Opaque;
-            // Depth-modifying shaders disable Early-Z: every covered fragment is
-            // shaded and the visibility test happens after shading (Late-Z, §II-A).
-            let late_z = state.shader.late_z;
-
-            // Early-Z at emission: each quad is depth-tested as the rasteriser
-            // emits it, and only a quad with lanes to shade is kept. Only
-            // depth-passing lanes reach the Colour Buffer, Early- or Late-Z.
-            let zbuffer = &mut self.zbuffer;
-            let (mut quads, mut killed) = (0u64, 0u64);
-            surviving.clear();
-            setup.emit_quads(tx0, ty0, tx1, ty1, |q| {
-                quads += 1;
-                let pass = zbuffer.test_quad(&q, tx0, ty0, depth_write);
-                let shade_mask = if late_z { q.mask } else { pass };
-                killed += (q.mask & !shade_mask).count_ones() as u64;
-                if shade_mask != 0 {
-                    color.shade(&q, pass, state, tx0, ty0);
-                    surviving.push((q.uv, shade_mask));
-                }
-            });
-            if quads == 0 {
-                continue;
-            }
-            fe += quads.div_ceil(self.costs.raster_quads_per_cycle.max(1))
-                + quads * self.costs.earlyz_cycles_per_quad
-                + surviving.len() as Cycle * self.costs.blend_cycles_per_quad;
-            out.quads += quads;
-            out.earlyz_killed += killed;
-
-            // Assemble surviving quads into warps of `quads_per_warp`; each warp's
-            // line lists land in the RU's per-frame arenas.
-            let lod = select_mip(&state.texture, setup.uv_derivative);
-            for group in surviving.chunks(self.quads_per_warp) {
-                let fragments: u32 = group.iter().map(|(_, m)| m.count_ones()).sum();
-                out.fragments += fragments as u64;
-                let (lspan, espan) = gather_sample_lines_arena(
-                    &mut self.lines,
-                    &mut self.ends,
-                    group,
-                    &state.texture,
-                    lod,
-                    state.shader.tex_samples,
-                    state.shader.filter,
-                );
+            fe = fe.max(rd.completion) + cycles;
+            while let Some(w) = warps.next_if(|w| w.prim as usize == n) {
                 out.warps.push(WarpWork {
                     arrival: fe,
                     tile,
-                    shader: state.shader,
-                    fragments,
-                    lines: lspan,
-                    ends: espan,
+                    shader: w.shader,
+                    fragments: w.fragments,
+                    lines: rebase(w.lines, lbase),
+                    ends: rebase(w.ends, ebase),
                 });
             }
         }
-        self.scratch_read_done = read_done;
-        self.scratch_surviving = surviving;
         out.fe_done = fe;
         out
     }
@@ -407,18 +544,6 @@ impl RasterUnit {
         self.ends.reset();
         (tex, tile)
     }
-
-    /// Full reset between independent runs.
-    pub fn cold_reset(&mut self) {
-        for c in &mut self.cores {
-            c.cold_reset();
-        }
-        self.tile_l1.cold_reset();
-        self.zbuffer.clear();
-        self.next_core = 0;
-        self.lines.reset();
-        self.ends.reset();
-    }
 }
 
 /// Public wrapper over the internal line-gathering loop for alternate pipeline
@@ -433,14 +558,15 @@ pub fn gather_sample_lines_for(
 ) -> SampleLines {
     let mut out =
         SampleLines::with_capacity(tex_samples as usize * group.len() * 2, tex_samples as usize);
-    gather_lines_generic(
+    let (lines, ends) = out.parts_mut();
+    gather_lines(
         group.len(),
         |i| (group[i].0.uv, group[i].1),
         texture,
         lod,
         tex_samples,
         filter,
-        &mut out,
+        &mut WarpLines { lines, ends, base: 0 },
     );
     out
 }
@@ -475,90 +601,40 @@ impl ColorSink for ColorBuffer {
     }
 }
 
-/// Where gathered sample lines land: an owned [`SampleLines`] (IMR mode,
-/// tests) or the Raster Unit's per-frame arenas (the TBR hot path). Positions
-/// index the sink's flat line storage.
-trait LineSink {
-    /// Lines stored so far.
-    fn len(&self) -> usize;
-    /// Appends `line` unless it already occurs at or after position `from`.
-    fn push_unique(&mut self, from: usize, line: u64);
-    /// Appends a copy of the lines at `src`, each plus `shift`.
-    fn extend_shifted(&mut self, src: Range<usize>, shift: u64);
-    /// Closes the stage being built.
-    fn end_stage(&mut self);
-}
-
-impl LineSink for SampleLines {
-    fn len(&self) -> usize {
-        self.total_lines()
-    }
-    fn push_unique(&mut self, from: usize, line: u64) {
-        let lines = self.lines_mut();
-        if !lines[from..].contains(&line) {
-            lines.push(line);
-        }
-    }
-    fn extend_shifted(&mut self, src: Range<usize>, shift: u64) {
-        let lines = self.lines_mut();
-        let start = lines.len();
-        lines.extend_from_within(src);
-        lines[start..].iter_mut().for_each(|line| *line += shift);
-    }
-    fn end_stage(&mut self) {
-        SampleLines::end_stage(self);
-    }
-}
-
-/// Sink writing into a Raster Unit's per-frame arenas; stage end offsets are
-/// recorded relative to `base` (the warp's first line), matching the
-/// [`SampleLinesRef`] contract.
-struct ArenaSink<'a> {
-    lines: &'a mut Arena<u64>,
-    ends: &'a mut Arena<u32>,
+/// Where one warp's gathered lines land: appended to `lines`, with each
+/// stage's end offset recorded in `ends` relative to `base`, the warp's first
+/// line (the [`SampleLinesRef`] contract). A [`TileRaster`] holds a whole
+/// tile's warps this way; an owned [`SampleLines`] is one warp at base 0.
+struct WarpLines<'a> {
+    lines: &'a mut Vec<u64>,
+    ends: &'a mut Vec<u32>,
     base: usize,
 }
 
-impl LineSink for ArenaSink<'_> {
-    fn len(&self) -> usize {
-        self.lines.len()
-    }
+impl WarpLines<'_> {
+    /// Appends `line` unless it already occurs at or after position `from`.
     fn push_unique(&mut self, from: usize, line: u64) {
-        if !self.lines.get(self.lines.span_since(from)).contains(&line) {
+        if !self.lines[from..].contains(&line) {
             self.lines.push(line);
         }
     }
-    fn extend_shifted(&mut self, src: Range<usize>, shift: u64) {
-        let copy = self.lines.extend_from_within(src);
-        self.lines.get_mut(copy).iter_mut().for_each(|line| *line += shift);
+
+    /// Appends a copy of the lines at `src`, each plus `shift`.
+    fn extend_shifted(&mut self, src: std::ops::Range<usize>, shift: u64) {
+        let start = self.lines.len();
+        self.lines.extend_from_within(src);
+        self.lines[start..].iter_mut().for_each(|line| *line += shift);
     }
+
+    /// Closes the stage being built.
     fn end_stage(&mut self) {
         self.ends.push((self.lines.len() - self.base) as u32);
     }
 }
 
-/// Gathers one warp's sample lines straight into the RU's arenas, returning the
-/// `(lines, ends)` spans for its [`WarpWork`]. `group` holds each quad's
-/// texture coordinates and shade mask.
-fn gather_sample_lines_arena(
-    lines: &mut Arena<u64>,
-    ends: &mut Arena<u32>,
-    group: &[([(f32, f32); 4], u8)],
-    texture: &TextureDesc,
-    lod: u32,
-    tex_samples: u32,
-    filter: FilterMode,
-) -> (Span, Span) {
-    let lmark = lines.mark();
-    let emark = ends.mark();
-    let mut sink = ArenaSink { base: lmark, lines, ends };
-    gather_lines_generic(group.len(), |i| group[i], texture, lod, tex_samples, filter, &mut sink);
-    (lines.span_since(lmark), ends.span_since(emark))
-}
-
 /// Collects, per texture-sample instruction, the cache-line requests of a warp's
 /// quads — the single body behind the owned ([`gather_sample_lines_for`]) and
-/// arena ([`gather_sample_lines_arena`]) paths, so the two cannot diverge.
+/// tile ([`TileRasterizer::raster`]) paths, so the two cannot diverge.
 ///
 /// Coalescing happens at *quad* granularity (a texture unit fetches the
 /// texels of one 2×2 quad together), so lines shared between different quads are
@@ -569,24 +645,23 @@ fn gather_sample_lines_arena(
 ///
 /// Only stage 0 is addressed: stage `s` is stage 0 plus [`sample_shift`]`(s)`,
 /// copied within the sink, which is the same list a per-sample gather builds.
-#[allow(clippy::too_many_arguments)]
-fn gather_lines_generic<S: LineSink>(
+fn gather_lines(
     count: usize,
     mut quad_of: impl FnMut(usize) -> ([(f32, f32); 4], u8),
     texture: &TextureDesc,
     lod: u32,
     tex_samples: u32,
     filter: FilterMode,
-    sink: &mut S,
+    sink: &mut WarpLines,
 ) {
     if tex_samples == 0 {
         return;
     }
     let addr = MipAddresser::new(texture, lod, 0);
-    let stage0 = sink.len();
+    let stage0 = sink.lines.len();
     for i in 0..count {
         let (uv, pass) = quad_of(i);
-        let quad = sink.len();
+        let quad = sink.lines.len();
         let lanes = (0..4).filter(|lane| pass & (1 << lane) != 0);
         match filter {
             FilterMode::Nearest => {
@@ -606,7 +681,7 @@ fn gather_lines_generic<S: LineSink>(
             }
         }
     }
-    let stage0 = stage0..sink.len();
+    let stage0 = stage0..sink.lines.len();
     sink.end_stage();
     for s in 1..tex_samples {
         sink.extend_shifted(stage0.clone(), sample_shift(s));
@@ -913,6 +988,35 @@ mod feature_tests {
                 ru2.render_tile_image(tile, &ts, &list, &cfg.screen, 7, &mut h2, &mut color);
             assert_eq!(got, want);
             assert!(got.earlyz_killed > 0 && got.fragments > 0);
+        }
+        assert_eq!(h2.dram_stats(), h.dram_stats());
+        assert_eq!(ru2.tile_l1.stats(), ru.tile_l1.stats());
+    }
+
+    #[test]
+    fn the_two_halves_on_another_rasteriser_equal_the_front_end() {
+        // A TileRaster made by a second rasteriser, and reused from tile to
+        // tile, issued by the RU: the same outcome, the same lines and the
+        // same cache and DRAM traffic as the RU's own front end.
+        let cfg = GpuConfig::baseline(ScreenConfig::tiny());
+        let far_l = tri(0.9, 0, FragmentShaderDesc::simple().with_late_z());
+        let near = tri(0.1, 1, FragmentShaderDesc::simple().with_bilinear());
+        let far_e = tri(0.9, 2, FragmentShaderDesc::simple());
+        let (ts, list) = stream(&[far_l, near, far_e]);
+        let (mut ru, mut h) = (RasterUnit::new(&cfg), hier());
+        let (mut ru2, mut h2) = (ru.clone(), h.clone());
+        let mut rasterizer = TileRasterizer::new(&cfg);
+        let mut raster = TileRaster::default();
+        let tiles = [(TileId(0), 7), (TileId(1), 900), (TileId(0), 2000), (TileId(2), 2100)];
+        for (tile, now) in tiles {
+            let want = ru.render_tile_front_end(tile, &ts, &list, &cfg.screen, now, &mut h);
+            rasterizer.raster(tile, &ts, &list, &cfg.screen, &mut raster);
+            assert_eq!(raster.tile(), tile);
+            let got = ru2.issue_tile(&raster, now, &mut h2);
+            assert_eq!(got, want);
+            for (g, w) in got.warps.iter().zip(&want.warps) {
+                assert_eq!(ru2.sample_lines_ref(g), ru.sample_lines_ref(w));
+            }
         }
         assert_eq!(h2.dram_stats(), h.dram_stats());
         assert_eq!(ru2.tile_l1.stats(), ru.tile_l1.stats());

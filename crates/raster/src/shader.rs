@@ -104,11 +104,11 @@ impl SampleLines {
         self.lines.len()
     }
 
-    /// The flat line storage, which the raster unit's gather appends the
-    /// stage being built to.
+    /// The flat line storage and the stage end offsets, which the raster
+    /// unit's gather appends to.
     #[inline]
-    pub(crate) fn lines_mut(&mut self) -> &mut Vec<u64> {
-        &mut self.lines
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<u64>, &mut Vec<u32>) {
+        (&mut self.lines, &mut self.ends)
     }
 
     /// Closes the stage currently being built (lines pushed afterwards belong
@@ -390,12 +390,6 @@ impl ShaderCore {
     pub fn end_frame(&mut self) -> CacheStats {
         self.issue_free = 0;
         self.l1.end_frame()
-    }
-
-    /// Full reset between independent runs.
-    pub fn cold_reset(&mut self) {
-        self.issue_free = 0;
-        self.l1.cold_reset();
     }
 }
 

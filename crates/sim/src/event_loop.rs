@@ -50,6 +50,17 @@ pub enum EventLoopMode {
     Par,
 }
 
+impl EventLoopMode {
+    /// The driver's name, as `LIBRA_EVENT_LOOP` and `--event-loop` spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            EventLoopMode::Heap => "heap",
+            EventLoopMode::Scan => "scan",
+            EventLoopMode::Par => "par",
+        }
+    }
+}
+
 const UNSET: u8 = 0;
 const HEAP: u8 = 1;
 const SCAN: u8 = 2;

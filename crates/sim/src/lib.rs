@@ -48,6 +48,7 @@ pub mod fault;
 pub mod geometry_phase;
 pub mod gpu;
 pub mod imr;
+mod raster_helper;
 pub mod raster_phase;
 pub mod report;
 pub mod service;

@@ -43,6 +43,9 @@ use tbr_raster::shader::WarpExecState;
 use tbr_tiling::binner::TileBins;
 
 use crate::event_loop::{self, EventLoopMode};
+use crate::raster_helper::{
+    self, Prefetch, BUFFERS_PER_RU, MAX_BUFFERED_RUS, MIN_BUFFERED_RUS, PEEK_GROUPS_PER_RU,
+};
 
 /// Aggregate output of one frame's raster phase.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -270,6 +273,20 @@ struct PhaseCtx<'a> {
     out: RasterPhaseResult,
     unique: U64Set,
     frame_end: Cycle,
+    /// The idle-core helper's request side, when one runs beside the loop.
+    front: Option<Prefetch<'a>>,
+    /// How the phase's tiles were rasterised (hostprof telemetry).
+    tally: TileTally,
+}
+
+/// How a raster phase's tiles were rasterised: the idle-core helper's
+/// useful-work ratio, recorded by hostprof under every driver.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TileTally {
+    /// Tiles the helper prepared and the event loop issued.
+    prepared: u64,
+    /// Tiles the event loop rasterised itself.
+    inline: u64,
 }
 
 impl<'a> PhaseCtx<'a> {
@@ -294,9 +311,12 @@ impl<'a> PhaseCtx<'a> {
             out,
             unique,
             frame_end,
+            front,
+            tally,
         } = self;
         let max_warps = *max_warps;
         let mech = *mech;
+        let n = states.len();
         let st = &mut states[i];
 
         let branch = select_branch(st, step_idx, max_warps);
@@ -468,6 +488,7 @@ impl<'a> PhaseCtx<'a> {
                             } else {
                                 st.tiles = stolen;
                             }
+                            ask_ahead(front, st.tiles.front().copied(), plan, n);
                             return Effect::Other;
                         }
                     }
@@ -475,14 +496,26 @@ impl<'a> PhaseCtx<'a> {
                 if let Some(tile) = st.tiles.pop_front() {
                     let list = bins.list(tile);
                     let fe_start = st.fe_time;
-                    let fe = rus[i].render_tile_front_end(
-                        tile,
-                        prims,
-                        list,
-                        &cfg.screen,
-                        st.fe_time,
-                        hier,
-                    );
+                    // A tile the helper has prepared needs only the timed half.
+                    let fe = match front.as_mut().and_then(|f| f.take(tile)) {
+                        Some(raster) => {
+                            tally.prepared += 1;
+                            let fe = rus[i].issue_tile(&raster, st.fe_time, hier);
+                            front.as_mut().expect("prepared by the helper").recycle(raster);
+                            fe
+                        }
+                        None => {
+                            tally.inline += 1;
+                            rus[i].render_tile_front_end(
+                                tile,
+                                prims,
+                                list,
+                                &cfg.screen,
+                                st.fe_time,
+                                hier,
+                            )
+                        }
+                    };
                     out.fe_cycles += fe.fe_done - st.fe_time;
                     if trace::is_enabled() {
                         trace::span_args(
@@ -527,9 +560,21 @@ impl<'a> PhaseCtx<'a> {
                         warps: warps.into(),
                     });
                 }
+                ask_ahead(front, st.tiles.front().copied(), plan, n);
                 Effect::Other
             }
         }
+    }
+}
+
+/// After a front-end event of a Raster Unit whose next queued tile is `next`,
+/// asks the idle-core helper, if one runs, for what comes next: that tile,
+/// and the first tile of each group the `rus` units pull next.
+fn ask_ahead(front: &mut Option<Prefetch>, next: Option<TileId>, plan: &FramePlan, rus: usize) {
+    if let Some(f) = front {
+        next.into_iter()
+            .chain(plan.upcoming(rus, PEEK_GROUPS_PER_RU))
+            .for_each(|tile| f.want(tile));
     }
 }
 
@@ -906,8 +951,7 @@ struct ParProf {
 }
 
 impl ParProf {
-    fn new(num_rus: usize) -> Self {
-        let on = hostprof::is_enabled();
+    fn new(num_rus: usize, on: bool) -> Self {
         Self {
             on,
             // Share the collector's origin so worker lanes, coordinator lane
@@ -1080,12 +1124,11 @@ impl Exchange {
 /// stays thread-invariant) drains slot 0. Traces are only ever written from
 /// Shared commits on the coordinator, so trace streams are identical at every
 /// thread count.
-fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
+fn drive_par(ctx: &mut PhaseCtx, threads: usize, profile: Option<&mut PhaseProfile>) {
     let n = ctx.states.len();
     let slots = threads.max(1).min(n.max(1));
     let num_tiles = ctx.cfg.screen.num_tiles();
-    let mut prof = ParProf::new(n);
-    let phase_start_ns = if prof.on { prof.now_ns() } else { 0 };
+    let mut prof = ParProf::new(n, profile.is_some());
 
     let mut parked: EventQueue<u32> = EventQueue::with_capacity(n);
     let mut locals: Vec<usize> = Vec::new();
@@ -1112,8 +1155,8 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
                 }
             },
         );
-        if prof.on {
-            record_par_phase(prof, phase_start_ns, slots, &[&scratch], Vec::new());
+        if let Some(p) = profile {
+            fill_par_profile(p, prof, slots, &[&scratch], Vec::new());
         }
         absorb_scratch(ctx, scratch);
         return;
@@ -1251,12 +1294,12 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
             .collect()
     });
 
-    if prof.on {
+    if let Some(p) = profile {
         let scratches: Vec<&ParScratch> = std::iter::once(&coord_scratch)
             .chain(worker_results.iter().map(|(s, _)| s))
             .collect();
         let lanes: Vec<WorkerLane> = worker_results.iter().map(|(_, l)| l.clone()).collect();
-        record_par_phase(prof, phase_start_ns, slots, &scratches, lanes);
+        fill_par_profile(p, prof, slots, &scratches, lanes);
     }
 
     absorb_scratch(ctx, coord_scratch);
@@ -1265,22 +1308,18 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize) {
     }
 }
 
-/// Assembles the phase's [`PhaseProfile`] from the commit-loop profiler and
-/// every thread's scratch (coordinator first), and publishes it to the
-/// thread-local [`hostprof`] collector. Only called
-/// when profiling is enabled; pure observation — nothing here feeds back into
-/// simulated state.
-fn record_par_phase(
+/// Fills the par driver's fields of the phase's [`PhaseProfile`] from the
+/// commit-loop profiler and every thread's scratch (coordinator first). Only
+/// called when profiling is enabled; pure observation — nothing here feeds
+/// back into simulated state.
+fn fill_par_profile(
+    p: &mut PhaseProfile,
     prof: ParProf,
-    phase_start_ns: u64,
     slots: usize,
     scratches: &[&ParScratch],
     workers: Vec<WorkerLane>,
 ) {
-    let wall_ns = prof.now_ns().saturating_sub(phase_start_ns);
-    let mut p = PhaseProfile::new("raster", slots, prof.ru_shared.len());
-    p.start_ns = phase_start_ns;
-    p.wall_ns = wall_ns;
+    p.threads = slots;
     p.commit_ns = prof.commit_ns;
     p.coord_drain_ns = prof.coord_drain_ns;
     p.barrier_ns = prof.barrier_ns;
@@ -1302,15 +1341,23 @@ fn record_par_phase(
     p.coord = prof.coord;
     p.coord.local_events = scratches.first().map_or(0, |s| s.out.events);
     p.workers = workers;
-    hostprof::record_phase(p);
 }
 
 /// Runs the raster phase from cycle 0 until every tile in `plan` has been rendered
-/// and flushed. The event loop driver is selected per [`event_loop::mode`]; both
+/// and flushed. The event loop driver is selected per [`event_loop::mode`]; all
 /// drivers produce bit-identical results. `mech` selects the optional mechanism
 /// axis: with `wasp` enabled each tile's warp queue is re-ordered (spearhead +
 /// criticality) at front-end completion; `re` does not act here — eliminated
 /// tiles were already filtered out of `plan`.
+///
+/// When more than one CPU is available (read once per process) and the plan
+/// holds at least 2 tiles, an idle-priority helper thread runs beside the
+/// event loop for the phase and rasterises the tiles it will need next: each
+/// RU's next queued tile and the first tile of the groups the RUs pull next
+/// ([`FramePlan::upcoming`]). The event loop issues a prepared tile when one
+/// has arrived and otherwise rasterises the tile itself; it never waits for
+/// the helper, and a prepared tile equals the one it would make, so the
+/// result is the same with the helper or without.
 pub fn run_raster_phase(
     cfg: &GpuConfig,
     rus: &mut [RasterUnit],
@@ -1320,7 +1367,41 @@ pub fn run_raster_phase(
     bins: &TileBins,
     mech: MechanismSpec,
 ) -> RasterPhaseResult {
+    let opts = PhaseOpts {
+        mode: event_loop::mode(),
+        threads: event_loop::sim_threads(),
+        helper: raster_helper::available_cpus() > 1 && plan.remaining_tiles() >= 2,
+    };
+    run_phase(cfg, rus, hier, plan, prims, bins, mech, opts)
+}
+
+/// How [`run_phase`] runs: the event-loop driver, the par driver's thread
+/// count, and whether the idle-core helper runs beside it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PhaseOpts {
+    pub mode: EventLoopMode,
+    pub threads: usize,
+    pub helper: bool,
+}
+
+/// [`run_raster_phase`] with its driver and helper chosen by the caller.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_phase(
+    cfg: &GpuConfig,
+    rus: &mut [RasterUnit],
+    hier: &mut MemoryHierarchy,
+    plan: &mut FramePlan,
+    prims: &TriangleStream,
+    bins: &TileBins,
+    mech: MechanismSpec,
+    opts: PhaseOpts,
+) -> RasterPhaseResult {
     let ru_count = rus.len();
+    let mut profile = hostprof::is_enabled().then(|| {
+        let mut p = PhaseProfile::new("raster", 1, ru_count);
+        p.start_ns = host_ns();
+        p
+    });
     let states: Vec<RuState> = rus
         .iter()
         .map(|ru| RuState {
@@ -1339,44 +1420,75 @@ pub fn run_raster_phase(
             no_more_groups: false,
         })
         .collect();
-    let mut ctx = PhaseCtx {
-        cfg,
-        max_warps: cfg.max_warps_per_core,
-        rus,
-        hier,
-        plan,
-        prims,
-        bins,
-        mech,
-        states,
-        out: RasterPhaseResult {
-            heatmap: TileHeatmap::new(cfg.screen.num_tiles()),
-            ru_finish: vec![0; ru_count],
-            ..RasterPhaseResult::default()
-        },
-        unique: U64Set::default(),
-        frame_end: 0,
+    let drive = |front: Option<Prefetch<'_>>| {
+        let mut ctx = PhaseCtx {
+            cfg,
+            max_warps: cfg.max_warps_per_core,
+            rus,
+            hier,
+            plan,
+            prims,
+            bins,
+            mech,
+            states,
+            out: RasterPhaseResult {
+                heatmap: TileHeatmap::new(cfg.screen.num_tiles()),
+                ru_finish: vec![0; ru_count],
+                ..RasterPhaseResult::default()
+            },
+            unique: U64Set::default(),
+            frame_end: 0,
+            front,
+            tally: TileTally::default(),
+        };
+        match opts.mode {
+            EventLoopMode::Heap => drive_heap(&mut ctx),
+            EventLoopMode::Scan => drive_scan(&mut ctx),
+            EventLoopMode::Par => drive_par(&mut ctx, opts.threads, profile.as_mut()),
+        }
+        let discarded = ctx.front.as_ref().map_or(0, |f| f.discarded);
+        let mut out = ctx.out;
+        out.unique_lines = ctx.unique.len() as u64;
+        out.raster_cycles = ctx.frame_end;
+        (out, ctx.tally, discarded)
+    };
+    let (out, tally, discarded) = if opts.helper {
+        let buffers = BUFFERS_PER_RU * ru_count.clamp(MIN_BUFFERED_RUS, MAX_BUFFERED_RUS);
+        raster_helper::with_helper(cfg, prims, bins, buffers, None, |f| drive(Some(f)))
+    } else {
+        drive(None)
     };
 
-    match event_loop::mode() {
-        EventLoopMode::Heap => drive_heap(&mut ctx),
-        EventLoopMode::Scan => drive_scan(&mut ctx),
-        EventLoopMode::Par => drive_par(&mut ctx, event_loop::sim_threads()),
+    if let Some(mut p) = profile {
+        p.wall_ns = host_ns().saturating_sub(p.start_ns);
+        p.driver = opts.mode.name();
+        p.helper = opts.helper;
+        p.tiles_prepared = tally.prepared;
+        p.tiles_inline = tally.inline;
+        p.tiles_discarded = discarded;
+        hostprof::record_phase(p);
     }
-
-    let mut out = ctx.out;
-    out.unique_lines = ctx.unique.len() as u64;
-    out.raster_cycles = ctx.frame_end;
     out
+}
+
+/// Nanoseconds since the hostprof origin (0 when profiling is off).
+fn host_ns() -> u64 {
+    hostprof::origin().map_or(0, ns_since)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry_phase::run_geometry_phase;
+    use libra::elimination::ReCache;
+    use libra::feedback::FrameFeedback;
     use libra::scheduler::SchedulerKind;
     use tbr_common::config::ScreenConfig;
+    use tbr_common::stats::CacheStats;
     use tbr_geom::pipeline::process_scene_stream;
+    use tbr_mem::hierarchy::L1Cache;
     use tbr_tiling::binner::bin_stream;
+    use tbr_tiling::signature::frame_signatures;
     use tbr_workloads::{suite, SceneGenerator};
 
     fn run(cfg: &GpuConfig, kind: SchedulerKind) -> RasterPhaseResult {
@@ -1449,6 +1561,102 @@ mod tests {
         let base = run(&cfg, SchedulerKind::Libra);
         assert_eq!(base.fragments, scan.fragments);
         assert_eq!(base.wasp_engaged_tiles, 0, "counters must stay 0 when off");
+    }
+
+    /// Runs `frames` frames of `title` on `rus` Raster Units as the simulator
+    /// does (LIBRA's feedback plans, RE's discards) and, at every frame, runs
+    /// the raster phase from the same state under scan, heap and par@2, each
+    /// with the idle-core helper forced off and on: the six results must be
+    /// one. Each phase's host profile must account for every tile of the
+    /// plan once, prepared by the helper or rasterised inline.
+    fn helper_changes_no_phase(
+        title: &str,
+        kind: SchedulerKind,
+        mech: MechanismSpec,
+        rus: usize,
+        frames: u32,
+    ) {
+        let screen = ScreenConfig { width: 128, height: 64, tile_size: 16 };
+        let cfg = GpuConfig::libra(screen, rus);
+        let p = suite().into_iter().find(|p| p.abbrev == title).expect("a suite title");
+        let gen = SceneGenerator::new(&p, &cfg.screen);
+        let mut hier = MemoryHierarchy::new(cfg.l2_cache, cfg.dram, cfg.dram_interval_cycles);
+        let mut vertex_l1 = L1Cache::new(cfg.vertex_cache);
+        let mut units: Vec<RasterUnit> = (0..rus).map(|_| RasterUnit::new(&cfg)).collect();
+        let mut sched = kind.build();
+        let mut re = ReCache::new();
+        let mut feedback: Option<FrameFeedback> = None;
+        for frame in 0..frames {
+            let geo = run_geometry_phase(&cfg, &mut vertex_l1, &mut hier, &gen.scene(frame));
+            vertex_l1.end_frame();
+            hier.end_frame();
+            let mut plan = sched.plan_frame(&cfg.screen, feedback.as_ref());
+            if mech.re {
+                let sigs = frame_signatures(&geo.tris, &geo.bins, false);
+                let decision = re.observe(sigs.sigs, sigs.words);
+                plan.retain_tiles(|t| !decision.matched[t.index()]);
+            }
+            let mut first: Option<(RasterPhaseResult, Vec<RasterUnit>, MemoryHierarchy)> = None;
+            for mode in [EventLoopMode::Scan, EventLoopMode::Heap, EventLoopMode::Par] {
+                for helper in [false, true] {
+                    let (mut u, mut h, mut pl) = (units.clone(), hier.clone(), plan.clone());
+                    hostprof::start();
+                    let opts = PhaseOpts { mode, threads: 2, helper };
+                    let (tris, bins) = (&geo.tris, &geo.bins);
+                    let got = run_phase(&cfg, &mut u, &mut h, &mut pl, tris, bins, mech, opts);
+                    let prof = hostprof::finish().expect("collector installed");
+                    let p = &prof.phases[0];
+                    assert_eq!((p.driver, p.helper), (mode.name(), helper));
+                    assert_eq!(p.tiles_prepared + p.tiles_inline, plan.remaining_tiles() as u64);
+                    assert!(helper || p.tiles_prepared + p.tiles_discarded == 0);
+                    match &first {
+                        None => first = Some((got, u, h)),
+                        Some((want, ..)) => assert_eq!(
+                            &got, want,
+                            "{title} {kind:?} {mech} {rus} RU, frame {frame}: {mode:?}, \
+                             helper {helper}"
+                        ),
+                    }
+                }
+            }
+            let (out, u, h) = first.expect("six phases ran");
+            (units, hier) = (u, h);
+            let mut tex = CacheStats::default();
+            for ru in &mut units {
+                tex.merge(&ru.end_frame().0);
+            }
+            hier.end_frame();
+            feedback = Some(FrameFeedback::new(out.heatmap, out.raster_cycles, tex.hit_ratio()));
+        }
+    }
+
+    #[test]
+    fn the_idle_core_helper_changes_no_phase_under_any_driver() {
+        // The 4 titles of the benchmark's `static-re` × 5 schedulers, plus
+        // wasp and re, at 2, 8 and 64 RUs; LIBRA for two frames, so that its
+        // second plans from feedback, pulling from both ends. The helper
+        // serves tiles only when it gets CPU time, so which tiles it prepares
+        // varies from run to run; the results may not.
+        let kinds = [
+            SchedulerKind::InterleavedZOrder,
+            SchedulerKind::Scanline,
+            SchedulerKind::Hilbert,
+            SchedulerKind::StaticSupertile(2),
+            SchedulerKind::Libra,
+        ];
+        let none = MechanismSpec::default();
+        for rus in [2, 8, 64] {
+            for title in ["CuT", "FrF", "LuL", "DoD"] {
+                for kind in kinds {
+                    let frames = if kind == SchedulerKind::Libra { 2 } else { 1 };
+                    helper_changes_no_phase(title, kind, none, rus, frames);
+                }
+            }
+            let wasp = MechanismSpec::parse("wasp").unwrap();
+            helper_changes_no_phase("AAt", SchedulerKind::Libra, wasp, rus, 2);
+            let re = MechanismSpec::parse("re").unwrap();
+            helper_changes_no_phase("CuT", SchedulerKind::Libra, re, rus, 2);
+        }
     }
 
     #[test]

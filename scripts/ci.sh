@@ -10,30 +10,30 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=1
 
-echo "== [1/15] offline release build =="
+echo "== [1/16] offline release build =="
 cargo build --release --workspace
 
-echo "== [2/15] clippy (deny warnings) =="
+echo "== [2/16] clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== [3/15] rustdoc (deny warnings) =="
+echo "== [3/16] rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "== [4/15] test suite (every crate's unit, doc and integration tests) =="
+echo "== [4/16] test suite (every crate's unit, doc and integration tests) =="
 cargo test -q --workspace
 
-echo "== [5/15] benchmark package tests (its mirror must match the simulator) =="
+echo "== [5/16] benchmark package tests (its mirror must match the simulator) =="
 cargo test --offline --manifest-path libra-benchmark/Cargo.toml
 
-echo "== [6/15] trace-export smoke (emit, then validate with the in-repo parser) =="
+echo "== [6/16] trace-export smoke (emit, then validate with the in-repo parser) =="
 cargo run --release --bin libra-sim -- run AAt --frames 1 \
     --trace-out target/ci_trace.json --report-json target/ci_report.json
 cargo run --release --bin libra-sim -- trace-check target/ci_trace.json
 
-echo "== [7/15] 2-thread campaign smoke (parallel == serial, bit-identical) =="
+echo "== [7/16] 2-thread campaign smoke (parallel == serial, bit-identical) =="
 cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 --verify
 
-echo "== [8/15] heap-vs-scan event-loop differential smoke (metrics bit-identical) =="
+echo "== [8/16] heap-vs-scan event-loop differential smoke (metrics bit-identical) =="
 # CCS under LIBRA, and CuT under Rendering Elimination on a static camera: RE
 # discards most tiles and Early-Z sees the rest.
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop scan \
@@ -47,7 +47,7 @@ cargo run --release --bin libra-sim -- run CuT --frames 3 --mechanism re --event
     --report-json target/ci_eventloop_re_heap.json
 cmp target/ci_eventloop_re_scan.json target/ci_eventloop_re_heap.json
 
-echo "== [9/15] par-vs-heap event-loop differential smoke (2 worker threads, metrics bit-identical) =="
+echo "== [9/16] par-vs-heap event-loop differential smoke (2 worker threads, metrics bit-identical) =="
 cargo run --release --bin libra-sim -- run CCS --frames 2 --event-loop par --sim-threads 2 \
     --report-json target/ci_eventloop_par.json
 cmp target/ci_eventloop_heap.json target/ci_eventloop_par.json
@@ -55,7 +55,7 @@ cargo run --release --bin libra-sim -- run CuT --frames 3 --mechanism re --event
     --sim-threads 2 --report-json target/ci_eventloop_re_par.json
 cmp target/ci_eventloop_re_heap.json target/ci_eventloop_re_par.json
 
-echo "== [10/15] kill-and-resume smoke (poison one job, resume, metrics bit-identical) =="
+echo "== [10/16] kill-and-resume smoke (poison one job, resume, metrics bit-identical) =="
 # Reference: an uninterrupted sweep (no checkpoint so it cannot collide).
 cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 \
     --no-checkpoint --report-json target/ci_campaign_ref.json
@@ -76,7 +76,7 @@ cargo run --release --bin libra-sim -- campaign --frames 1 --threads 2 \
     --resume target/ci_campaign.ckpt --report-json target/ci_campaign_resumed.json
 cmp target/ci_campaign_ref.json target/ci_campaign_resumed.json
 
-echo "== [11/15] binary-checkpoint kill-and-resume (torn sidecar healed byte-identically) =="
+echo "== [11/16] binary-checkpoint kill-and-resume (torn sidecar healed byte-identically) =="
 # Reference: a serial sweep writing the default binary sidecar (job order is
 # deterministic at --threads 1, so the file is byte-reproducible).
 rm -f target/ci_campaign_ref.ckptb target/ci_campaign_cut.ckptb
@@ -97,7 +97,7 @@ cargo run --release --bin libra-sim -- campaign --frames 1 --threads 1 \
     --resume target/ci_campaign_cut.ckptb >/dev/null
 cmp target/ci_campaign_ref.ckptb target/ci_campaign_cut.ckptb
 
-echo "== [12/15] three-driver equality at 64 RU x 8 cores (scan == heap == par@2, every counter) =="
+echo "== [12/16] three-driver equality at 64 RU x 8 cores (scan == heap == par@2, every counter) =="
 # The same sweep under each event-loop driver (the env form, as the benchmark
 # passes it): the three reports must be byte-identical, which compares every
 # simulated counter of every job.
@@ -109,7 +109,7 @@ done
 cmp target/ci_drivers_scan.json target/ci_drivers_heap.json
 cmp target/ci_drivers_heap.json target/ci_drivers_par.json
 
-echo "== [13/15] campaign service smoke (serve/submit on loopback, 2 workers, one killed; report byte-identical to serial campaign, checkpoint resumable) =="
+echo "== [13/16] campaign service smoke (serve/submit on loopback, 2 workers, one killed; report byte-identical to serial campaign, checkpoint resumable) =="
 # Reference: a plain single-process 4-job sweep.
 cargo run --release --bin libra-sim -- campaign --frames 1 --take 4 --threads 1 \
     --no-checkpoint --report-json target/ci_serve_ref.json >/dev/null
@@ -146,7 +146,7 @@ cargo run --release --bin libra-sim -- campaign --frames 1 --take 4 --threads 1 
 grep -q "adopted 4 completed job(s)" target/ci_serve_resume.log
 cmp target/ci_serve_ref.json target/ci_serve_resumed.json
 
-echo "== [14/15] mechanism sweep smoke (re+wasp campaign, serial == 2-thread bit-identical) =="
+echo "== [14/16] mechanism sweep smoke (re+wasp campaign, serial == 2-thread bit-identical) =="
 # The mechanism axes must compose with the campaign driver deterministically:
 # the same re+wasp sweep on 1 and 2 threads writes byte-identical reports
 # (per-job cycles, DRAM and cache counters under RE discards + WaSP reorders).
@@ -158,7 +158,7 @@ cargo run --release --bin libra-sim -- campaign --frames 2 --take 4 --threads 2 
     --report-json target/ci_mech_thr2.json >/dev/null
 cmp target/ci_mech_serial.json target/ci_mech_thr2.json
 
-echo "== [15/15] benchmark end to end (--smoke, then --smoke --trace 1; every pass succeeds, every mirror matches) =="
+echo "== [15/16] benchmark end to end (--smoke, then --smoke --trace 1; every pass succeeds, every mirror matches) =="
 # Gate 5 runs only the benchmark's unit tests; this drives it against the CLI
 # it times: --profile's CSV columns, --ckpt-format json and --resume, submit's
 # progress lines, report byte-identity across passes, and the traced run's
@@ -166,5 +166,31 @@ echo "== [15/15] benchmark end to end (--smoke, then --smoke --trace 1; every pa
 # succeeds and every trace.mirror_ok is 1. No timing is judged here.
 cargo run --release --offline --manifest-path libra-benchmark/Cargo.toml -- --smoke
 cargo run --release --offline --manifest-path libra-benchmark/Cargo.toml -- --smoke --trace 1
+
+echo "== [16/16] the idle-core helper changes no byte (one CPU, no helper == every CPU) =="
+# A raster phase runs an idle-priority helper thread beside the event loop
+# when more than one CPU is available. Pinned to one CPU, available
+# parallelism is 1 and no helper starts: the reports of the two runs of each
+# command must be byte-identical.
+if ! command -v taskset >/dev/null 2>&1; then
+    echo "ERROR: gate 16 needs taskset (util-linux) to pin the simulator to one CPU" >&2
+    exit 1
+fi
+SIM=target/release/libra-sim
+for pin in one every; do
+    if [ "$pin" = one ]; then pre=(taskset -c 0); else pre=(); fi
+    LIBRA_HOSTPROF=1 "${pre[@]}" "$SIM" run CuT --frames 3 --mechanism re \
+        --report-json "target/ci_helper_run_$pin.json" > "target/ci_helper_run_$pin.log"
+    "${pre[@]}" "$SIM" campaign --rus 64 --cores 8 --frames 2 --take 2 --threads 1 \
+        --no-checkpoint --report-json "target/ci_helper_campaign_$pin.json" >/dev/null
+done
+# The pinned run had no helper; the unpinned one had it wherever there is a
+# second CPU.
+grep -q "helper in 0 of 3 phase(s)" target/ci_helper_run_one.log
+if [ "$(nproc)" -gt 1 ]; then
+    grep -q "helper in 3 of 3 phase(s)" target/ci_helper_run_every.log
+fi
+cmp target/ci_helper_run_one.json target/ci_helper_run_every.json
+cmp target/ci_helper_campaign_one.json target/ci_helper_campaign_every.json
 
 echo "ci.sh: all gates passed"

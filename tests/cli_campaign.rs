@@ -206,7 +206,8 @@ fn a_fault_outside_the_campaign_is_refused() {
 
 /// The one host-telemetry path left: `LIBRA_HOSTPROF=1 run` under the par
 /// driver prints the host-time summary, merges a host-coordinator lane into
-/// `--trace-out`, and leaves the metrics report byte-identical.
+/// `--trace-out`, and leaves the metrics report byte-identical. Under the
+/// default driver it prints a row per raster phase with its tile counts.
 #[test]
 fn hostprof_run_prints_its_table_and_adds_host_lanes() {
     let dir = temp_dir("hostprof_run");
@@ -243,6 +244,18 @@ fn hostprof_run_prints_its_table_and_adds_host_lanes() {
         std::fs::read(dir.join("plain.json")).unwrap(),
         "LIBRA_HOSTPROF changed the metrics report"
     );
+
+    let heap = libra_sim(&dir)
+        .args(["run", "CuT", "--frames", "2"])
+        .env("LIBRA_HOSTPROF", "1")
+        .output()
+        .expect("spawn libra-sim");
+    assert_ok(&heap, "LIBRA_HOSTPROF=1 run under the default driver");
+    let stdout = text(&heap.stdout);
+    assert!(stdout.contains("hostprof: 2 phase(s)"), "{stdout}");
+    assert!(stdout.contains("raster #1  heap"), "{stdout}");
+    assert!(stdout.contains("  front end: "), "{stdout}");
+    assert!(stdout.contains(" rasterised inline, "), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
