@@ -14,8 +14,8 @@
 //! parallel driver also records per-worker epoch timelines (busy spans,
 //! Local-run lengths), coordinator commit/barrier time, per-RU event
 //! occupancy and the Local-vs-Shared classification split: `local_events` ran
-//! on the worker and coordinator lanes, `shared_commits` were popped one at a
-//! time from the coordinator's single parking queue.
+//! on the worker and coordinator lanes, `shared_commits` were committed one at a
+//! time from the coordinator's parking tree.
 //!
 //! # Zero overhead when disabled
 //!
@@ -150,7 +150,7 @@ pub struct PhaseProfile {
     /// Micro-events classified Local and run on worker/coordinator lanes.
     pub local_events: u64,
     /// Micro-events classified Shared and committed serially, one at a time
-    /// from the coordinator's parking queue.
+    /// from the coordinator's parking tree.
     pub shared_commits: u64,
     /// Micro-events processed per RU shard (Local + Shared) — the occupancy
     /// distribution behind the imbalance statistic.

@@ -6,11 +6,23 @@ use crate::vec::Vec4;
 /// OpenGL-style perspective projection: visible points end up with
 /// `-w ≤ x, y, z ≤ w` in clip space.
 ///
+/// The focal factor `1 / tan(fov_y / 2)` comes from `f32::tan`, whose last
+/// bit may differ between a call at run time and one the compiler folded to a
+/// constant. A caller whose results must not depend on the build passes the
+/// factor itself to [`perspective_focal`].
+///
 /// # Panics
 /// Panics if `near`/`far`/`aspect` are not positive or `far ≤ near`.
 pub fn perspective(fov_y_radians: f32, aspect: f32, near: f32, far: f32) -> Mat4 {
+    perspective_focal(1.0 / (fov_y_radians * 0.5).tan(), aspect, near, far)
+}
+
+/// [`perspective`] from the focal factor `f = 1 / tan(fov_y / 2)`.
+///
+/// # Panics
+/// Panics if `near`/`far`/`aspect` are not positive or `far ≤ near`.
+pub fn perspective_focal(f: f32, aspect: f32, near: f32, far: f32) -> Mat4 {
     assert!(near > 0.0 && far > near && aspect > 0.0, "invalid perspective parameters");
-    let f = 1.0 / (fov_y_radians * 0.5).tan();
     let mut m = Mat4 { cols: [Vec4::default(); 4] };
     m.cols[0].x = f / aspect;
     m.cols[1].y = f;
@@ -63,6 +75,13 @@ mod tests {
         let far = m.transform_point(Vec3::new(0.0, 0.0, -f));
         assert!((near.z / near.w + 1.0).abs() < 1e-5, "near plane -> -1");
         assert!((far.z / far.w - 1.0).abs() < 1e-4, "far plane -> +1");
+    }
+
+    #[test]
+    fn perspective_is_perspective_focal_of_its_focal_factor() {
+        let fov = 1.2f32;
+        let f = 1.0 / (fov * 0.5).tan();
+        assert_eq!(perspective(fov, 1.5, 0.5, 60.0), perspective_focal(f, 1.5, 0.5, 60.0));
     }
 
     #[test]

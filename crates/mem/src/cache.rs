@@ -28,21 +28,27 @@ impl Lookup {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    last_use: u64,
-}
+/// The tag of an empty way. A tag keeps `64 − log2(line bytes) − log2(sets)`
+/// bits, so only address `u64::MAX` in a one-set cache of one-byte lines
+/// could have it.
+const EMPTY: u64 = u64::MAX;
 
 /// A set-associative cache with true-LRU replacement.
+///
+/// The tag store is one `u64` per way. Each set keeps its tags in recency
+/// order, most recent first, with empty ways (tag `u64::MAX`) trailing: a hit
+/// moves its tag to the front, and a miss evicts the last tag (an eviction
+/// only when that way is not empty) and puts the new tag at the front. That
+/// is true LRU with empty ways filled first, with no use clock and no valid
+/// bit.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    ways: Vec<Way>, // sets * assoc, row-major by set
+    tags: Vec<u64>, // sets * assoc, row-major by set, each set in recency order
     stats: CacheStats,
-    use_clock: u64,
+    assoc: usize,
     line_shift: u32,
+    set_bits: u32,
     set_mask: u64,
 }
 
@@ -56,10 +62,11 @@ impl Cache {
         cfg.validate("cache").expect("invalid cache geometry");
         let sets = cfg.num_sets();
         Self {
-            ways: vec![Way::default(); (sets * cfg.assoc) as usize],
+            tags: vec![EMPTY; (sets * cfg.assoc) as usize],
             stats: CacheStats::default(),
-            use_clock: 0,
+            assoc: cfg.assoc as usize,
             line_shift: cfg.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
             cfg,
         }
@@ -84,52 +91,50 @@ impl Cache {
 
     #[inline]
     fn tag_of(&self, addr: u64) -> u64 {
-        addr >> self.line_shift >> self.set_mask.count_ones()
+        addr >> self.line_shift >> self.set_bits
+    }
+
+    /// The ways of `addr`'s set, in recency order.
+    #[inline]
+    fn ways_of(&self, addr: u64) -> &[u64] {
+        let base = self.set_of(addr) as usize * self.assoc;
+        &self.tags[base..base + self.assoc]
     }
 
     /// Checks residency without updating replacement state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr) as usize;
         let tag = self.tag_of(addr);
-        let base = set * self.cfg.assoc as usize;
-        self.ways[base..base + self.cfg.assoc as usize].iter().any(|w| w.valid && w.tag == tag)
+        self.ways_of(addr).contains(&tag)
     }
 
     /// Performs an access: updates LRU on hit, fills (evicting LRU) on miss, and
     /// records statistics.
     pub fn access(&mut self, addr: u64) -> Lookup {
-        self.use_clock += 1;
         self.stats.accesses += 1;
-        let set = self.set_of(addr) as usize;
+        let set = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let assoc = self.cfg.assoc as usize;
-        let base = set * assoc;
-        let ways = &mut self.ways[base..base + assoc];
-
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.last_use = self.use_clock;
+        debug_assert_ne!(tag, EMPTY, "address {addr:#x} has the empty tag");
+        let base = set as usize * self.assoc;
+        let ways = &mut self.tags[base..base + self.assoc];
+        // A hit at position `p` rotates `[..=p]` right by one; a miss rotates
+        // the whole set, which pushes the last (least recent) tag out. Either
+        // way the new tag lands in front and `carry` ends as the tag that fell
+        // off the end: `tag` itself on a hit, the victim on a miss.
+        let hit = ways.iter().position(|&t| t == tag);
+        let mut carry = tag;
+        for w in &mut ways[..=hit.unwrap_or(self.assoc - 1)] {
+            carry = std::mem::replace(w, carry);
+        }
+        if hit.is_some() {
             self.stats.hits += 1;
             return Lookup::Hit;
         }
-
         self.stats.misses += 1;
-        // Victim: an invalid way if possible, else true LRU.
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.valid { (1, w.last_use) } else { (0, 0) })
-            .expect("assoc > 0");
-        let evicted = if victim.valid {
+        let evicted = (carry != EMPTY).then(|| {
             self.stats.evictions += 1;
             // Reconstruct the evicted line address from tag + set.
-            Some(
-                (victim.tag << self.set_mask.count_ones() | set as u64) << self.line_shift,
-            )
-        } else {
-            None
-        };
-        victim.tag = tag;
-        victim.valid = true;
-        victim.last_use = self.use_clock;
+            (carry << self.set_bits | set) << self.line_shift
+        });
         Lookup::Miss { evicted }
     }
 
@@ -143,13 +148,6 @@ impl Cache {
     /// caches stay warm but statistics are per-frame).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-    }
-
-    /// Invalidates every line (used between independent experiment runs).
-    pub fn invalidate_all(&mut self) {
-        for w in &mut self.ways {
-            w.valid = false;
-        }
     }
 }
 
@@ -255,13 +253,108 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_and_reset_stats() {
+    fn reset_stats_keeps_contents() {
         let mut c = small();
         c.access(0x0);
-        c.invalidate_all();
-        assert!(!c.probe(0x0));
         c.reset_stats();
         assert_eq!(c.stats().accesses, 0);
+        assert!(c.probe(0x0));
+    }
+
+    /// The use-clock tag store this cache replaced, kept as its oracle: one
+    /// way per slot with a valid bit and a last-use stamp, true LRU with
+    /// invalid ways filled first.
+    struct Reference {
+        ways: Vec<(u64, bool, u64)>, // (tag, valid, last_use)
+        assoc: usize,
+        stats: CacheStats,
+        use_clock: u64,
+        line_shift: u32,
+        set_mask: u64,
+    }
+
+    impl Reference {
+        fn new(cfg: CacheConfig) -> Self {
+            let sets = cfg.num_sets();
+            Self {
+                ways: vec![(0, false, 0); (sets * cfg.assoc) as usize],
+                assoc: cfg.assoc as usize,
+                stats: CacheStats::default(),
+                use_clock: 0,
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                set_mask: sets - 1,
+            }
+        }
+
+        fn locate(&self, addr: u64) -> (usize, u64) {
+            let set = (addr >> self.line_shift) & self.set_mask;
+            (set as usize, addr >> self.line_shift >> self.set_mask.count_ones())
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let (set, tag) = self.locate(addr);
+            let base = set * self.assoc;
+            self.ways[base..base + self.assoc].iter().any(|w| w.1 && w.0 == tag)
+        }
+
+        fn access(&mut self, addr: u64) -> Lookup {
+            self.use_clock += 1;
+            self.stats.accesses += 1;
+            let (set, tag) = self.locate(addr);
+            let base = set * self.assoc;
+            let ways = &mut self.ways[base..base + self.assoc];
+            if let Some(w) = ways.iter_mut().find(|w| w.1 && w.0 == tag) {
+                w.2 = self.use_clock;
+                self.stats.hits += 1;
+                return Lookup::Hit;
+            }
+            self.stats.misses += 1;
+            let victim = ways
+                .iter_mut()
+                .min_by_key(|w| if w.1 { (1, w.2) } else { (0, 0) })
+                .expect("assoc > 0");
+            let evicted = victim.1.then(|| {
+                self.stats.evictions += 1;
+                (victim.0 << self.set_mask.count_ones() | set as u64) << self.line_shift
+            });
+            *victim = (tag, true, self.use_clock);
+            Lookup::Miss { evicted }
+        }
+    }
+
+    #[test]
+    fn recency_order_matches_the_use_clock_reference() {
+        use tbr_common::rng::Xoshiro256pp;
+        for assoc in [1u64, 2, 4, 8] {
+            for sets in [1u64, 2, 128] {
+                let cfg = CacheConfig {
+                    size_bytes: sets * assoc * 64,
+                    line_bytes: 64,
+                    assoc,
+                    latency: 1,
+                    port_occupancy: 1,
+                    mshrs: 0,
+                };
+                // Streams over `pool / 2` times the capacity in lines: at half
+                // the capacity only hits and cold fills, above it evictions.
+                for (seed, pool) in [(1u64, 1u64), (2, 3), (3, 4), (4, 8)] {
+                    let lines = (sets * assoc * pool).div_ceil(2) as u32;
+                    let mut rng = Xoshiro256pp::seed_from_u64(seed * 1000 + assoc * 10 + sets);
+                    let mut cache = Cache::new(cfg);
+                    let mut reference = Reference::new(cfg);
+                    for step in 0..4000 {
+                        let addr = 0x4000_0000 + u64::from(rng.gen_u32(lines)) * 64
+                            + u64::from(rng.gen_u32(64));
+                        let probe = 0x4000_0000 + u64::from(rng.gen_u32(lines)) * 64;
+                        let ctx = format!("{assoc}-way, {sets} sets, pool {pool}, step {step}");
+                        assert_eq!(cache.probe(probe), reference.probe(probe), "probe, {ctx}");
+                        assert_eq!(cache.access(addr), reference.access(addr), "access, {ctx}");
+                    }
+                    assert_eq!(cache.stats(), &reference.stats, "{assoc}-way, {sets} sets");
+                    assert_eq!(cache.stats().evictions > 0, pool > 2, "{assoc}-way, {sets} sets");
+                }
+            }
+        }
     }
 
     #[test]

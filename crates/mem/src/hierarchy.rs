@@ -10,11 +10,13 @@
 //! The hierarchy supports an *ideal memory* mode in which every L1 access hits — the
 //! configuration the paper uses to separate compute time from memory time (Fig 6a).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::cache::Cache;
 use crate::dram::DramModel;
 use tbr_common::addr::AccessKind;
 use tbr_common::config::{CacheConfig, DramConfig};
-use tbr_common::event_queue::EventQueue;
 use tbr_common::metrics::MetricsRegistry;
 use tbr_common::stats::{CacheStats, DramStats};
 use tbr_common::Cycle;
@@ -25,14 +27,15 @@ use tbr_common::Cycle;
 #[derive(Debug, Clone, Default)]
 struct MshrFile {
     capacity: u64,
-    outstanding: EventQueue<()>,
+    /// Completion cycles of the outstanding fills, earliest on top.
+    outstanding: BinaryHeap<Reverse<Cycle>>,
 }
 
 impl MshrFile {
     fn new(capacity: u64) -> Self {
         Self {
             capacity,
-            outstanding: EventQueue::new(),
+            outstanding: BinaryHeap::new(),
         }
     }
 
@@ -42,15 +45,11 @@ impl MshrFile {
         if self.capacity == 0 {
             return now;
         }
-        while let Some((done, ())) = self.outstanding.peek() {
-            if done <= now {
-                self.outstanding.pop();
-            } else {
-                break;
-            }
+        while self.outstanding.peek().is_some_and(|&Reverse(done)| done <= now) {
+            self.outstanding.pop();
         }
         if self.outstanding.len() as u64 >= self.capacity {
-            let (earliest, ()) = self.outstanding.pop().expect("non-empty");
+            let Reverse(earliest) = self.outstanding.pop().expect("non-empty");
             now.max(earliest)
         } else {
             now
@@ -59,7 +58,7 @@ impl MshrFile {
 
     fn record_fill(&mut self, completion: Cycle) {
         if self.capacity > 0 {
-            self.outstanding.push(completion, ());
+            self.outstanding.push(Reverse(completion));
         }
     }
 
@@ -179,16 +178,6 @@ impl MemoryHierarchy {
         self.l2.stats().publish(reg, &l2_labels);
         self.dram.stats().publish(reg, labels);
         reg.add_counter("dram_refreshes", labels, self.dram.refreshes());
-    }
-
-    /// Invalidates the L2 and closes all DRAM rows (between independent runs).
-    pub fn cold_reset(&mut self) {
-        self.l2.invalidate_all();
-        self.l2.reset_stats();
-        self.l2_port_free = 0;
-        self.l2_mshrs.clear();
-        self.dram.reset_state();
-        let _ = self.dram.take_stats();
     }
 }
 
@@ -331,14 +320,6 @@ impl L1Cache {
         self.mshrs.clear();
         s
     }
-
-    /// Invalidates contents and counters (between independent runs).
-    pub fn cold_reset(&mut self) {
-        self.cache.invalidate_all();
-        self.cache.reset_stats();
-        self.port_free = 0;
-        self.mshrs.clear();
-    }
 }
 
 #[cfg(test)]
@@ -423,18 +404,6 @@ mod tests {
         let o = l1.access(0x4000_0000, 0, AccessKind::TextureRead, &mut h);
         assert!(o.hit, "L1 contents must survive end_frame");
         assert_eq!(h.dram_stats().total_accesses(), 0);
-    }
-
-    #[test]
-    fn cold_reset_invalidates() {
-        let mut h = hier();
-        let mut l1 = L1Cache::new(CacheConfig::texture_l1());
-        l1.access(0x4000_0000, 0, AccessKind::TextureRead, &mut h);
-        h.cold_reset();
-        l1.cold_reset();
-        let o = l1.access(0x4000_0000, 0, AccessKind::TextureRead, &mut h);
-        assert!(!o.hit);
-        assert_eq!(o.dram_accesses, 1);
     }
 
     #[test]

@@ -462,6 +462,12 @@ impl RasterUnit {
         self.cores[core].step_warp(&warp.shader, sl, state, hier)
     }
 
+    /// Takes the texture lines `core`'s L1 filled since the last drain (see
+    /// [`ShaderCore::drain_fills`]).
+    pub fn drain_fills_on(&mut self, core: usize) -> std::vec::Drain<'_, u64> {
+        self.cores[core].drain_fills()
+    }
+
     /// Whether the warp's next step on `core` would be served entirely by that
     /// core's L1 (see [`ShaderCore::step_is_resident`]) — the parallel driver's
     /// test for executing the step on a worker thread.

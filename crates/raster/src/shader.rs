@@ -41,8 +41,9 @@ pub struct WarpOutcome {
     pub tex_latency_sum: u64,
     /// DRAM accesses triggered by this warp's texture misses.
     pub dram_accesses: u64,
-    /// Texture lines filled into this core's L1 (for replication tracking).
-    pub fills: Vec<u64>,
+    /// Texture lines this warp filled into its core's L1. The lines
+    /// themselves go to the core's fill buffer ([`ShaderCore::drain_fills`]).
+    pub fills: u64,
 }
 
 /// Per-stage texture line lists of one warp, flattened into one allocation.
@@ -203,6 +204,9 @@ pub struct ShaderCore {
     l1: L1Cache,
     issue_free: Cycle,
     max_warps: usize,
+    /// Lines filled into the L1 since the last [`ShaderCore::drain_fills`]
+    /// (for replication tracking): one buffer reused for every warp.
+    fills: Vec<u64>,
 }
 
 impl ShaderCore {
@@ -218,6 +222,7 @@ impl ShaderCore {
             l1: L1Cache::new(texture_l1),
             issue_free: 0,
             max_warps,
+            fills: Vec::new(),
         }
     }
 
@@ -343,7 +348,8 @@ impl ShaderCore {
                 state.outcome.tex_latency_sum += o.completion - issue;
                 state.outcome.dram_accesses += o.dram_accesses as u64;
                 if let Some(f) = o.filled_line {
-                    state.outcome.fills.push(f);
+                    state.outcome.fills += 1;
+                    self.fills.push(f);
                 }
                 ready = ready.max(o.completion);
             }
@@ -367,7 +373,8 @@ impl ShaderCore {
     /// Convenience: runs a whole warp to completion in one call. Correct timing for
     /// a *single* warp; when many warps must overlap, use the steppable API from an
     /// event loop instead (running warps back-to-back here serialises their memory
-    /// phases through the shared reservations).
+    /// phases through the shared reservations). The fill buffer is left as it
+    /// was found: the outcome counts the warp's fills.
     pub fn execute_warp(
         &mut self,
         shader: &FragmentShaderDesc,
@@ -375,9 +382,16 @@ impl ShaderCore {
         arrival: Cycle,
         hier: &mut MemoryHierarchy,
     ) -> WarpOutcome {
+        let mark = self.fills.len();
         let mut state = self.begin_warp(arrival);
         while !self.step_warp(shader, sample_lines, &mut state, hier) {}
+        self.fills.truncate(mark);
         state.outcome
+    }
+
+    /// Takes the lines filled into the L1 since the last drain, in fill order.
+    pub fn drain_fills(&mut self) -> std::vec::Drain<'_, u64> {
+        self.fills.drain(..)
     }
 
     /// The texture L1's counters.
@@ -437,7 +451,8 @@ mod tests {
         );
         assert!(o.completion > 100, "cold texture miss must reach DRAM");
         assert_eq!(o.dram_accesses, 1);
-        assert_eq!(o.fills, vec![0x4000_0000]);
+        assert_eq!(o.fills, 1);
+        assert_eq!(c.drain_fills().count(), 0, "execute_warp leaves the buffer as it was");
     }
 
     #[test]
@@ -490,7 +505,22 @@ mod tests {
         assert_eq!(b.dram_accesses, 0);
         assert!(b.tex_latency_sum < a.tex_latency_sum);
         assert_eq!(c.l1_stats().hits, 1);
-        assert!(b.fills.is_empty());
+        assert_eq!(b.fills, 0);
+    }
+
+    #[test]
+    fn stepped_fills_collect_in_the_core_buffer_until_drained() {
+        let mut h = hier();
+        let mut c = core();
+        let s = shader(2, 0, 0);
+        let lines =
+            SampleLines::from_nested(&[vec![0x4000_0000, 0x4000_0040], vec![0x4000_0000]]);
+        let mut st = c.begin_warp(0);
+        assert!(!c.step_warp(&s, lines.view(), &mut st, &mut h));
+        assert_eq!(c.drain_fills().collect::<Vec<_>>(), vec![0x4000_0000, 0x4000_0040]);
+        assert!(c.step_warp(&s, lines.view(), &mut st, &mut h));
+        assert_eq!(c.drain_fills().count(), 0, "the second stage hits");
+        assert_eq!(st.outcome.fills, 2);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Selection of the raster-phase event-loop implementation.
 //!
 //! The simulator has three drivers for "advance the micro-event with the
-//! earliest timestamp": the **indexed** driver (binary heaps with lazy
-//! invalidation — the default, and the fast serial path), the legacy **scan**
-//! driver (O(RUs × warps) linear scan per event), and the **parallel** driver
-//! (each RU's Local events drained by worker threads between epoch barriers,
-//! Shared events committed serially from one parking queue). The scan loop is
+//! earliest timestamp": the **indexed** driver (tournament trees over the RUs
+//! and each RU's warp slots — the default, and the fast serial path), the
+//! legacy **scan** driver (O(RUs × warps) linear scan per event), and the
+//! **parallel** driver (each RU's Local events drained by worker threads
+//! between epoch barriers, Shared events committed serially from one parking
+//! tree). The scan loop is
 //! the behavioural specification: the other drivers must reproduce its event
 //! sequence *bit-identically*, and `tests/event_loop_diff.rs` plus
 //! `tests/parallel_core_diff.rs` hold them against each other as
@@ -37,8 +38,8 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 /// Which event-loop driver the raster phase uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventLoopMode {
-    /// Indexed next-event core: per-RU warp queues + a global RU queue
-    /// (deterministic binary heaps with lazy invalidation).
+    /// Indexed next-event core: a tournament tree over each RU's warp slots
+    /// and one over the RUs ([`tbr_common::event_queue::SlotMin`]).
     Heap,
     /// The legacy per-event linear scan, kept as the differential oracle.
     Scan,

@@ -30,7 +30,7 @@ use tbr_common::hostprof::{self, PhaseProfile, WorkerLane, RUN_LENGTH_BUCKETS};
 
 use libra::scheduler::FramePlan;
 use tbr_common::config::GpuConfig;
-use tbr_common::event_queue::EventQueue;
+use tbr_common::event_queue::SlotMin;
 use tbr_common::mechanism::MechanismSpec;
 use tbr_common::ids::{RasterUnitId, TileId};
 use tbr_common::stats::TileHeatmap;
@@ -152,8 +152,8 @@ impl RuState {
     /// warp at the queue head, promoting the parked tile into the idle
     /// fragment stage, and running the front-end of the next tile. This is
     /// the one statement of the candidate rule; [`RuState::next_time`],
-    /// [`select_branch`] and [`next_time_indexed`] call it and handle the
-    /// in-flight warps each in their own way.
+    /// [`select_branch`] and [`drive_heap`] call it and handle the in-flight
+    /// warps each in their own way.
     fn non_warp_min(&self, max_warps: usize) -> Option<Cycle> {
         let mut t = self.admit_start(max_warps);
         if let Some(r) = &self.fe_ready {
@@ -185,15 +185,14 @@ fn earliest(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
 }
 
 /// What processing one event changed about the RU's in-flight warp set — exactly
-/// the information the indexed driver needs to update its per-RU warp queue
+/// the information the indexed driver needs to update its per-RU warp slots
 /// incrementally (the scan driver ignores it).
 #[derive(Debug, Clone, Copy)]
 enum Effect {
     /// The warp at `idx` stepped and stays in flight with a new ready time.
     Stepped { idx: usize },
     /// The warp at `idx` retired. Removal is `swap_remove`, so the former last
-    /// warp (if any) now lives at `idx`; its queue entry under the old position
-    /// lazily invalidates.
+    /// warp (if any) now lives at `idx`, and the last position is empty.
     Retired { idx: usize },
     /// A pending warp was admitted at the back of `inflight`.
     Admitted,
@@ -245,7 +244,7 @@ fn select_branch(st: &RuState, step: Option<(usize, Cycle)>, max_warps: usize) -
 /// The earliest in-flight warp as `(vector position, ready time)`, lowest
 /// position among ties — the `step_idx` contract of [`PhaseCtx::process`]
 /// (scan and par compute it with this linear pass; heap answers it from the
-/// RU's warp queue, whose `(ready, position)` key order agrees).
+/// RU's warp slots, whose `(ready, position)` key order agrees).
 fn earliest_step(st: &RuState) -> Option<(usize, Cycle)> {
     st.inflight
         .iter()
@@ -292,7 +291,7 @@ struct TileTally {
 impl<'a> PhaseCtx<'a> {
     /// Processes one micro-event on RU `i`. `step_idx` is the earliest in-flight
     /// warp as `(vector position, ready time)` — lowest position among ties —
-    /// supplied by the driver (scan: `min_by_key`; heap: warp-queue peek).
+    /// supplied by the driver (scan: `min_by_key`; heap: the RU's warp slots).
     ///
     /// Branch priority (the spec both drivers reproduce): step the earliest warp
     /// when it ties-or-beats every other candidate; else admit a pending warp;
@@ -324,10 +323,13 @@ impl<'a> PhaseCtx<'a> {
             // 1) Step the earliest in-flight warp: it is the earliest event.
             Branch::Step => {
                 let (idx, _) = step_idx.expect("Step branch implies a step candidate");
-                let done = {
+                let (core, done) = {
                     let InFlight { warp, exec, core } = &mut st.inflight[idx];
-                    rus[i].step_warp_on(*core, warp, exec, hier)
+                    (*core, rus[i].step_warp_on(*core, warp, exec, hier))
                 };
+                let fills = rus[i].drain_fills_on(core);
+                out.fill_lines += fills.len() as u64;
+                unique.extend(fills);
                 if !done {
                     return Effect::Stepped { idx };
                 }
@@ -338,8 +340,6 @@ impl<'a> PhaseCtx<'a> {
                 out.instructions += o.instructions;
                 out.tex_requests += o.tex_requests;
                 out.tex_latency_sum += o.tex_latency_sum;
-                out.fill_lines += o.fills.len() as u64;
-                unique.extend(o.fills.iter().copied());
                 let tally = out.heatmap.tally_mut(f.warp.tile);
                 tally.instructions += o.instructions;
                 tally.dram_accesses += o.dram_accesses;
@@ -601,82 +601,50 @@ fn drive_scan(ctx: &mut PhaseCtx) {
     }
 }
 
-/// [`RuState::next_time`] with the in-flight minimum answered by the RU's
-/// warp queue instead of a linear pass.
-fn next_time_indexed(st: &RuState, max_warps: usize, warps: &mut EventQueue<u32>) -> Option<Cycle> {
-    let warp = warps
-        .peek_valid(|wt, k| {
-            (k as usize) < st.inflight.len() && st.inflight[k as usize].exec.ready_at() == wt
-        })
-        .map(|(wt, _)| wt);
-    earliest(st.non_warp_min(max_warps), warp)
-}
-
-/// The indexed next-event driver: a global queue of RUs keyed `(next event
-/// time, RU index)` plus one warp queue per RU keyed `(ready time, in-flight
-/// position)`. Lexicographic key order makes every pop reproduce the scan's
-/// first-minimum tie-break exactly; rescheduled entries invalidate lazily.
+/// The indexed next-event driver: a [`SlotMin`] over the RUs keyed `(next
+/// event time, RU index)`, plus one per RU over its in-flight positions keyed
+/// `(ready time, position)`. Lexicographic key order makes every selection
+/// reproduce the scan's first-minimum tie-break exactly.
 ///
 /// Invariants the [`Effect`] bookkeeping maintains:
-/// * every in-flight warp has a queue entry under its current `(ready, pos)` —
-///   stale duplicates are harmless because an entry that passes validation is
-///   indistinguishable from the live entry with the same key;
-/// * `cached[i]` is RU *i*'s current `next_time` and the RU queue holds an
-///   entry for it. Processing RU *i* never changes another RU's `next_time`
-///   (tile stealing leaves the victim's candidate set untouched: the victim
-///   keeps a non-empty tile queue), so only RU *i* is recomputed per event.
+/// * slot `k` of RU *i*'s warp tree holds the ready time of `inflight[k]`,
+///   and the slots past the last in-flight warp are empty (an RU holds at
+///   most `cores_per_ru × max_warps_per_core` warps in flight);
+/// * slot *i* of the RU tree holds RU *i*'s current `next_time`. Processing
+///   RU *i* never changes another RU's `next_time` (tile stealing leaves the
+///   victim's candidate set untouched: the victim keeps a non-empty tile
+///   queue), so only RU *i* is recomputed per event.
 fn drive_heap(ctx: &mut PhaseCtx) {
-    let n = ctx.states.len();
-    let mut warp_queues: Vec<EventQueue<u32>> = (0..n).map(|_| EventQueue::new()).collect();
-    let mut cached: Vec<Option<Cycle>> = vec![None; n];
-    let mut ru_queue: EventQueue<u32> = EventQueue::with_capacity(n);
-    for (i, slot) in cached.iter_mut().enumerate() {
-        *slot = ctx.states[i].next_time(ctx.max_warps);
-        if let Some(t) = *slot {
-            ru_queue.push(t, i as u32);
-        }
+    let max_warps = ctx.max_warps;
+    let slots = ctx.cfg.cores_per_ru * max_warps;
+    let mut warps: Vec<SlotMin> = ctx.states.iter().map(|_| SlotMin::new(slots)).collect();
+    let mut rus = SlotMin::new(ctx.states.len());
+    for (i, st) in ctx.states.iter().enumerate() {
+        rus.set(i, st.next_time(max_warps));
     }
 
-    while let Some((_, iu)) = ru_queue.pop_valid(|t, k| cached[k as usize] == Some(t)) {
-        let i = iu as usize;
-        let step_idx = {
-            let st = &ctx.states[i];
-            warp_queues[i]
-                .peek_valid(|t, k| {
-                    (k as usize) < st.inflight.len() && st.inflight[k as usize].exec.ready_at() == t
-                })
-                .map(|(t, k)| (k as usize, t))
-        };
+    while let Some((_, i)) = rus.min() {
+        let step_idx = warps[i].min().map(|(t, k)| (k, t));
         ctx.out.events += 1;
         let effect = ctx.process(i, step_idx);
 
-        let wq = &mut warp_queues[i];
-        let st = &ctx.states[i];
+        let (wq, st) = (&mut warps[i], &ctx.states[i]);
+        let ready = |k: usize| st.inflight.get(k).map(|f| f.exec.ready_at());
         match effect {
-            Effect::Stepped { idx } => {
-                // The peeked entry was consumed; the warp rescheduled.
-                wq.pop();
-                wq.push(st.inflight[idx].exec.ready_at(), idx as u32);
-            }
+            Effect::Stepped { idx } => wq.set(idx, ready(idx)),
             Effect::Retired { idx } => {
-                wq.pop();
-                if st.inflight.is_empty() {
-                    wq.clear();
-                } else if idx < st.inflight.len() {
-                    // swap_remove moved the former last warp into `idx`.
-                    wq.push(st.inflight[idx].exec.ready_at(), idx as u32);
-                }
+                // swap_remove moved the former last warp, if any, into `idx`.
+                wq.set(idx, ready(idx));
+                wq.set(st.inflight.len(), None);
             }
             Effect::Admitted => {
                 let idx = st.inflight.len() - 1;
-                wq.push(st.inflight[idx].exec.ready_at(), idx as u32);
+                wq.set(idx, ready(idx));
             }
             Effect::Other => {}
         }
-        cached[i] = next_time_indexed(st, ctx.max_warps, wq);
-        if let Some(t) = cached[i] {
-            ru_queue.push(t, i as u32);
-        }
+        let warp = wq.min().map(|(t, _)| t);
+        rus.set(i, earliest(st.non_warp_min(max_warps), warp));
     }
 }
 
@@ -740,7 +708,6 @@ fn classify(st: &RuState, ru: &RasterUnit, ideal: bool, max_warps: usize) -> Cla
 /// Local RUs were distributed over threads.
 struct ParScratch {
     out: RasterPhaseResult,
-    fills: U64Set,
     /// Local events drained per RU (hostprof occupancy telemetry). Plain
     /// integer adds per *run*, so it stays on even when profiling is off.
     ru_events: Vec<u64>,
@@ -755,7 +722,6 @@ impl ParScratch {
                 heatmap: TileHeatmap::new(num_tiles),
                 ..RasterPhaseResult::default()
             },
-            fills: U64Set::default(),
             ru_events: vec![0; num_rus],
             run_lengths: vec![0; RUN_LENGTH_BUCKETS],
         }
@@ -771,14 +737,14 @@ impl ParScratch {
     }
 }
 
-/// Folds one thread's scratch into the shared phase result.
+/// Folds one thread's scratch into the shared phase result. Local steps are
+/// resident, so they fill no line: fills are counted at Shared commits only.
 fn absorb_scratch(ctx: &mut PhaseCtx, s: ParScratch) {
     let o = s.out;
     ctx.out.warps += o.warps;
     ctx.out.instructions += o.instructions;
     ctx.out.tex_requests += o.tex_requests;
     ctx.out.tex_latency_sum += o.tex_latency_sum;
-    ctx.out.fill_lines += o.fill_lines;
     ctx.out.events += o.events;
     for (dst, src) in ctx.out.heatmap.tiles.iter_mut().zip(o.heatmap.tiles) {
         dst.dram_accesses += src.dram_accesses;
@@ -786,7 +752,6 @@ fn absorb_scratch(ctx: &mut PhaseCtx, s: ParScratch) {
         dst.fragments += src.fragments;
         dst.warps += src.warps;
     }
-    ctx.unique.extend(s.fills);
 }
 
 /// Runs RU `i`'s maximal run of Local events, stopping at the first Shared
@@ -839,8 +804,6 @@ fn drain_local(
                 scratch.out.instructions += o.instructions;
                 scratch.out.tex_requests += o.tex_requests;
                 scratch.out.tex_latency_sum += o.tex_latency_sum;
-                scratch.out.fill_lines += o.fills.len() as u64;
-                scratch.fills.extend(o.fills.iter().copied());
                 let tally = scratch.out.heatmap.tally_mut(f.warp.tile);
                 tally.instructions += o.instructions;
                 tally.dram_accesses += o.dram_accesses;
@@ -909,22 +872,15 @@ fn drain_local_inline(ctx: &mut PhaseCtx, i: usize, scratch: &mut ParScratch, ga
 }
 
 /// Classifies RU `i`'s next event and parks it: Local RUs go on the epoch's
-/// drain list; a Shared event goes into the one parking queue keyed
-/// `(gate ⊔ raw time, RU index)` — the serial drivers' pop order (see
+/// drain list; a Shared event goes into RU `i`'s slot of the parking tree
+/// keyed `(gate ⊔ raw time, RU index)` — the serial drivers' pop order (see
 /// [`drive_par`] for why the gate, the running maximum of the RU's pop keys,
-/// is the correct merge key for back-dated events). An RU has at most one
-/// parked entry, so the queue needs no lazy invalidation.
-fn park(
-    ctx: &PhaseCtx,
-    i: usize,
-    gate: Cycle,
-    parked: &mut EventQueue<u32>,
-    locals: &mut Vec<usize>,
-) {
+/// is the correct merge key for back-dated events).
+fn park(ctx: &PhaseCtx, i: usize, gate: Cycle, parked: &mut SlotMin, locals: &mut Vec<usize>) {
     match classify(&ctx.states[i], &ctx.rus[i], ctx.hier.ideal, ctx.max_warps) {
         Class::Done => {}
         Class::Local => locals.push(i),
-        Class::Shared { time } => parked.push(gate.max(time), i as u32),
+        Class::Shared { time } => parked.set(i, Some(gate.max(time))),
     }
 }
 
@@ -991,7 +947,7 @@ type EpochDrain<'c> = dyn FnMut(&mut PhaseCtx, &mut [Cycle], &[usize], &mut ParP
 /// configurations of [`drive_par`] (only the epoch `drain` strategy differs).
 ///
 /// Invariant: every unfinished RU is in exactly one place — the `locals` drain
-/// list or the `parked` queue. Each iteration first drains all Local runs
+/// list or its `parked` slot. Each iteration first drains all Local runs
 /// (they commute — see [`drive_par`]), re-parking each drained RU at its
 /// Shared frontier, then commits the single earliest parked Shared event in
 /// `(gate ⊔ time, RU)` order — exactly the serial drivers' pop order over
@@ -999,7 +955,7 @@ type EpochDrain<'c> = dyn FnMut(&mut PhaseCtx, &mut [Cycle], &[usize], &mut ParP
 fn par_commit_loop(
     ctx: &mut PhaseCtx,
     gates: &mut [Cycle],
-    parked: &mut EventQueue<u32>,
+    parked: &mut SlotMin,
     locals: &mut Vec<usize>,
     prof: &mut ParProf,
     drain: &mut EpochDrain<'_>,
@@ -1015,10 +971,10 @@ fn par_commit_loop(
             debug_assert!(locals.is_empty(), "drain_local left an RU Local");
         }
         let t0 = if prof.on { prof.now_ns() } else { 0 };
-        let Some((g, iu)) = parked.pop() else {
+        let Some((g, i)) = parked.min() else {
             break; // no Local work, no parked Shared events: all RUs done
         };
-        let i = iu as usize;
+        parked.set(i, None);
         gates[i] = g; // g = gate.max(raw) from park — the serial pop key
         let step_idx = earliest_step(&ctx.states[i]);
         ctx.out.events += 1;
@@ -1130,7 +1086,7 @@ fn drive_par(ctx: &mut PhaseCtx, threads: usize, profile: Option<&mut PhaseProfi
     let num_tiles = ctx.cfg.screen.num_tiles();
     let mut prof = ParProf::new(n, profile.is_some());
 
-    let mut parked: EventQueue<u32> = EventQueue::with_capacity(n);
+    let mut parked = SlotMin::new(n);
     let mut locals: Vec<usize> = Vec::new();
     let mut gates: Vec<Cycle> = vec![0; n];
     for i in 0..n {

@@ -8,7 +8,7 @@ use crate::profile::{BenchmarkProfile, Category};
 use tbr_common::rng::Xoshiro256pp;
 use tbr_common::config::ScreenConfig;
 use tbr_common::ids::{DrawCallId, TextureId};
-use tbr_geom::camera::{perspective, screen_ortho};
+use tbr_geom::camera::{perspective_focal, screen_ortho};
 use tbr_geom::scene::{BlendMode, DrawCall, Scene, TextureDesc, Vertex};
 use tbr_geom::vec::{Vec2, Vec3};
 use tbr_geom::Mat4;
@@ -188,12 +188,12 @@ impl SceneGenerator {
         // mip-level range (minified far away, magnified up close).
         if p.category == Category::ThreeD {
             let ts = p.texture_size as f32;
-            let proj = perspective(
-                60f32.to_radians(),
-                w / h,
-                0.5,
-                60.0,
-            ) * Mat4::translate(tbr_geom::vec::Vec3::new(0.0, -1.5, 0.0));
+            // A 60° vertical field of view. Its focal factor 1 / tan(30°) is
+            // spelled out, because `f32::tan` at run time and the value the
+            // compiler folds it to differ in the last bit, and the scene must
+            // be the same in every build. This is the folded value.
+            let proj = perspective_focal(1.732_050_9, w / h, 0.5, 60.0)
+                * Mat4::translate(tbr_geom::vec::Vec3::new(0.0, -1.5, 0.0));
             let mut dc = DrawCall {
                 id: draw_id(),
                 transform: proj,

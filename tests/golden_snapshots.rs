@@ -109,7 +109,7 @@ const FRAMES: u32 = 2;
 type SweepRow = (&'static str, u64, u64, u64, u64, u64, u64);
 
 const PAPER_SWEEP_GOLDENS: &[SweepRow] = &[
-    ("AAt", 714354, 155396, 862240, 1164520, 1164520, 248902),
+    ("AAt", 716241, 155438, 862174, 1164527, 1164527, 248904),
     ("AmU", 562296, 118628, 659101, 868566, 868566, 224257),
 ];
 
@@ -132,6 +132,48 @@ fn measure_paper_sweep() -> Vec<(String, u64, u64, u64, u64, u64, u64)> {
                 sum(|f| f.texture_cache.hits),
                 sum(|f| f.texture_cache.accesses),
                 sum(|f| f.texture_requests),
+                sum(|f| f.micro_events),
+            )
+        })
+        .collect()
+}
+
+/// The benchmark's `scale-64ru` job: AAt under LIBRA at 64 RU × 8 cores,
+/// 960×544, 2 frames, campaign seed 0. It pins what the cache tag store, the
+/// MSHR files and the per-core fill buffers produce: (workload, total
+/// cycles, DRAM accesses, texture-L1 hits, texture-L1 accesses, texture-L1
+/// evictions, L2 hits, L2 evictions, texture fill lines, unique texture
+/// lines, micro-events).
+type ScaleRow = (&'static str, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64);
+
+const SCALE_64RU_GOLDENS: &[ScaleRow] = &[
+    ("AAt", 639484, 159699, 779698, 1164527, 160158, 308795, 63153, 384829, 91473, 249073),
+];
+
+/// Runs `scale-64ru`'s campaign job, the way `libra-sim campaign --rus 64
+/// --cores 8 --take 1 --frames 2 --seed 0` does, and returns its [`ScaleRow`].
+fn measure_scale_64ru() -> Vec<ScaleRow> {
+    let spec =
+        JobSpec { seed: 0, frames: FRAMES, take: Some(1), rus: 64, cores: 8, ..JobSpec::default() };
+    let (cfg, campaign) = spec.to_campaign().expect("the scale-64ru spec is valid");
+    assert_eq!((cfg.screen.width, cfg.screen.height), (960, 544));
+    (0..campaign.len())
+        .map(|job| {
+            let r = campaign.run_one(job, &RunOptions::default());
+            let s = r.stats().unwrap_or_else(|| panic!("{} failed: {:?}", r.abbrev, r.outcome));
+            let sum = |f: fn(&FrameStats) -> u64| s.frames.iter().map(f).sum::<u64>();
+            let title = suite().into_iter().find(|p| p.abbrev == r.abbrev).expect("a title");
+            (
+                title.abbrev,
+                s.total_cycles(),
+                s.total_dram_accesses(),
+                sum(|f| f.texture_cache.hits),
+                sum(|f| f.texture_cache.accesses),
+                sum(|f| f.texture_cache.evictions),
+                sum(|f| f.l2_cache.hits),
+                sum(|f| f.l2_cache.evictions),
+                sum(|f| f.texture_fill_lines),
+                sum(|f| f.texture_unique_lines),
                 sum(|f| f.micro_events),
             )
         })
@@ -367,6 +409,18 @@ fn paper_sweep_goldens_hold_at_benchmark_resolution() {
 }
 
 #[test]
+fn scale_64ru_goldens_hold_at_64_rus() {
+    assert_eq!(
+        measure_scale_64ru(),
+        SCALE_64RU_GOLDENS,
+        "scale-64ru drifted from its pinned goldens (workload, cycles, dram, tex-L1 hits, \
+         tex-L1 accesses, tex-L1 evictions, L2 hits, L2 evictions, fill lines, unique lines, \
+         micro-events) — if intentional, regenerate with \
+         `cargo test print_current_goldens -- --ignored --nocapture`"
+    );
+}
+
+#[test]
 fn static_re_goldens_hold_on_the_run_path() {
     assert_eq!(
         measure_static_re(),
@@ -437,6 +491,9 @@ fn print_current_goldens() {
     }
     for (w, cycles, dram, hits, accesses, requests, events) in measure_paper_sweep() {
         println!("    ({w:?}, {cycles}, {dram}, {hits}, {accesses}, {requests}, {events}),");
+    }
+    for row in measure_scale_64ru() {
+        println!("    {row:?},");
     }
     for (w, cycles, frags, warps, dram, hits, accesses, events, discarded) in measure_static_re() {
         println!(

@@ -283,54 +283,12 @@ fn rasterized_coverage_matches_area() {
 
 // ---- tbr_common::event_queue — the indexed next-event core ------------------
 //
-// The raster phase's heap driver leans on three promises: popped times are
-// monotone (simulated time never runs backwards), nothing is lost or
-// duplicated, and under lazy invalidation the queue agrees with a naive
-// first-minimum scan over the live set — the exact selection rule of the
-// retired scan loop it replaced.
+// The raster phase's heap driver leans on one promise: under any sequence of
+// sets and clears, the slot tree's minimum is the naive first-minimum scan
+// over the slots — the exact selection rule of the scan loop it replaced.
 
-use tbr_common::event_queue::EventQueue;
+use tbr_common::event_queue::SlotMin;
 use tbr_common::Cycle;
-
-#[test]
-fn event_queue_pop_times_never_decrease() {
-    check_default("event_queue_pop_times_never_decrease", |g: &mut Gen| {
-        let mut q = EventQueue::new();
-        let n = g.usize(1, 200);
-        for _ in 0..n {
-            q.push(g.u64(0, 1 << 20), g.u32(0, 64));
-        }
-        let mut last = 0;
-        while let Some((t, _)) = q.pop() {
-            ensure!(t >= last, "time ran backwards: popped {t} after {last}");
-            last = t;
-        }
-        ensure_eq!(q.len(), 0);
-        Ok(())
-    });
-}
-
-#[test]
-fn event_queue_pops_each_push_exactly_once() {
-    check_default("event_queue_pops_each_push_exactly_once", |g: &mut Gen| {
-        let mut q = EventQueue::new();
-        let n = g.usize(1, 300);
-        let mut pushed: Vec<(Cycle, u32)> = Vec::with_capacity(n);
-        for i in 0..n {
-            // Deliberately collide times so the key tie-break is exercised.
-            let t = g.u64(0, 32);
-            q.push(t, i as u32);
-            pushed.push((t, i as u32));
-        }
-        let mut popped = Vec::with_capacity(n);
-        while let Some(e) = q.pop() {
-            popped.push(e);
-        }
-        pushed.sort_unstable();
-        ensure_eq!(popped, pushed);
-        Ok(())
-    });
-}
 
 #[test]
 fn event_queue_matches_naive_scan_under_churn() {
@@ -338,51 +296,52 @@ fn event_queue_matches_naive_scan_under_churn() {
         "event_queue_matches_naive_scan_under_churn",
         64,
         |g: &mut Gen| {
-            // Model of the raster-phase driver: one pending time per key, re-pushes
-            // supersede (stale heap entries linger), cancels invalidate lazily. The
-            // queue must agree with a naive first-minimum scan over the live set at
-            // every pop.
-            let keys = g.usize(1, 24);
-            let mut q = EventQueue::with_capacity(keys);
-            let mut live: Vec<Option<Cycle>> = vec![None; keys];
-            let naive_min = |live: &[Option<Cycle>]| {
-                live.iter()
-                    .enumerate()
-                    .filter_map(|(k, t)| t.map(|t| (t, k as u32)))
-                    .min()
-            };
-            let ops = g.usize(1, 400);
-            for _ in 0..ops {
-                match g.u32(0, 4) {
-                    0 | 1 => {
-                        let k = g.usize(0, keys);
-                        let t = g.u64(0, 1 << 16);
-                        live[k] = Some(t);
-                        q.push(t, k as u32);
-                    }
-                    2 => {
-                        let k = g.usize(0, keys);
-                        live[k] = None;
-                    }
-                    _ => {
-                        let expect = naive_min(&live);
-                        let got = q.pop_valid(|t, k| live[k as usize] == Some(t));
-                        ensure_eq!(got, expect);
-                        if let Some((_, k)) = got {
-                            live[k as usize] = None;
+            // Model of the raster-phase driver: one pending time per slot,
+            // sets supersede, clears empty, and each pop takes the minimum and
+            // clears its slot. Slot counts cover 1 to 130, powers of two and
+            // not; the narrow time range makes equal times collide, so the
+            // slot tie-break is exercised.
+            let span = if g.u32(0, 2) == 0 { 8 } else { 1 << 16 };
+            for slots in [1, 2, 3, 64, 65, 130, g.usize(1, 131)] {
+                let mut q = SlotMin::new(slots);
+                let mut live: Vec<Option<Cycle>> = vec![None; slots];
+                let naive_min = |live: &[Option<Cycle>]| {
+                    live.iter()
+                        .enumerate()
+                        .filter_map(|(k, t)| t.map(|t| (t, k)))
+                        .min()
+                };
+                for _ in 0..g.usize(1, 400) {
+                    match g.u32(0, 4) {
+                        0 | 1 => {
+                            let k = g.usize(0, slots);
+                            let t = g.u64(0, span);
+                            live[k] = Some(t);
+                            q.set(k, Some(t));
+                        }
+                        2 => {
+                            let k = g.usize(0, slots);
+                            live[k] = None;
+                            q.set(k, None);
+                        }
+                        _ => {
+                            let got = q.min();
+                            ensure_eq!(got, naive_min(&live));
+                            if let Some((_, k)) = got {
+                                live[k] = None;
+                                q.set(k, None);
+                            }
                         }
                     }
+                    ensure_eq!(q.min(), naive_min(&live));
                 }
-            }
-            // Drain: the two views must stay in lock-step to the end.
-            loop {
-                let expect = naive_min(&live);
-                let got = q.pop_valid(|t, k| live[k as usize] == Some(t));
-                ensure_eq!(got, expect);
-                match got {
-                    Some((_, k)) => live[k as usize] = None,
-                    None => break,
+                // Drain: the two views must stay in lock-step to the end.
+                while let Some((_, k)) = q.min() {
+                    live[k] = None;
+                    q.set(k, None);
+                    ensure_eq!(q.min(), naive_min(&live));
                 }
+                ensure_eq!(naive_min(&live), None);
             }
             Ok(())
         },

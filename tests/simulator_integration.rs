@@ -2,6 +2,8 @@
 //! configurations and frames.
 
 use libra_repro::prelude::*;
+use tbr_common::config::CacheConfig;
+use tbr_common::stats::CacheStats;
 use tbr_energy::EnergyModel;
 
 fn kinds() -> Vec<(&'static str, SchedulerKind)> {
@@ -154,4 +156,69 @@ fn fps_metric_is_consistent() {
     // 800 MHz / cycles-per-frame definition.
     let expect = 800.0e6 / s.avg_frame_cycles();
     assert!((fps - expect).abs() / expect < 1e-9);
+}
+
+#[test]
+fn cache_counters_obey_conservation_at_every_level() {
+    // Invariants of any correct tag store, whatever its layout: every access
+    // hits or misses; a miss evicts at most one line; a miss that evicts
+    // nothing filled an empty way, and caches start empty and are never
+    // invalidated within a job, so such cold fills never exceed a level's
+    // lines; every texture-L1 miss fills one line, and no more distinct lines
+    // than fills are touched. All 32 titles, 3 frames, at 2 RU x 4 and
+    // 8 RU x 8 cores, without and with re+wasp: one thread per pair.
+    let none = MechanismSpec::default();
+    let re_wasp = MechanismSpec::parse("re+wasp").unwrap();
+    let jobs = [(2, 4, none), (2, 4, re_wasp), (8, 8, none), (8, 8, re_wasp)];
+    let checked: usize = std::thread::scope(|s| {
+        let handles: Vec<_> = jobs
+            .map(|(rus, cores, mech)| s.spawn(move || check_cache_conservation(rus, cores, mech)))
+            .into_iter()
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("invariant violated")).sum()
+    });
+    assert_eq!(checked, 4 * 32 * 3 * 4, "frame checks");
+}
+
+/// A cache level: its name, its counters in a frame's stats, and its lines
+/// summed over every instance.
+type CacheLevel = (&'static str, fn(&FrameStats) -> CacheStats, u64);
+
+/// Checks every title at `rus` RU x `cores` cores under `mech`; returns the
+/// number of (frame, level) pairs checked.
+fn check_cache_conservation(rus: usize, cores: usize, mech: MechanismSpec) -> usize {
+    let mut cfg = GpuConfig::libra(ScreenConfig::tiny(), rus);
+    cfg.cores_per_ru = cores;
+    let lines = |c: CacheConfig| c.size_bytes / c.line_bytes;
+    let levels: [CacheLevel; 4] = [
+        ("texture L1", |f| f.texture_cache, (rus * cores) as u64 * lines(cfg.texture_cache)),
+        ("tile", |f| f.tile_cache, rus as u64 * lines(cfg.tile_cache)),
+        ("vertex", |f| f.vertex_cache, lines(cfg.vertex_cache)),
+        ("L2", |f| f.l2_cache, lines(cfg.l2_cache)),
+    ];
+    let mut checked = 0;
+    for p in suite() {
+        let job = format!("{} at {rus} RU x {cores}, {mech}", p.abbrev);
+        let s = simulate_sequence_mech(&cfg, SchedulerKind::Libra, mech, &p, 3);
+        for (name, stats, total_lines) in levels {
+            let mut cold_fills = 0;
+            for f in &s.frames {
+                let c = stats(f);
+                let at = format!("{job}: {name}, frame {}", f.frame.0);
+                assert_eq!(c.hits + c.misses, c.accesses, "{at}");
+                assert!(c.evictions <= c.misses, "{at}");
+                cold_fills += c.misses - c.evictions;
+                checked += 1;
+            }
+            assert!(
+                cold_fills <= total_lines,
+                "{job}: {cold_fills} cold fills into {total_lines} {name} lines"
+            );
+        }
+        for f in &s.frames {
+            assert_eq!(f.texture_fill_lines, f.texture_cache.misses, "{job}");
+            assert!(f.texture_unique_lines <= f.texture_fill_lines, "{job}");
+        }
+    }
+    checked
 }
