@@ -10,12 +10,13 @@
 //! runtime-gated collector every raster phase publishes one [`PhaseProfile`]
 //! into, under every driver. Each records the phase's wall time and how its
 //! tiles were rasterised: prepared by the idle-core helper, rasterised inline
-//! by the event loop, or rasterised by the helper too late to be used. The
-//! parallel driver also records per-worker epoch timelines (busy spans,
-//! Local-run lengths), coordinator commit/barrier time, per-RU event
-//! occupancy and the Local-vs-Shared classification split: `local_events` ran
-//! on the worker and coordinator lanes, `shared_commits` were committed one at a
-//! time from the coordinator's parking tree.
+//! by the event loop, or rasterised by the helper too late to be used, and
+//! how long the helper spent rasterising. The parallel driver also records
+//! per-worker epoch timelines (busy spans, Local-run lengths), coordinator
+//! commit/barrier time, per-RU event occupancy and the Local-vs-Shared
+//! classification split: `local_events` ran on the worker and coordinator
+//! lanes, `shared_commits` were committed one at a time from the
+//! coordinator's parking tree.
 //!
 //! # Zero overhead when disabled
 //!
@@ -133,6 +134,9 @@ pub struct PhaseProfile {
     /// Tiles the helper rasterised after the event loop had passed them: its
     /// wasted work.
     pub tiles_discarded: u64,
+    /// Helper ns inside `TileRasterizer::raster`, on the helper's own clock
+    /// reads: its busy time, bounded by the phase wall.
+    pub helper_busy_ns: u64,
     /// Phase start, ns since the profile origin.
     pub start_ns: u64,
     /// Phase wall-clock, ns.
@@ -212,6 +216,11 @@ impl PhaseProfile {
             .clamp(0.0, 1.0)
     }
 
+    /// Fraction of the phase wall the helper spent rasterising.
+    pub fn helper_busy_fraction(&self) -> f64 {
+        self.frac(self.helper_busy_ns)
+    }
+
     /// Max-over-mean per-RU event occupancy (1.0 = perfectly balanced shards;
     /// 0.0 when no events were recorded).
     pub fn imbalance(&self) -> f64 {
@@ -253,6 +262,10 @@ pub struct HostTotals {
     pub tiles_inline: u64,
     /// Summed tiles the helper rasterised too late to be used.
     pub tiles_discarded: u64,
+    /// Summed wall-clock of the phases with the helper, ns.
+    pub helper_wall_ns: u64,
+    /// Summed ns the helper spent rasterising.
+    pub helper_busy_ns: u64,
     /// Summed serial Shared-commit ns.
     pub commit_ns: u64,
     /// Summed coordinator Local-drain ns.
@@ -287,6 +300,15 @@ impl HostTotals {
             return 0.0;
         }
         self.tiles_prepared as f64 / done as f64
+    }
+
+    /// Share of the helper phases' summed wall the helper spent rasterising
+    /// (0 when no phase had the helper).
+    pub fn helper_busy_fraction(&self) -> f64 {
+        if self.helper_wall_ns == 0 {
+            return 0.0;
+        }
+        (self.helper_busy_ns as f64 / self.helper_wall_ns as f64).clamp(0.0, 1.0)
     }
 
     /// Fraction of the par phases' summed wall spent in serial Shared commits.
@@ -364,13 +386,15 @@ impl HostTotals {
         }
         s.push_str(&format!(
             "  front end: {} tile(s) prepared by the helper, {} rasterised inline, {} helper \
-             result(s) discarded; helper in {} of {} phase(s), useful-work ratio {:.1}%\n",
+             result(s) discarded; helper in {} of {} phase(s), useful-work ratio {:.1}%, \
+             busy {:.1}% of those phases' wall\n",
             self.tiles_prepared,
             self.tiles_inline,
             self.tiles_discarded,
             self.helper_phases,
             self.phases,
             self.helper_useful_ratio() * 100.0,
+            self.helper_busy_fraction() * 100.0,
         ));
         s
     }
@@ -395,6 +419,10 @@ impl HostProfile {
             t.tiles_prepared += p.tiles_prepared;
             t.tiles_inline += p.tiles_inline;
             t.tiles_discarded += p.tiles_discarded;
+            if p.helper {
+                t.helper_wall_ns += p.wall_ns;
+                t.helper_busy_ns += p.helper_busy_ns;
+            }
             if !p.is_par() {
                 continue;
             }
@@ -439,6 +467,7 @@ impl HostProfile {
                     ("tiles_prepared", p.tiles_prepared.to_string()),
                     ("tiles_inline", p.tiles_inline.to_string()),
                     ("tiles_discarded", p.tiles_discarded.to_string()),
+                    ("helper_busy_ns", p.helper_busy_ns.to_string()),
                 ],
             });
             let mut lane = |track: Track, w: &WorkerLane| {
@@ -472,7 +501,7 @@ impl HostProfile {
         let mut s = String::from(
             "hostprof — host-time decomposition of the raster phases\n  \
              phase      driver  thr   wall_ms  commit%  drain%  barr%  other%    epochs  par-ep  \
-             imbal  helper  prepared  inline  discarded\n",
+             imbal  helper  busy%  prepared  inline  discarded\n",
         );
         for (k, p) in self.phases.iter().enumerate() {
             let par = if p.is_par() {
@@ -490,13 +519,17 @@ impl HostProfile {
                 let dash = "-";
                 format!("{dash:>8} {dash:>7} {dash:>6} {dash:>7} {dash:>9} {dash:>7} {dash:>6}")
             };
+            let (helper, busy) = if p.helper {
+                ("yes", format!("{:.1}", p.helper_busy_fraction() * 100.0))
+            } else {
+                ("no", "-".to_string())
+            };
             s.push_str(&format!(
-                "  {:<10} {:<6} {:>4} {:>9.3} {par} {:>7} {:>9} {:>7} {:>10}\n",
+                "  {:<10} {:<6} {:>4} {:>9.3} {par} {helper:>7} {busy:>6} {:>9} {:>7} {:>10}\n",
                 format!("{} #{k}", p.label),
                 p.driver,
                 p.threads,
                 p.wall_ns as f64 / 1e6,
-                if p.helper { "yes" } else { "no" },
                 p.tiles_prepared,
                 p.tiles_inline,
                 p.tiles_discarded,
@@ -738,6 +771,7 @@ mod tests {
         heap.helper = true;
         heap.wall_ns = 3_000;
         (heap.tiles_prepared, heap.tiles_inline, heap.tiles_discarded) = (6, 4, 2);
+        heap.helper_busy_ns = 1_500;
         let mut par = PhaseProfile::new("raster", 2, 2);
         par.driver = "par";
         par.wall_ns = 1_000;
@@ -754,8 +788,14 @@ mod tests {
         let counts = "6 tile(s) prepared by the helper, 14 rasterised inline";
         assert!(table.contains(counts), "{table}");
         assert!(table.contains("useful-work ratio 75.0%"), "{table}");
+        // The helper's busy share counts only the phases it ran in.
+        assert_eq!((t.helper_wall_ns, t.helper_busy_ns), (3_000, 1_500));
+        assert!(table.contains("busy 50.0% of those phases' wall"), "{table}");
         let heap_row = table.lines().find(|l| l.contains("raster #0")).expect("a row per phase");
         assert!(heap_row.contains(" heap ") && heap_row.contains(" - "), "{heap_row}");
+        assert!(heap_row.contains(" yes   50.0 "), "{heap_row}");
+        let par_row = table.lines().find(|l| l.contains("raster #1")).expect("a row per phase");
+        assert!(par_row.contains(" no      - "), "{par_row}");
 
         let serial_only = HostProfile { phases: vec![prof.phases[0].clone()] };
         assert!(serial_only.totals().render().contains("need the `par` event-loop driver"));

@@ -64,18 +64,27 @@ impl FramePlan {
         }
     }
 
-    /// The first tile of each group the next `depth` rounds of pulls by
-    /// `rus` Raster Units would hand out, without taking any: `depth` groups
-    /// per RU pulling from each end, so with `hot_cold` the next `depth` at
-    /// the hot end and the next `depth × (rus − 1)` at the cold end, and
-    /// otherwise the next `depth × rus` at the front.
-    pub fn upcoming(&self, rus: usize, depth: usize) -> impl Iterator<Item = TileId> + '_ {
-        let (front, back) = if self.hot_cold { (1, rus.saturating_sub(1)) } else { (rus, 0) };
-        let (front, back) = (front * depth, back * depth);
-        self.groups
-            .iter()
-            .take(front)
-            .chain(self.groups.iter().rev().take(back))
+    /// The first tile of each group that rounds of pulls by `rus` Raster
+    /// Units, RU 0 to the last in each, would hand out, in pull order and
+    /// without taking any: with `hot_cold` a round is the hot end's next
+    /// group and then the cold end's next `rus − 1`, and otherwise the next
+    /// `rus` at the front. It ends where the two ends meet, so it names each
+    /// group at most once.
+    pub fn upcoming(&self, rus: usize) -> impl Iterator<Item = TileId> + '_ {
+        let round = if self.hot_cold { rus.max(1) } else { 1 };
+        let (mut front, mut back) = (0, self.groups.len());
+        (0..)
+            .map_while(move |k| {
+                if front == back {
+                    None
+                } else if k % round == 0 {
+                    front += 1;
+                    Some(&self.groups[front - 1])
+                } else {
+                    back -= 1;
+                    Some(&self.groups[back])
+                }
+            })
             .filter_map(|g| g.first().copied())
     }
 
@@ -430,8 +439,9 @@ mod tests {
         assert!(!cold_group.contains(&TileId(0)));
     }
 
-    #[test]
-    fn upcoming_names_the_first_tile_of_each_group_the_next_pulls_take() {
+    /// A LIBRA feedback plan (hot/cold supertile groups), a plain supertile
+    /// plan and a plain one-tile-per-group plan.
+    fn peek_plans() -> [FramePlan; 3] {
         let s = screen();
         let mut hm = TileHeatmap::new(s.num_tiles());
         for (i, t) in hm.tiles.iter_mut().enumerate() {
@@ -440,33 +450,46 @@ mod tests {
         }
         let fb = FrameFeedback::new(hm, 100_000, 0.5);
         let hot_cold = SchedulerKind::Libra.build().plan_frame(&s, Some(&fb));
-        let plain = SchedulerKind::StaticSupertile(4).build().plan_frame(&s, None);
-        assert!(hot_cold.hot_cold && !plain.hot_cold);
-        for mut plan in [hot_cold, plain] {
-            for rus in [1u8, 2, 5] {
-                for depth in [1, 3] {
-                    // `depth` rounds of pulls, RU 0 to the last in each. The
-                    // peek lists the front end's groups before the back end's.
-                    let mut pulled = plan.clone();
-                    let (mut front, mut back) = (Vec::new(), Vec::new());
-                    for _ in 0..depth {
-                        for ru in 0..rus {
-                            let first = pulled.next_group(RasterUnitId(ru)).unwrap()[0];
-                            let end = if plan.hot_cold && ru != 0 { &mut back } else { &mut front };
-                            end.push(first);
-                        }
-                    }
-                    front.extend(back);
-                    let want: Vec<TileId> = plan.upcoming(rus as usize, depth).collect();
-                    assert_eq!(want, front, "{rus} RUs, depth {depth}, hot_cold {}", plan.hot_cold);
+        let supertiles = SchedulerKind::StaticSupertile(4).build().plan_frame(&s, None);
+        let tiles = ZOrderScheduler.plan_frame(&s, None);
+        assert!(hot_cold.hot_cold && !supertiles.hot_cold && !tiles.hot_cold);
+        [hot_cold, supertiles, tiles]
+    }
+
+    /// The first tile of each group real pulls hand out, RU 0 to the last
+    /// in each round, until the plan runs dry.
+    fn pulled_heads(plan: &FramePlan, rus: u8) -> Vec<TileId> {
+        let mut plan = plan.clone();
+        (0..rus)
+            .cycle()
+            .map_while(|ru| plan.next_group(RasterUnitId(ru)))
+            .map(|g| g[0])
+            .collect()
+    }
+
+    #[test]
+    fn upcoming_names_the_first_tile_of_each_group_the_next_pulls_take() {
+        for mut plan in peek_plans() {
+            let groups = plan.groups.len();
+            for rus in [1u8, 2, 5, 64] {
+                let pulled = pulled_heads(&plan, rus);
+                assert_eq!(pulled.len(), groups);
+                // One and three rounds, and on past where the two ends meet.
+                let r = rus as usize;
+                for n in [0, 1, r, 3 * r, groups - 1, groups, groups + 1, 3 * groups] {
+                    let want: Vec<TileId> = plan.upcoming(r).take(n).collect();
+                    let at = format!("{rus} RUs, take {n}, hot_cold {}", plan.hot_cold);
+                    assert_eq!(want, pulled[..n.min(groups)], "{at}");
+                    let distinct: HashSet<TileId> = want.iter().copied().collect();
+                    assert_eq!(distinct.len(), want.len(), "a tile twice: {at}");
                 }
             }
             // Peeking takes nothing.
             let before = plan.remaining_tiles();
-            let _ = plan.upcoming(4, 3).count();
+            let _ = plan.upcoming(4).count();
             assert_eq!(plan.remaining_tiles(), before);
             drain_all(&mut plan, 2);
-            assert_eq!(plan.upcoming(4, 3).count(), 0);
+            assert_eq!(plan.upcoming(4).count(), 0);
         }
     }
 

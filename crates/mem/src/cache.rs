@@ -138,6 +138,14 @@ impl Cache {
         Lookup::Miss { evicted }
     }
 
+    /// Counts a hit served without a lookup (ideal memory, where every
+    /// access hits); the tag store is left as it is.
+    #[inline]
+    pub fn count_hit(&mut self) {
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+    }
+
     /// Current counters.
     #[inline]
     pub fn stats(&self) -> &CacheStats {

@@ -270,11 +270,12 @@ impl L1Cache {
         let l1_done = start + self.cache.config().latency;
 
         if ideal {
-            // Count as a hit for bookkeeping; no state disturbance needed beyond LRU.
-            let _ = self.cache.access(addr);
-            // Force the counters toward all-hit semantics: re-classify the access.
-            // (Simplest correct model: in ideal mode hit ratios are reported as 1.0
-            // by construction downstream, so raw counters are not used.)
+            // Ideal memory serves every access at hit latency, so it counts
+            // every access as a hit: no miss, no fill, no eviction. The
+            // counters feed the reports, LIBRA's feedback and WaSP. Nothing
+            // reads the tag store in ideal mode (every warp step counts as
+            // resident), so it is left untouched.
+            self.cache.count_hit();
             return L1Outcome {
                 completion: l1_done,
                 hit: true,
@@ -386,8 +387,12 @@ mod tests {
             let o = l1.access(0x4000_0000 + i * 4096, i, AccessKind::TextureRead, &mut h);
             assert!(o.hit);
             assert_eq!(o.dram_accesses, 0);
+            assert_eq!(o.filled_line, None);
         }
         assert_eq!(h.dram_stats().total_accesses(), 0);
+        // The counters say what the timing did: every access hit.
+        let s = l1.end_frame();
+        assert_eq!((s.accesses, s.hits, s.misses, s.evictions), (1000, 1000, 0, 0));
     }
 
     #[test]

@@ -52,6 +52,7 @@ mod raster_helper;
 pub mod raster_phase;
 pub mod report;
 pub mod service;
+mod unique_lines;
 pub mod wire;
 
 pub use campaign::{

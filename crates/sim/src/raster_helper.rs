@@ -26,6 +26,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use tbr_common::config::GpuConfig;
 use tbr_common::ids::TileId;
@@ -33,23 +34,22 @@ use tbr_geom::stream::TriangleStream;
 use tbr_raster::raster_unit::{TileRaster, TileRasterizer};
 use tbr_tiling::binner::TileBins;
 
-/// Prepared-tile buffers in circulation per Raster Unit, counting between
-/// [`MIN_BUFFERED_RUS`] and [`MAX_BUFFERED_RUS`] units: the cap on requests
-/// ahead, and on finished tiles waiting for the event loop.
-pub(crate) const BUFFERS_PER_RU: usize = 2;
+/// Prepared-tile buffers in circulation per Raster Unit, counting at least
+/// [`MIN_BUFFERED_RUS`] units: one for the unit's next queued tile and one
+/// for the first tile of a group the units pull next. They cap the requests
+/// ahead, and the finished tiles waiting for the event loop.
+const BUFFERS_PER_RU: usize = 2;
 
 /// The fewest units [`BUFFERS_PER_RU`] counts, so that a phase of few units
-/// still has a buffer for each tile it asks for ahead.
-pub(crate) const MIN_BUFFERED_RUS: usize = 4;
+/// asks far enough ahead for the helper to finish a tile before the event
+/// loop reaches it.
+const MIN_BUFFERED_RUS: usize = 4;
 
-/// The most units [`BUFFERS_PER_RU`] counts. With many units each request
-/// has a long lead, and more buffers only raise the peak memory.
-pub(crate) const MAX_BUFFERED_RUS: usize = 16;
-
-/// Groups per Raster Unit whose first tile the event loop asks for ahead
-/// of the pulls: enough lead, at 2 units, for the helper to finish a tile
-/// before the event loop reaches it.
-pub(crate) const PEEK_GROUPS_PER_RU: usize = 3;
+/// Prepared-tile buffers in circulation for a phase of `rus` Raster Units:
+/// as many as tiles in flight.
+pub(crate) fn buffers(rus: usize) -> usize {
+    BUFFERS_PER_RU * rus.max(MIN_BUFFERED_RUS)
+}
 
 /// CPUs this process may run on (its affinity mask and CPU quota), read once
 /// per process. Under `taskset -c 0` it is 1 and no helper starts.
@@ -158,16 +158,18 @@ impl Prefetch<'_> {
 /// Runs `body` (the event loop) beside a helper thread that rasterises the
 /// tiles `body` asks for through its [`Prefetch`], with at most `buffers`
 /// prepared-tile buffers in circulation, and joins the helper before
-/// returning or unwinding. `hook` runs on the helper as it begins a tile
-/// (tests use it to force interleavings).
+/// returning or unwinding. Returns `body`'s result and, when `timed`, the
+/// nanoseconds the helper spent rasterising (0 otherwise). `hook` runs on
+/// the helper as it begins a tile (tests use it to force interleavings).
 pub(crate) fn with_helper<R>(
     cfg: &GpuConfig,
     tris: &TriangleStream,
     bins: &TileBins,
     buffers: usize,
+    timed: bool,
     hook: Option<&(dyn Fn(TileId) + Sync)>,
     body: impl FnOnce(Prefetch<'_>) -> R,
-) -> R {
+) -> (R, u64) {
     let state: Vec<AtomicU8> = (0..cfg.screen.num_tiles())
         .map(|_| AtomicU8::new(UNREQUESTED))
         .collect();
@@ -178,10 +180,11 @@ pub(crate) fn with_helper<R>(
         let (jobs, job_rx) = mpsc::channel();
         let (reply_tx, replies) = mpsc::channel();
         let state = state.as_slice();
-        s.spawn(move || {
+        let helper = s.spawn(move || {
             lower_to_idle_priority();
             let mut rasterizer = TileRasterizer::new(cfg);
             let mut pending: Vec<Job> = Vec::new();
+            let mut busy_ns = 0u64;
             // `false` once the event loop is gone.
             let reply = |tile, buf, rasterised| {
                 reply_tx
@@ -196,7 +199,7 @@ pub(crate) fn with_helper<R>(
                 if pending.is_empty() {
                     match job_rx.recv() {
                         Ok(job) => pending.push(job),
-                        Err(_) => break, // the event loop is done
+                        Err(_) => return busy_ns, // the event loop is done
                     }
                 }
                 pending.extend(job_rx.try_iter());
@@ -208,7 +211,7 @@ pub(crate) fn with_helper<R>(
                     |job: &mut Job| state[job.tile.index()].load(Ordering::Relaxed) == PASSED;
                 for Job { tile, buf } in pending.extract_if(.., passed) {
                     if !reply(tile, buf, false) {
-                        return;
+                        return busy_ns;
                     }
                 }
                 let Some(Job { tile, mut buf }) = pending.pop() else {
@@ -217,13 +220,17 @@ pub(crate) fn with_helper<R>(
                 if let Some(hook) = hook {
                     hook(tile);
                 }
+                let t0 = timed.then(Instant::now);
                 rasterizer.raster(tile, tris, bins.list(tile), &cfg.screen, &mut buf);
+                if let Some(t0) = t0 {
+                    busy_ns += t0.elapsed().as_nanos() as u64;
+                }
                 if !reply(tile, buf, true) {
-                    return;
+                    return busy_ns;
                 }
             }
         });
-        body(Prefetch {
+        let out = body(Prefetch {
             jobs,
             replies,
             state,
@@ -231,7 +238,10 @@ pub(crate) fn with_helper<R>(
             free: Vec::new(),
             unmade: buffers,
             discarded: 0,
-        })
+        });
+        // `body` has dropped the request sender, which ends the helper.
+        let busy_ns = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (out, busy_ns)
     })
 }
 
@@ -295,7 +305,7 @@ mod tests {
                 passed.wait(); // ... until the event loop has passed it
             }
         };
-        with_helper(&cfg, &tris, &bins, 1, Some(&hook), |mut pf| {
+        with_helper(&cfg, &tris, &bins, 1, false, Some(&hook), |mut pf| {
             pf.want(t);
             begun.wait();
             assert!(
@@ -334,7 +344,7 @@ mod tests {
             }
         };
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            with_helper(&cfg, &tris, &bins, 4, Some(&hook), |mut pf| {
+            with_helper(&cfg, &tris, &bins, 4, false, Some(&hook), |mut pf| {
                 pf.want(TileId(0));
                 pf.want(TileId(1));
                 begun.wait(); // mid-phase: the helper is at work

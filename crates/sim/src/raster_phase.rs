@@ -25,7 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use tbr_common::fasthash::U64Set;
 use tbr_common::hostprof::{self, PhaseProfile, WorkerLane, RUN_LENGTH_BUCKETS};
 
 use libra::scheduler::FramePlan;
@@ -43,9 +42,8 @@ use tbr_raster::shader::WarpExecState;
 use tbr_tiling::binner::TileBins;
 
 use crate::event_loop::{self, EventLoopMode};
-use crate::raster_helper::{
-    self, Prefetch, BUFFERS_PER_RU, MAX_BUFFERED_RUS, MIN_BUFFERED_RUS, PEEK_GROUPS_PER_RU,
-};
+use crate::raster_helper::{self, Prefetch};
+use crate::unique_lines::UniqueLines;
 
 /// Aggregate output of one frame's raster phase.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -270,7 +268,7 @@ struct PhaseCtx<'a> {
     mech: MechanismSpec,
     states: Vec<RuState>,
     out: RasterPhaseResult,
-    unique: U64Set,
+    unique: UniqueLines,
     frame_end: Cycle,
     /// The idle-core helper's request side, when one runs beside the loop.
     front: Option<Prefetch<'a>>,
@@ -329,7 +327,7 @@ impl<'a> PhaseCtx<'a> {
                 };
                 let fills = rus[i].drain_fills_on(core);
                 out.fill_lines += fills.len() as u64;
-                unique.extend(fills);
+                fills.for_each(|line| unique.insert(line));
                 if !done {
                     return Effect::Stepped { idx };
                 }
@@ -569,11 +567,13 @@ impl<'a> PhaseCtx<'a> {
 
 /// After a front-end event of a Raster Unit whose next queued tile is `next`,
 /// asks the idle-core helper, if one runs, for what comes next: that tile,
-/// and the first tile of each group the `rus` units pull next.
+/// and then, in the order the `rus` units will pull them, the first tile of
+/// as many groups as there are buffers beyond one per unit.
 fn ask_ahead(front: &mut Option<Prefetch>, next: Option<TileId>, plan: &FramePlan, rus: usize) {
     if let Some(f) = front {
+        let heads = raster_helper::buffers(rus) - rus;
         next.into_iter()
-            .chain(plan.upcoming(rus, PEEK_GROUPS_PER_RU))
+            .chain(plan.upcoming(rus).take(heads))
             .for_each(|tile| f.want(tile));
     }
 }
@@ -1309,11 +1309,11 @@ fn fill_par_profile(
 /// When more than one CPU is available (read once per process) and the plan
 /// holds at least 2 tiles, an idle-priority helper thread runs beside the
 /// event loop for the phase and rasterises the tiles it will need next: each
-/// RU's next queued tile and the first tile of the groups the RUs pull next
-/// ([`FramePlan::upcoming`]). The event loop issues a prepared tile when one
-/// has arrived and otherwise rasterises the tile itself; it never waits for
-/// the helper, and a prepared tile equals the one it would make, so the
-/// result is the same with the helper or without.
+/// RU's next queued tile and the first tile of the groups the RUs pull next,
+/// in pull order ([`FramePlan::upcoming`]). The event loop issues a prepared
+/// tile when one has arrived and otherwise rasterises the tile itself; it
+/// never waits for the helper, and a prepared tile equals the one it would
+/// make, so the result is the same with the helper or without.
 pub fn run_raster_phase(
     cfg: &GpuConfig,
     rus: &mut [RasterUnit],
@@ -1358,6 +1358,7 @@ pub(crate) fn run_phase(
         p.start_ns = host_ns();
         p
     });
+    let timed = profile.is_some();
     let states: Vec<RuState> = rus
         .iter()
         .map(|ru| RuState {
@@ -1392,7 +1393,7 @@ pub(crate) fn run_phase(
                 ru_finish: vec![0; ru_count],
                 ..RasterPhaseResult::default()
             },
-            unique: U64Set::default(),
+            unique: UniqueLines::new(cfg.texture_cache.line_bytes),
             frame_end: 0,
             front,
             tally: TileTally::default(),
@@ -1404,15 +1405,15 @@ pub(crate) fn run_phase(
         }
         let discarded = ctx.front.as_ref().map_or(0, |f| f.discarded);
         let mut out = ctx.out;
-        out.unique_lines = ctx.unique.len() as u64;
+        out.unique_lines = ctx.unique.len();
         out.raster_cycles = ctx.frame_end;
         (out, ctx.tally, discarded)
     };
-    let (out, tally, discarded) = if opts.helper {
-        let buffers = BUFFERS_PER_RU * ru_count.clamp(MIN_BUFFERED_RUS, MAX_BUFFERED_RUS);
-        raster_helper::with_helper(cfg, prims, bins, buffers, None, |f| drive(Some(f)))
+    let ((out, tally, discarded), helper_busy_ns) = if opts.helper {
+        let buffers = raster_helper::buffers(ru_count);
+        raster_helper::with_helper(cfg, prims, bins, buffers, timed, None, |f| drive(Some(f)))
     } else {
-        drive(None)
+        (drive(None), 0)
     };
 
     if let Some(mut p) = profile {
@@ -1422,6 +1423,7 @@ pub(crate) fn run_phase(
         p.tiles_prepared = tally.prepared;
         p.tiles_inline = tally.inline;
         p.tiles_discarded = discarded;
+        p.helper_busy_ns = helper_busy_ns;
         hostprof::record_phase(p);
     }
     out
@@ -1565,6 +1567,10 @@ mod tests {
                     assert_eq!((p.driver, p.helper), (mode.name(), helper));
                     assert_eq!(p.tiles_prepared + p.tiles_inline, plan.remaining_tiles() as u64);
                     assert!(helper || p.tiles_prepared + p.tiles_discarded == 0);
+                    assert!(helper || p.helper_busy_ns == 0);
+                    if p.tiles_prepared + p.tiles_discarded > 0 {
+                        assert!(p.helper_busy_ns > 0, "a rasterised tile took no time");
+                    }
                     match &first {
                         None => first = Some((got, u, h)),
                         Some((want, ..)) => assert_eq!(

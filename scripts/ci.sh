@@ -171,7 +171,8 @@ echo "== [16/17] the idle-core helper changes no byte (one CPU, no helper == eve
 # A raster phase runs an idle-priority helper thread beside the event loop
 # when more than one CPU is available. Pinned to one CPU, available
 # parallelism is 1 and no helper starts: the reports of the two runs of each
-# command must be byte-identical.
+# command must be byte-identical. The campaigns cover 2 (the run), 8 and 64
+# Raster Units, where the helper asks for different numbers of tiles ahead.
 if ! command -v taskset >/dev/null 2>&1; then
     echo "ERROR: gate 16 needs taskset (util-linux) to pin the simulator to one CPU" >&2
     exit 1
@@ -183,6 +184,8 @@ for pin in one every; do
         --report-json "target/ci_helper_run_$pin.json" > "target/ci_helper_run_$pin.log"
     "${pre[@]}" "$SIM" campaign --rus 64 --cores 8 --frames 2 --take 2 --threads 1 \
         --no-checkpoint --report-json "target/ci_helper_campaign_$pin.json" >/dev/null
+    "${pre[@]}" "$SIM" campaign --rus 8 --cores 8 --frames 2 --take 4 --threads 1 \
+        --no-checkpoint --report-json "target/ci_helper_campaign8_$pin.json" >/dev/null
 done
 # The pinned run had no helper; the unpinned one had it wherever there is a
 # second CPU.
@@ -192,6 +195,7 @@ if [ "$(nproc)" -gt 1 ]; then
 fi
 cmp target/ci_helper_run_one.json target/ci_helper_run_every.json
 cmp target/ci_helper_campaign_one.json target/ci_helper_campaign_every.json
+cmp target/ci_helper_campaign8_one.json target/ci_helper_campaign8_every.json
 
 echo "== [17/17] results do not depend on the build profile (dev == release, every counter) =="
 # `cargo test` runs the simulator built in the dev profile; the CLI and the

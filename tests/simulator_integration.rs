@@ -172,7 +172,9 @@ fn cache_counters_obey_conservation_at_every_level() {
     let jobs = [(2, 4, none), (2, 4, re_wasp), (8, 8, none), (8, 8, re_wasp)];
     let checked: usize = std::thread::scope(|s| {
         let handles: Vec<_> = jobs
-            .map(|(rus, cores, mech)| s.spawn(move || check_cache_conservation(rus, cores, mech)))
+            .map(|(rus, cores, mech)| {
+                s.spawn(move || check_cache_conservation(&config(rus, cores), mech, suite()))
+            })
             .into_iter()
             .collect();
         handles.into_iter().map(|h| h.join().expect("invariant violated")).sum()
@@ -180,15 +182,42 @@ fn cache_counters_obey_conservation_at_every_level() {
     assert_eq!(checked, 4 * 32 * 3 * 4, "frame checks");
 }
 
+#[test]
+fn ideal_memory_counts_every_l1_access_as_a_hit() {
+    // Ideal memory serves every access at hit latency, so every level's
+    // counters must read all hits, beside the checks above. WaSP reads the
+    // texture-L1 miss ratio, so it runs here too.
+    let titles = || suite().into_iter().filter(|p| ["AAt", "CCS", "CuT"].contains(&p.abbrev));
+    let re_wasp = MechanismSpec::parse("re+wasp").unwrap();
+    let mut checked = 0;
+    for (rus, cores) in [(2, 4), (8, 8)] {
+        let cfg = config(rus, cores).with_ideal_memory();
+        for mech in [MechanismSpec::default(), re_wasp] {
+            checked += check_cache_conservation(&cfg, mech, titles().collect());
+        }
+    }
+    assert_eq!(checked, 4 * 3 * 3 * 4, "frame checks");
+}
+
+/// LIBRA's configuration on the tiny screen at `rus` RU x `cores` cores.
+fn config(rus: usize, cores: usize) -> GpuConfig {
+    let mut cfg = GpuConfig::libra(ScreenConfig::tiny(), rus);
+    cfg.cores_per_ru = cores;
+    cfg
+}
+
 /// A cache level: its name, its counters in a frame's stats, and its lines
 /// summed over every instance.
 type CacheLevel = (&'static str, fn(&FrameStats) -> CacheStats, u64);
 
-/// Checks every title at `rus` RU x `cores` cores under `mech`; returns the
-/// number of (frame, level) pairs checked.
-fn check_cache_conservation(rus: usize, cores: usize, mech: MechanismSpec) -> usize {
-    let mut cfg = GpuConfig::libra(ScreenConfig::tiny(), rus);
-    cfg.cores_per_ru = cores;
+/// Checks each of `titles` under `cfg` and `mech`, and with ideal memory
+/// that every access hit; returns the number of (frame, level) pairs checked.
+fn check_cache_conservation(
+    cfg: &GpuConfig,
+    mech: MechanismSpec,
+    titles: Vec<BenchmarkProfile>,
+) -> usize {
+    let (rus, cores) = (cfg.num_raster_units, cfg.cores_per_ru);
     let lines = |c: CacheConfig| c.size_bytes / c.line_bytes;
     let levels: [CacheLevel; 4] = [
         ("texture L1", |f| f.texture_cache, (rus * cores) as u64 * lines(cfg.texture_cache)),
@@ -197,9 +226,9 @@ fn check_cache_conservation(rus: usize, cores: usize, mech: MechanismSpec) -> us
         ("L2", |f| f.l2_cache, lines(cfg.l2_cache)),
     ];
     let mut checked = 0;
-    for p in suite() {
+    for p in titles {
         let job = format!("{} at {rus} RU x {cores}, {mech}", p.abbrev);
-        let s = simulate_sequence_mech(&cfg, SchedulerKind::Libra, mech, &p, 3);
+        let s = simulate_sequence_mech(cfg, SchedulerKind::Libra, mech, &p, 3);
         for (name, stats, total_lines) in levels {
             let mut cold_fills = 0;
             for f in &s.frames {
@@ -207,6 +236,9 @@ fn check_cache_conservation(rus: usize, cores: usize, mech: MechanismSpec) -> us
                 let at = format!("{job}: {name}, frame {}", f.frame.0);
                 assert_eq!(c.hits + c.misses, c.accesses, "{at}");
                 assert!(c.evictions <= c.misses, "{at}");
+                if cfg.ideal_memory {
+                    assert_eq!(c.hits, c.accesses, "{at}, ideal memory");
+                }
                 cold_fills += c.misses - c.evictions;
                 checked += 1;
             }
